@@ -17,6 +17,7 @@ from qhact.classify import (
     max_rank,
     skew_support,
     solve_skew_space,
+    spans_equal,
     verify_family,
 )
 from qhact.hopf import (
@@ -250,3 +251,54 @@ def test_compat_requires_same_presentation():
     q = zeta(5)
     with pytest.raises(InputError):
         compatibility(m2_family(q, 1), plane_family(q, q * q, "a"))
+
+
+def _unpruned_span(pres, g, lam, L):
+    """Kernel of the full system: every position, the commutation identity as
+    rows, and the relation rows."""
+    from qhact.hopf import act_skew_raw, eta_from_entries
+
+    t = pres.ngens
+    positions = [(a, k) for a in range(t) for k in range(t)]
+    rows = []
+    for c, (a, k) in enumerate(positions):
+        coeff = g.scalars[a] - lam * g.scalars[k]
+        if not coeff.is_zero():
+            rows.append({c: coeff})
+    for rel in pres.relations():
+        word_rows = {}
+        for c, pp in enumerate(positions):
+            eta = eta_from_entries(t, {pp: Cyc.one(L)}, L)
+            img = act_skew_raw(pres, g, eta, {w: v.lift(L) for w, v in rel.items()})
+            for w, v in img.terms.items():
+                word_rows.setdefault(w, {})[c] = v
+        rows.extend(word_rows.values())
+    return [
+        eta_from_entries(t, {positions[c]: v for c, v in vec.items()}, L)
+        for vec in linalg.nullspace(rows, len(positions), L)
+    ]
+
+
+@pytest.mark.parametrize("grid", ["plane-3-4", "affine-3-ord5"])
+def test_unpruned_solver_spans_pruned(grid):
+    from itertools import product
+    from math import gcd
+
+    from qhact.cyclotomic import root_of_unity
+
+    if grid == "plane-3-4":
+        L, m, t = 12, 4, 2
+        pres = quantum_plane(zeta(3).lift(L))
+    else:
+        L, m, t = 5, 5, 3
+        pres = quantum_affine(_generic_affine_p(3, 5))
+    lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
+    nonzero = 0
+    for exps in product(range(L), repeat=t):
+        g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
+        for lam in lams:
+            _, pruned = solve_skew_space(pres, g, lam, L)
+            unpruned = _unpruned_span(pres, g, lam, L)
+            assert spans_equal(unpruned, pruned, t), (exps, lam)
+            nonzero += bool(pruned)
+    assert nonzero > 0

@@ -371,3 +371,89 @@ def test_dual_of_rank4_bosonization():
     assert verify_module_algebra(dual).ok
     for i in range(4):
         assert dual.qls.lam(i) == witness.qls.lam(i).inv()
+
+
+# pinned violation lists: axiom names, contexts and order are part of the
+# verify report and must not move when the checker is restructured
+
+
+def _no_witness(axiom, **context):
+    return {"axiom": axiom, "context": context, "witness": None}
+
+
+def test_pinned_violations_wrong_lambda_on_plane():
+    inst = plane_a(3, 4)
+    wrong = zeta(4, 3).lift(inst.level)
+    bad = taft_instance(inst.pres, TaftSpec(12, 4, wrong), inst.gen_actions[0], inst.skews[0])
+    assert verify_module_algebra(bad).violations == [
+        _no_witness("grouplike-skew-commutation", grouplike=0, skew=0)
+    ]
+    # a group of the wrong order adds the group-only violation first
+    bad = taft_instance(inst.pres, TaftSpec(4, 4, wrong), inst.gen_actions[0], inst.skews[0])
+    assert verify_module_algebra(bad).violations == [
+        _no_witness("group-generator-order", grouplike=0, order=4),
+        _no_witness("grouplike-skew-commutation", grouplike=0, skew=0),
+    ]
+
+
+def test_pinned_violations_ungraded_weyl():
+    from qhact.classify import example_weyl_nonfiltered
+
+    inst = example_weyl_nonfiltered(zeta(5), zeta(5, 2))
+    assert not inst.pres.is_graded()
+    spec = TaftSpec(inst.qls.group.orders[0], 5, inst.lam(0) ** 2)
+    bad = taft_instance(inst.pres, spec, inst.gen_actions[0], inst.skews[0])
+    assert verify_module_algebra(bad).violations == [
+        _no_witness("grouplike-skew-commutation", grouplike=0, skew=0)
+    ]
+
+
+def test_pinned_violations_cycle_wrong_gamma():
+    alpha = zeta(9)
+    lam = alpha**-3
+    one = Cyc.one(9)
+    p12, p23, p31 = lam * lam * alpha, lam * alpha, alpha
+    pres = quantum_affine([[one, p12, p31.inv()], [p12.inv(), one, p23], [p31, p23.inv(), one]])
+    g = GrouplikeAction.diagonal([lam * lam * alpha, lam * alpha, alpha])
+    eta = eta_from_entries(3, {(0, 1): one, (1, 2): one, (2, 0): one}, 9)
+    gamma = (alpha**3 - 1).inv()
+    assert verify_module_algebra(taft_instance(pres, TaftSpec(9, 3, lam, gamma), g, eta)).ok
+    for wrong in (gamma * 2, Cyc.zero(9)):
+        inst = taft_instance(pres, TaftSpec(9, 3, lam, wrong), g, eta)
+        assert verify_module_algebra(inst).violations == [
+            _no_witness("skew-power-identity", skew=0, m=3)
+        ]
+
+
+def test_pinned_violations_noncommuting_generators():
+    pres = quantum_plane(zeta(3).lift(6))
+    group = AbelianGroup((2, 2))
+    qls = QLSData(group, [(1, 0)], [Character(group, (1, 0))])
+    one = Cyc.one(6)
+    swap = GrouplikeAction((1, 0), [one, one])
+    sign = GrouplikeAction.diagonal([one, -one])
+    inst = ActionInstance(pres, qls, [swap, sign], [eta_from_entries(2, {}, 6)])
+    assert verify_module_algebra(inst).violations == [
+        {
+            "axiom": "grouplike-preserves-relation",
+            "context": {"grouplike": 0, "relation": 0},
+            "witness": [{"word": ["u1", "u2"], "coeff": {"level": 6, "coeffs": ["1", "-2"]}}],
+        },
+        _no_witness("group-generators-commute", pair=[0, 1]),
+    ]
+
+
+def test_pinned_violations_rank3_wrong_character():
+    from qhact.classify import example_m2_rank3
+
+    w = example_m2_rank3(zeta(5))
+    group = w.qls.group
+    shifted = Character(group, group.reduce(tuple(e + 1 for e in w.qls.chis[0].exps)))
+    qls = QLSData(group, w.qls.gs, (shifted,) + w.qls.chis[1:])
+    bad = ActionInstance(w.pres, qls, w.gen_actions, w.skews, w.gammas)
+    assert verify_module_algebra(bad).violations == [
+        _no_witness("grouplike-skew-commutation", grouplike=0, skew=0),
+        _no_witness("grouplike-skew-commutation", grouplike=1, skew=0),
+        _no_witness("grouplike-skew-commutation", grouplike=2, skew=0),
+        _no_witness("skew-skew-commutation", pair=[1, 0]),
+    ]
