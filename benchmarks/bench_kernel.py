@@ -44,14 +44,13 @@ WORKLOAD = """
 import time
 from qhact import KERNEL_BACKEND
 from qhact.cyclotomic import zeta
-from qhact.classify import enumerate_taft_matrix
-from qhact.suite import _plane_instance
+from qhact.classify import enumerate_taft_matrix, plane_instance
 from qhact.invariants import fixed_dims
 
 start = time.perf_counter()
 q = zeta(5)
 enumerate_taft_matrix(2, q, q * q)
-inst, _ = _plane_instance(6, 4)
+inst, _ = plane_instance(6, 4)
 fixed_dims(inst, 48)
 print(f"{KERNEL_BACKEND} workload: {time.perf_counter() - start:.2f}s")
 """

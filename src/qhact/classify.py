@@ -60,7 +60,6 @@ class SearchGrid:
     level: int
     g_shape: str = "diagonal"  # diagonal | monomial | rank_one | rank_one_tau
     support_cap: int = 4
-    unpruned: bool = False
 
     def __post_init__(self):
         if self.support_cap < 1:
@@ -159,19 +158,25 @@ def skew_support(g: GrouplikeAction, lam: Cyc):
     return out
 
 
-def solve_skew_space(pres: Presentation, g: GrouplikeAction, lam: Cyc, level=None):
+def solve_skew_space(
+    pres: Presentation, g: GrouplikeAction, lam: Cyc, level=None, unpruned=False
+):
     """Kernel basis of the linear system a skew matrix must satisfy.
 
     Unknowns are the entries of eta.  Equations: the degree-one identity
-    g x = lam x g, and the vanishing of x on every defining relation.
-    Returns (positions, basis) where positions orders the unknowns and
-    basis is a list of SkewAction kernel vectors (empty when only x = 0).
+    g x = lam x g, and the vanishing of x on every defining relation.  A
+    diagonal g restricts the unknowns to skew_support(g, lam) unless
+    `unpruned` is set; otherwise every position is an unknown and the
+    identity enters as rows.  Returns (positions, basis) where positions
+    orders the unknowns and basis is a list of SkewAction kernel vectors
+    (empty when only x = 0).
     """
     t = pres.ngens
     level = level or lcm_all([pres.level, lam.L] + [s.L for s in g.scalars])
     lam = lam.lift(level)
     g = g.lift(level)
-    if g.is_diagonal():
+    pruned = g.is_diagonal() and not unpruned
+    if pruned:
         positions = sorted(skew_support(g, lam))
     else:
         positions = [(a, k) for a in range(t) for k in range(t)]
@@ -180,7 +185,7 @@ def solve_skew_space(pres: Presentation, g: GrouplikeAction, lam: Cyc, level=Non
     pos_index = {p: c for c, p in enumerate(positions)}
 
     rows = []
-    if not g.is_diagonal():
+    if not pruned:
         # g x = lam x g entrywise; for monomial g this pairs positions
         sigma = g.perm
         sigma_inv = [0] * t
@@ -1111,6 +1116,33 @@ def example_affine_sharp(pres: Presentation, lams=None) -> ActionInstance:
             zeta_table[(i, j)] = res.zeta
     kills = {i: set() for i in range(theta)}
     return assemble_bosonization(acts, tuple(range(theta)), kills, zeta_table)
+
+
+def generic_affine_p(t, order):
+    """A multiplicatively antisymmetric matrix with all off-diagonal orders
+    equal to `order` and pairwise-independent exponent pattern."""
+    z = root_of_unity(order, 1)
+    one = Cyc.one(order)
+    p = [[one for _ in range(t)] for _ in range(t)]
+    exp = 1
+    for i in range(t):
+        for j in range(i + 1, t):
+            p[i][j] = z**exp
+            p[j][i] = z**-exp
+            exp = exp % (order - 1) + 1
+    return p
+
+
+def plane_instance(k, m):
+    """The type-(a) T_n(lam, m, 0) action on the quantum plane with
+    mu = zeta_k, lam = zeta_m, n = lcm(k, m); returns (instance, mu)."""
+    level = lcm(k, m)
+    mu = root_of_unity(k, 1).lift(level)
+    lam = root_of_unity(m, 1).lift(level)
+    pres = quantum_plane(mu)
+    g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
+    eta = eta_from_entries(2, {(0, 1): Cyc.one(level)}, level)
+    return taft_instance(pres, TaftSpec(level, m, lam), g, eta), mu
 
 
 def example_weyl_nonfiltered(lam, p12) -> ActionInstance:

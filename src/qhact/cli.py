@@ -22,8 +22,10 @@ from .classify import (
     enumerate_taft_affine,
     enumerate_taft_matrix,
     enumerate_taft_qplane,
+    generic_affine_p,
     matrix_family,
     max_rank,
+    plane_instance,
 )
 from .cyclotomic import Cyc, InputError, as_q_power, lcm, zeta
 from .hopf import (
@@ -44,7 +46,7 @@ from .invariants import (
     trace_series_product,
 )
 from .ncalg import quantum_matrix
-from .suite import run_suite
+from .suite import CRITERIA, run_suite
 
 
 def parse_scalar(value, q=None, field="scalar"):
@@ -78,6 +80,25 @@ def _require(job, key, field=None):
         return job[key]
     except (KeyError, TypeError):
         raise InputError(f"missing job field: {field or key}") from None
+
+
+def _as_int(value, field):
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"job field {field}: expected an integer, got {value!r}") from None
+
+
+def _require_int(job, key):
+    return _as_int(_require(job, key), key)
+
+
+def _int_list(job, key, default=None):
+    """List of integers in job[key]; required unless a default is given."""
+    values = _require(job, key) if default is None else job.get(key, default)
+    if not isinstance(values, list):
+        raise InputError(f"job field {key}: expected a list of integers")
+    return [_as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 def _scalar_json(c, q=None):
@@ -129,23 +150,21 @@ def cmd_search(job, opts):
 
         grid = SearchGrid(level=opts.level)
     if target == "matrix":
-        N = int(_require(job, "N"))
-        q = zeta(int(_require(job, "ord_q")))
+        N = _require_int(job, "N")
+        q = zeta(_require_int(job, "ord_q"))
         lam = parse_scalar(_require(job, "lambda"), q, "lambda")
         fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=job.get("tau", True))
         ref = q
     elif target in ("plane", "weyl"):
-        k, m = int(_require(job, "k")), int(_require(job, "m"))
+        k, m = _require_int(job, "k"), _require_int(job, "m")
         fams = enumerate_taft_qplane(k, m, grid=grid, algebra=target)
         ref = None
     elif target == "affine":
-        m = int(_require(job, "m"))
+        m = _require_int(job, "m")
         if "p" in job:
             p = [[parse_scalar(e, None, "p") for e in row] for row in job["p"]]
         else:
-            from .suite import _generic_affine_p
-
-            p = _generic_affine_p(int(_require(job, "t")), int(_require(job, "order")))
+            p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order"))
         fams = enumerate_taft_affine(p, m, grid=grid)
         ref = None
     else:
@@ -163,20 +182,19 @@ def _table_actions(job):
     if target not in ("M2", "M3", "M4"):
         raise InputError(f"unknown table target {target!r}")
     N = int(target[1])
-    q = zeta(int(_require(job, "ord_q")))
+    q = zeta(_require_int(job, "ord_q"))
     return N, q
 
 
 def cmd_compat(job, opts):
     N, q = _table_actions(job)
-    rows = _require(job, "rows")
-    if not (isinstance(rows, list) and len(rows) == 2):
+    rows = _int_list(job, "rows")
+    if len(rows) != 2:
         raise InputError("rows must be a two-element list")
-    r, c = int(rows[0]), int(rows[1])
-    kw_r = {k: job[k] for k in ("a_r", "b_r") if k in job}
-    kw_c = {k: job[k] for k in ("a_c", "b_c") if k in job}
-    aj = matrix_family(N, q, r, a=kw_r.get("a_r"), b=kw_r.get("b_r"))
-    ai = matrix_family(N, q, c, a=kw_c.get("a_c"), b=kw_c.get("b_c"))
+    r, c = rows
+    kw = {k: _require_int(job, k) for k in ("a_r", "b_r", "a_c", "b_c") if k in job}
+    aj = matrix_family(N, q, r, a=kw.get("a_r"), b=kw.get("b_r"))
+    ai = matrix_family(N, q, c, a=kw.get("a_c"), b=kw.get("b_c"))
     res = compatibility(ai, aj, q)
     out = {"cell": [r, c], "i_action": ai.tag, "j_action": aj.tag}
     out.update(res.to_json(q))
@@ -187,14 +205,12 @@ def cmd_maxrank(job, opts):
     target = _require(job, "target")
     if target in ("M2", "M3", "M4"):
         N = int(target[1])
-        q = zeta(int(_require(job, "ord_q")))
+        q = zeta(_require_int(job, "ord_q"))
         actions = all_matrix_families(N, q)
         ref = q
     elif target == "affine":
-        from .suite import _generic_affine_p
-
-        m = int(_require(job, "m"))
-        p = _generic_affine_p(int(_require(job, "t")), int(_require(job, "order")))
+        m = _require_int(job, "m")
+        p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order"))
         fams = enumerate_taft_affine(p, m)
         actions = [
             ParamAction(
@@ -224,12 +240,10 @@ def cmd_maxrank(job, opts):
 
 
 def cmd_invariants(job, opts):
-    from .suite import _plane_instance
-
-    k, m = int(_require(job, "k")), int(_require(job, "m"))
+    k, m = _require_int(job, "k"), _require_int(job, "m")
     checks = job.get("checks", ["commutativity", "reflection", "trace", "molien"])
-    D = opts.degree_bound or int(job.get("degree_bound", 20))
-    inst, mu = _plane_instance(k, m)
+    D = opts.degree_bound or _as_int(job.get("degree_bound", 20), "degree_bound")
+    inst, mu = plane_instance(k, m)
     results = {}
     ok = True
     for check in checks:
@@ -271,8 +285,8 @@ def cmd_invariants(job, opts):
 
 
 def cmd_qdet(job, opts):
-    N = int(_require(job, "N"))
-    q = zeta(int(_require(job, "ord_q")))
+    N = _require_int(job, "N")
+    q = zeta(_require_int(job, "ord_q"))
     pres = quantum_matrix(N, q)
     checks = job.get("checks", ["centrality", "laplace"])
     results = {}
@@ -282,12 +296,12 @@ def cmd_qdet(job, opts):
             results[check] = qdet_mod.centrality_check(pres)
             ok = ok and results[check]
         elif check == "laplace":
-            cols = job.get("columns", list(range(N)))
-            col_results = {str(c): qdet_mod.laplace_check(pres, int(c)) for c in cols}
+            cols = _int_list(job, "columns", list(range(N)))
+            col_results = {str(c): qdet_mod.laplace_check(pres, c) for c in cols}
             results[check] = col_results
             ok = ok and all(col_results.values())
         elif check == "stability":
-            wanted = {int(r) for r in job["rows"]} if "rows" in job else None
+            wanted = set(_int_list(job, "rows")) if "rows" in job else None
             flags = {}
             for pa in all_matrix_families(N, q):
                 if wanted is not None:
@@ -304,8 +318,10 @@ def cmd_qdet(job, opts):
 
 def cmd_suite(job, opts):
     job = job or {}
-    criteria = job.get("criteria")
-    ord_q = job.get("ord_q")
+    criteria = _int_list(job, "criteria") if "criteria" in job else None
+    if criteria and not set(criteria) <= set(CRITERIA):
+        raise InputError(f"criteria: unknown ids {sorted(set(criteria) - set(CRITERIA))}")
+    ord_q = _require_int(job, "ord_q") if "ord_q" in job else None
     workers = opts.workers or 1
     if workers > 1:
         results = _run_suite_parallel(criteria, ord_q, workers)
@@ -323,8 +339,6 @@ def _suite_worker(args):
 
 
 def _run_suite_parallel(criteria, ord_q, workers):
-    from .suite import CRITERIA
-
     selected = sorted(criteria) if criteria else sorted(CRITERIA)
     try:
         from concurrent.futures import ProcessPoolExecutor
@@ -395,6 +409,9 @@ def main(argv=None):
             return 2
     elif opts.command != "suite":
         print(json.dumps({"error": "this command requires --job FILE"}), file=sys.stderr)
+        return 2
+    if job is not None and not isinstance(job, dict):
+        print(json.dumps({"error": "the job file must hold a JSON object"}), file=sys.stderr)
         return 2
 
     try:

@@ -447,38 +447,6 @@ def zeta(L: int, k: int = 1) -> Cyc:
     return root_of_unity(L, k)
 
 
-def add(a: Cyc, b: Cyc) -> Cyc:
-    return a + b
-
-
-def mul(a: Cyc, b: Cyc) -> Cyc:
-    return a * b
-
-
-def neg(a: Cyc) -> Cyc:
-    return -a
-
-
-def inv(a: Cyc) -> Cyc:
-    return a.inv()
-
-
-def pow_(a: Cyc, e: int) -> Cyc:
-    return a**e
-
-
-def is_zero(a: Cyc) -> bool:
-    return a.is_zero()
-
-
-def mult_order(a: Cyc):
-    return a.mult_order()
-
-
-def lift(a: Cyc, M: int) -> Cyc:
-    return a.lift(M)
-
-
 def lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
@@ -488,10 +456,6 @@ def lcm_all(values) -> int:
     for v in values:
         out = lcm(out, v)
     return out
-
-
-def common_level(*scalars: Cyc) -> int:
-    return lcm_all(s.L for s in scalars)
 
 
 def as_q_power(value: Cyc, q: Cyc):

@@ -473,18 +473,12 @@ def taft_instance(pres, spec: TaftSpec, g_action: GrouplikeAction, eta) -> Actio
 
 
 def act_grouplike(pres: Presentation, g: GrouplikeAction, poly: NCPoly) -> NCPoly:
-    """Multiplicative extension of a monomial operator, then normalization."""
-    terms = []
-    for word, coeff in poly.terms.items():
-        c = coeff
-        for k in word:
-            c = c * g.scalars[k]
-        terms.append((tuple(g.perm[k] for k in word), c))
-    return normalize(pres, terms)
+    return act_grouplike_raw(pres, g, poly.terms)
 
 
 def act_grouplike_raw(pres, g, raw_terms) -> NCPoly:
-    """Same as act_grouplike but on a raw (non-normalized) term map."""
+    """Multiplicative extension of a monomial operator on a raw term map, then
+    normalization."""
     terms = []
     for word, coeff in raw_terms.items():
         c = coeff
@@ -525,9 +519,10 @@ def grouplike_matrix_deg(pres, g: GrouplikeAction, d, index=None):
     """Sparse column-major matrix of a monomial operator on basis(pres, d)."""
     words = pres.basis(d)
     index = index or {w: i for i, w in enumerate(words)}
+    one = Cyc.one(g.scalars[0].L)
     cols = []
     for w in words:
-        img = act_grouplike(pres, g, NCPoly({w: Cyc.one(g.scalars[0].L)}))
+        img = act_grouplike_raw(pres, g, {w: one})
         cols.append({index[wi]: c for wi, c in img.terms.items()})
     return cols
 
@@ -569,8 +564,27 @@ def operator_matrix(inst: ActionInstance, ops, d):
 # verification ----------------------------------------------------------------------------
 
 
-def _dense_skew(inst, i):
-    return inst.skews[i].matrix(inst.level)
+def _columns(dense):
+    """Sparse column-major form of a dense matrix."""
+    return [
+        {a: row[k] for a, row in enumerate(dense) if not row[k].is_zero()}
+        for k in range(len(dense))
+    ]
+
+
+def _grouplike_op(inst: ActionInstance, g: GrouplikeAction, d):
+    """Sparse matrix of a grouplike on degree d.  Degree one reads it off the
+    generator matrix, so it also covers ungraded presentations."""
+    if d == 1:
+        return _columns(g.matrix(inst.level))
+    return grouplike_matrix_deg(inst.pres, g, d)
+
+
+def _skew_op(inst: ActionInstance, i, d):
+    """Sparse matrix of x_i on degree d, read off eta on degree one."""
+    if d == 1:
+        return _columns(inst.skews[i].matrix(inst.level))
+    return skew_matrix_deg(inst.pres, inst.attached_grouplike(i), inst.skews[i], d)
 
 
 def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
@@ -578,11 +592,11 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
 
     (a) every group generator preserves every defining relation;
     (b) every x_i kills every defining relation (twisted Leibniz);
-    (c) degree-one operator identities for the Hopf relations: generator
-        commutation and orders, g x_i = chi_i(g) x_i g, the chi-commutation
-        of the x_i, and x_i^{m_i} = gamma_i (g_i^{m_i} - 1);
-    (d) for graded presentations, (c)'s relation operators are re-checked as
-        operators on degrees 2..d_check.
+    (c) the group generators commute and have the orders of G;
+    (d) the operator identities of the Hopf relations, g x_i = chi_i(g) x_i g,
+        the chi-commutation of the x_i, and x_i^{m_i} = gamma_i (g_i^{m_i} - 1),
+        on degree one and, for graded presentations that pass everything on
+        degree one, re-checked on degrees 2..d_check.
     """
     pres = inst.pres
     level = inst.level
@@ -621,14 +635,11 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
                     }
                 )
 
-    # (c) degree-one identities
-    gen_mats = [g.matrix(level) for g in inst.gen_actions]
-    for j in range(len(gen_mats)):
-        for k in range(j + 1, len(gen_mats)):
-            if not linalg.d_eq(
-                linalg.d_mul(gen_mats[j], gen_mats[k]),
-                linalg.d_mul(gen_mats[k], gen_mats[j]),
-            ):
+    # (c) the group relations
+    gens = inst.gen_actions
+    for j in range(len(gens)):
+        for k in range(j + 1, len(gens)):
+            if gens[j].compose(gens[k]) != gens[k].compose(gens[j]):
                 violations.append(
                     {
                         "axiom": "group-generators-commute",
@@ -636,7 +647,7 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
                         "witness": None,
                     }
                 )
-    for j, g in enumerate(inst.gen_actions):
+    for j, g in enumerate(gens):
         d_j = inst.qls.group.orders[j]
         if not g.power(d_j).is_identity():
             violations.append(
@@ -647,113 +658,54 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
                 }
             )
 
-    skew_mats = [_dense_skew(inst, i) for i in range(inst.qls.theta)]
+    # (d) the Hopf-relation operators vanish on degree one and, as an
+    # independent guard, on degrees 2..d_check
     gen_elems = []
     for j in range(inst.qls.group.rank):
         e = [0] * inst.qls.group.rank
         e[j] = 1
         gen_elems.append(tuple(e))
-    for i, X in enumerate(skew_mats):
-        for j, g in enumerate(inst.gen_actions):
-            chi = inst.chi_value(i, gen_elems[j])
-            lhs = linalg.d_mul(gen_mats[j], X)
-            rhs = linalg.d_scale(linalg.d_mul(X, gen_mats[j]), chi)
-            if not linalg.d_eq(lhs, rhs):
-                violations.append(
-                    {
-                        "axiom": "grouplike-skew-commutation",
-                        "context": {"grouplike": j, "skew": i},
-                        "witness": None,
-                    }
-                )
-    for i in range(len(skew_mats)):
-        for j in range(len(skew_mats)):
-            if i == j:
-                continue
-            chi = inst.chi_value(j, inst.qls.gs[i])
-            lhs = linalg.d_mul(skew_mats[i], skew_mats[j])
-            rhs = linalg.d_scale(linalg.d_mul(skew_mats[j], skew_mats[i]), chi)
-            if not linalg.d_eq(lhs, rhs):
-                violations.append(
-                    {
-                        "axiom": "skew-skew-commutation",
-                        "context": {"pair": [i, j]},
-                        "witness": None,
-                    }
-                )
-    for i, X in enumerate(skew_mats):
-        m_i = inst.qls.m(i)
-        lhs = linalg.d_pow(X, m_i)
-        g_i = inst.attached_grouplike(i)
-        gm = g_i.power(m_i).matrix(level)
-        ident = linalg.d_identity(pres.ngens, level)
-        rhs = linalg.d_scale(linalg.d_sub(gm, ident), inst.gammas[i])
-        if not linalg.d_eq(lhs, rhs):
-            violations.append(
-                {
-                    "axiom": "skew-power-identity",
-                    "context": {"skew": i, "m": m_i},
-                    "witness": None,
-                }
-            )
 
-    # (d) independent guard: the relation operators of the acting algebra
-    # vanish on degrees 2..d_check as well, not only on degree one
-    if pres.is_graded() and not violations and d_check >= 2:
-        for d in range(2, d_check + 1):
-            nd = len(pres.basis(d))
-            x_mats = [operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta)]
-            g_mats = [
-                operator_matrix(inst, [("g", j)], d) for j in range(inst.qls.group.rank)
-            ]
-            for i, X in enumerate(x_mats):
-                for j, G in enumerate(g_mats):
-                    chi = inst.chi_value(i, gen_elems[j])
-                    delta = linalg.s_sub(
-                        linalg.s_mul(G, X), linalg.s_scale(linalg.s_mul(X, G), chi)
-                    )
-                    if not linalg.s_is_zero(delta):
-                        violations.append(
-                            {
-                                "axiom": "relation-operator-nonzero-high-degree",
-                                "context": {"degree": d, "grouplike": j, "skew": i},
-                                "witness": None,
-                            }
-                        )
-            for i in range(len(x_mats)):
-                for j in range(len(x_mats)):
-                    if i == j:
-                        continue
-                    chi = inst.chi_value(j, inst.qls.gs[i])
-                    delta = linalg.s_sub(
-                        linalg.s_mul(x_mats[i], x_mats[j]),
-                        linalg.s_scale(linalg.s_mul(x_mats[j], x_mats[i]), chi),
-                    )
-                    if not linalg.s_is_zero(delta):
-                        violations.append(
-                            {
-                                "axiom": "relation-operator-nonzero-high-degree",
-                                "context": {"degree": d, "pair": [i, j]},
-                                "witness": None,
-                            }
-                        )
-            for i, X in enumerate(x_mats):
-                m_i = inst.qls.m(i)
-                power = linalg.s_identity(nd, level)
-                for _ in range(m_i):
-                    power = linalg.s_mul(X, power)
-                gm = operator_matrix(inst, [("gelem", inst.qls.gs[i])] * m_i, d)
-                rhs_op = linalg.s_scale(
-                    linalg.s_sub(gm, linalg.s_identity(nd, level)), inst.gammas[i]
+    def nonzero(d, axiom, context):
+        if d > 1:
+            axiom, context = "relation-operator-nonzero-high-degree", {"degree": d, **context}
+        violations.append({"axiom": axiom, "context": context, "witness": None})
+
+    for d in range(1, max(d_check, 1) + 1):
+        if d == 2 and (violations or not pres.is_graded()):
+            break
+        g_mats = [_grouplike_op(inst, g, d) for g in inst.gen_actions]
+        x_mats = [_skew_op(inst, i, d) for i in range(inst.qls.theta)]
+        for i, X in enumerate(x_mats):
+            for j, G in enumerate(g_mats):
+                chi = inst.chi_value(i, gen_elems[j])
+                delta = linalg.s_sub(
+                    linalg.s_mul(G, X), linalg.s_scale(linalg.s_mul(X, G), chi)
                 )
-                if not linalg.s_is_zero(linalg.s_sub(power, rhs_op)):
-                    violations.append(
-                        {
-                            "axiom": "relation-operator-nonzero-high-degree",
-                            "context": {"degree": d, "skew-power": i},
-                            "witness": None,
-                        }
-                    )
+                if not linalg.s_is_zero(delta):
+                    nonzero(d, "grouplike-skew-commutation", {"grouplike": j, "skew": i})
+        for i in range(len(x_mats)):
+            for j in range(len(x_mats)):
+                if i == j:
+                    continue
+                chi = inst.chi_value(j, inst.qls.gs[i])
+                delta = linalg.s_sub(
+                    linalg.s_mul(x_mats[i], x_mats[j]),
+                    linalg.s_scale(linalg.s_mul(x_mats[j], x_mats[i]), chi),
+                )
+                if not linalg.s_is_zero(delta):
+                    nonzero(d, "skew-skew-commutation", {"pair": [i, j]})
+        for i, X in enumerate(x_mats):
+            m_i = inst.qls.m(i)
+            ident = linalg.s_identity(len(X), level)
+            power = ident
+            for _ in range(m_i):
+                power = linalg.s_mul(X, power)
+            gm = _grouplike_op(inst, inst.attached_grouplike(i).power(m_i), d)
+            rhs_op = linalg.s_scale(linalg.s_sub(gm, ident), inst.gammas[i])
+            if not linalg.s_is_zero(linalg.s_sub(power, rhs_op)):
+                context = {"skew": i, "m": m_i} if d == 1 else {"skew-power": i}
+                nonzero(d, "skew-power-identity", context)
     return Report(not violations, violations)
 
 
@@ -874,31 +826,36 @@ def instance_from_json(obj) -> ActionInstance:
         pres = presentation_from_json(obj["presentation"])
         hopf = obj["hopf"]
         kind = hopf["type"]
-    except (KeyError, TypeError) as exc:
+        grouplikes = [
+            GrouplikeAction(rec["perm"], [Cyc.from_json(s) for s in rec["alpha"]])
+            for rec in obj["grouplikes"]
+        ]
+        skews = [
+            SkewAction([[Cyc.from_json(e) for e in row] for row in rec["eta"]])
+            for rec in obj["skews"]
+        ]
+        if kind == "taft":
+            spec = TaftSpec(
+                int(hopf["n"]),
+                int(hopf["m"]),
+                Cyc.from_json(hopf["lambda"]),
+                Cyc.from_json(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
+            )
+        elif kind == "bosonization":
+            group = AbelianGroup(tuple(int(d) for d in hopf["group"]))
+            gs = [tuple(int(e) for e in g) for g in hopf["g"]]
+            chis = [Character(group, tuple(int(e) for e in c)) for c in hopf["chi"]]
+            gammas = [Cyc.from_json(g) for g in hopf.get("gamma", [])] or None
+        else:
+            raise InputError(f"unknown hopf type {kind!r}")
+    except InputError:
+        raise
+    except KeyError as exc:
         raise InputError(f"malformed instance object: missing {exc}") from exc
-    grouplikes = [
-        GrouplikeAction(rec["perm"], [Cyc.from_json(s) for s in rec["alpha"]])
-        for rec in obj["grouplikes"]
-    ]
-    skews = [
-        SkewAction([[Cyc.from_json(e) for e in row] for row in rec["eta"]])
-        for rec in obj["skews"]
-    ]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"malformed instance object: {exc}") from exc
     if kind == "taft":
-        spec = TaftSpec(
-            int(hopf["n"]),
-            int(hopf["m"]),
-            Cyc.from_json(hopf["lambda"]),
-            Cyc.from_json(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
-        )
         if len(grouplikes) != 1 or len(skews) != 1:
             raise InputError("taft instance needs one grouplike and one skew")
         return taft_instance(pres, spec, grouplikes[0], skews[0])
-    if kind == "bosonization":
-        group = AbelianGroup(tuple(int(d) for d in hopf["group"]))
-        gs = [tuple(int(e) for e in g) for g in hopf["g"]]
-        chis = [Character(group, tuple(int(e) for e in c)) for c in hopf["chi"]]
-        qls = QLSData(group, gs, chis)
-        gammas = [Cyc.from_json(g) for g in hopf.get("gamma", [])] or None
-        return ActionInstance(pres, qls, grouplikes, skews, gammas)
-    raise InputError(f"unknown hopf type {kind!r}")
+    return ActionInstance(pres, QLSData(group, gs, chis), grouplikes, skews, gammas)

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import product
+from math import gcd
 
 from .cyclotomic import Cyc, lcm, root_of_unity, zeta
-from . import classify, qdet
+from . import qdet
 from .classify import (
     CompatResult,
     ParamAction,
@@ -24,10 +26,14 @@ from .classify import (
     example_m2_rank3,
     example_matrix_max_rank,
     example_weyl_nonfiltered,
+    generic_affine_p,
     m2_family,
     max_rank,
     mn_family,
+    plane_instance,
     respects_filtration,
+    solve_power_scalar,
+    solve_skew_space,
     spans_equal,
     verify_family,
 )
@@ -59,7 +65,6 @@ from .ncalg import (
     quantum_affine,
     quantum_exterior,
     quantum_matrix,
-    quantum_plane,
 )
 
 
@@ -76,21 +81,6 @@ def _skip(cid, name, reason):
     return {"id": cid, "name": name, "status": "skip", "detail": reason}
 
 
-def _generic_affine_p(t, order):
-    """A multiplicatively antisymmetric matrix with all off-diagonal orders
-    equal to `order` and pairwise-independent exponent pattern."""
-    z = zeta(order)
-    one = Cyc.one(order)
-    p = [[one for _ in range(t)] for _ in range(t)]
-    exp = 1
-    for i in range(t):
-        for j in range(i + 1, t):
-            p[i][j] = z**exp
-            p[j][i] = z**-exp
-            exp = exp % (order - 1) + 1
-    return p
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -102,8 +92,6 @@ def criterion_1():
         mu = root_of_unity(n, n // k)
         fams = enumerate_taft_qplane(k, m, algebra="plane")
         # expected: for each primitive m-th root lam, one (a) and one (b)
-        from math import gcd
-
         prim = [root_of_unity(n, (n // m) * j) for j in range(1, m) if gcd(j, m) == 1]
         if len(fams) != 2 * len(prim) or any(f.tag not in ("a", "b") for f in fams):
             return _result(1, name, False, f"plane census off at (k,m)=({k},{m})")
@@ -322,50 +310,14 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
     pres = quantum_affine(p)
     t = pres.ngens
     L = lcm(pres.level, m)
-    from math import gcd
-
     lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
-    from itertools import product as iproduct
-
-    count = 0
-    for exps in iproduct(range(L), repeat=t):
-        count += 1
+    for count, exps in enumerate(product(range(L), repeat=t), 1):
         if count % sample_stride:
             continue
         g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
         for lam in lams:
-            positions = [(a, k) for a in range(t) for k in range(t)]
-            # unpruned: all positions, with the commutation identity as rows
-            rows = []
-            pos_index = {pp: i for i, pp in enumerate(positions)}
-            for a in range(t):
-                for k in range(t):
-                    coeff = g.scalars[a] - lam * g.scalars[k]
-                    if not coeff.is_zero():
-                        rows.append({pos_index[(a, k)]: coeff})
-            from .hopf import act_skew_raw
-            from . import linalg
-
-            for rel in pres.relations():
-                word_rows = {}
-                for pp in positions:
-                    eta = eta_from_entries(t, {pp: Cyc.one(L)}, L)
-                    img = act_skew_raw(
-                        pres, g, eta, {w: c.lift(L) for w, c in rel.items()}
-                    )
-                    for w, c in img.terms.items():
-                        word_rows.setdefault(w, {})[pos_index[pp]] = c
-                rows.extend(word_rows.values())
-            kernel = linalg.nullspace(rows, len(positions), L)
-            unpruned = [
-                eta_from_entries(t, {positions[c]: v for c, v in vec.items()}, L)
-                for vec in kernel
-            ]
-            matching = [
-                f
-                for f in fams
-                if f.lam == lam and f.g == g
-            ]
+            _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
+            matching = [f for f in fams if f.lam == lam and f.g == g]
             pruned = list(matching[0].basis) if matching else []
             if unpruned and not pruned:
                 # solutions must all fail the support-cap or power check to be absent
@@ -373,7 +325,7 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
                     x
                     for x in unpruned
                     if len(x.support()) <= 4
-                    and classify.solve_power_scalar(pres, g, x, m, L) is not None
+                    and solve_power_scalar(pres, g, x, m, L) is not None
                 ]
                 if kept:
                     return fams, False
@@ -386,7 +338,7 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
 def criterion_6():
     """Affine trivial-extension classification at t = 3."""
     name = "quantum affine space classification (t = 3)"
-    p5 = _generic_affine_p(3, 5)
+    p5 = generic_affine_p(3, 5)
     fams, oracle_ok = _affine_search_with_oracle(p5, 5)
     if not oracle_ok:
         return _result(6, name, False, "pruned search disagrees with the unpruned oracle")
@@ -446,7 +398,7 @@ def criterion_6():
 def criterion_7():
     """Sharpness of the affine rank bound 2(t-1) at t = 3."""
     name = "affine max rank sharpness (t = 3)"
-    p5 = _generic_affine_p(3, 5)
+    p5 = generic_affine_p(3, 5)
     pres = quantum_affine(p5)
     witness = example_affine_sharp(pres)
     if witness.qls.theta != 4 or not verify_module_algebra(witness).ok:
@@ -462,24 +414,14 @@ def criterion_7():
     return _result(7, name, True, "rank-4 witness verifies; max rank over 24 found families is 4")
 
 
-def _plane_instance(k, m):
-    level = lcm(k, m)
-    mu = zeta(k).lift(level)
-    lam = zeta(m).lift(level)
-    pres = quantum_plane(mu)
-    g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
-    eta = eta_from_entries(2, {(0, 1): Cyc.one(level)}, level)
-    return taft_instance(pres, TaftSpec(lcm(k, m), m, lam), g, eta), mu
-
-
 def criterion_8():
     """Fixed-ring Hilbert series against the three matched presentations."""
     name = "fixed-ring presentation matching"
-    inst36, _ = _plane_instance(3, 6)
+    inst36, _ = plane_instance(3, 6)
     ok1, _, _ = presentation_match(inst36, FixedRingCase("divides_km", 3, 6), 36)
-    inst63, _ = _plane_instance(6, 3)
+    inst63, _ = plane_instance(6, 3)
     ok2, _, _ = presentation_match(inst63, FixedRingCase("veronese", 6, 3), 36)
-    inst64, _ = _plane_instance(6, 4)
+    inst64, _ = plane_instance(6, 4)
     case3 = FixedRingCase("hypersurface", 6, 4)
     if case3.s != 2:
         return _result(8, name, False, "hypersurface exponent s != 2")
@@ -495,7 +437,7 @@ def criterion_9():
     name = "invariant-theory checks"
     for k in range(3, 7):
         for m in range(3, 7):
-            inst, mu = _plane_instance(k, m)
+            inst, mu = plane_instance(k, m)
             if not commutativity_check(inst, 20):
                 return _result(9, name, False, f"fixed ring not commutative at (k,m)=({k},{m})")
             flag, xi = is_reflection(
@@ -521,7 +463,7 @@ def criterion_9():
 def criterion_10():
     """Transport of every found affine action to the Koszul dual."""
     name = "Koszul-dual actions"
-    p5 = _generic_affine_p(3, 5)
+    p5 = generic_affine_p(3, 5)
     fams = enumerate_taft_affine(p5, 5)
     count = 0
     for fam in fams:
@@ -588,10 +530,10 @@ def criterion_13(samples=10_000):
     for order in range(3, 9):
         z = zeta(order)
         presentations = [
-            quantum_affine(_generic_affine_p(3, order)),
-            quantum_exterior(_generic_affine_p(3, order)),
+            quantum_affine(generic_affine_p(3, order)),
+            quantum_exterior(generic_affine_p(3, order)),
             quantum_matrix(2, z),
-            quantized_weyl(_generic_affine_p(2, order), [z, z]),
+            quantized_weyl(generic_affine_p(2, order), [z, z]),
         ]
         for pres in presentations:
             if not confluence_check(pres).ok:
@@ -600,10 +542,10 @@ def criterion_13(samples=10_000):
         return _result(13, name, False, "confluence fails for the 3x3 matrix algebra")
 
     presentations = [
-        quantum_affine(_generic_affine_p(3, 5)),
-        quantum_exterior(_generic_affine_p(3, 5)),
+        quantum_affine(generic_affine_p(3, 5)),
+        quantum_exterior(generic_affine_p(3, 5)),
         quantum_matrix(2, zeta(5)),
-        quantized_weyl(_generic_affine_p(2, 5), [zeta(5), zeta(5, 2)]),
+        quantized_weyl(generic_affine_p(2, 5), [zeta(5), zeta(5, 2)]),
     ]
 
     def rand_poly(pres):
@@ -642,16 +584,20 @@ CRITERIA = {
 
 
 def run_suite(criteria=None, ord_q=None):
-    """Run the selected criteria (all by default); returns the summary list."""
+    """Run the selected criteria (all by default); returns the summary list.
+
+    A criterion that raises becomes a fail row carrying the exception text,
+    named by its docstring."""
     selected = sorted(criteria) if criteria else sorted(CRITERIA)
     results = []
     for cid in selected:
         fn = CRITERIA[cid]
         start = time.monotonic()
-        if cid == 2 and ord_q is not None:
-            res = fn(ord_q=ord_q)
-        else:
-            res = fn()
+        try:
+            res = fn(ord_q=ord_q) if cid == 2 and ord_q is not None else fn()
+        except Exception as exc:  # a criterion that raises has failed
+            name = " ".join((fn.__doc__ or f"criterion {cid}").split())
+            res = _result(cid, name, False, f"raised {type(exc).__name__}: {exc}")
         res["seconds"] = round(time.monotonic() - start, 2)
         results.append(res)
     return results

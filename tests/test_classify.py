@@ -12,6 +12,7 @@ from qhact.classify import (
     enumerate_taft_affine,
     enumerate_taft_matrix,
     enumerate_taft_qplane,
+    generic_affine_p,
     m2_family,
     m2_order3_family,
     max_rank,
@@ -25,7 +26,6 @@ from qhact.hopf import (
     verify_module_algebra,
 )
 from qhact import linalg
-from qhact.suite import _generic_affine_p
 from qhact.ncalg import quantum_affine, quantum_plane
 
 
@@ -71,7 +71,7 @@ def test_matrix_search_no_transpose_actions():
 
 def test_affine_monomial_grouplikes_admit_nothing():
     # nontrivial permutation parts never survive at t=3, m in {4, 5}
-    p = _generic_affine_p(3, 5)
+    p = generic_affine_p(3, 5)
     for m in (4, 5):
         fams = enumerate_taft_affine(
             p, m, grid=SearchGrid(level=5 if m == 5 else lcm(5, m), g_shape="monomial")
@@ -81,7 +81,7 @@ def test_affine_monomial_grouplikes_admit_nothing():
 
 def test_found_affine_structure():
     # row/column uniqueness and nilpotency (m != 3) for every found family
-    p = _generic_affine_p(3, 5)
+    p = generic_affine_p(3, 5)
     fams = enumerate_taft_affine(p, 5)
     for fam in fams:
         for member in fam.members():
@@ -178,7 +178,7 @@ def test_build_paper_examples_dispatch():
 
 
 def test_affine_pair_family_alpha_rule():
-    p = _generic_affine_p(3, 5)
+    p = generic_affine_p(3, 5)
     pres = quantum_affine(p)
     lam = zeta(5)
     fam = affine_pair_family(pres, lam, 0, 1)
@@ -205,7 +205,7 @@ def test_matrix_search_n3_full():
 
 def test_disjoint_arrows_fail_at_t4():
     # eta_12 and eta_34 simultaneously nonzero never verifies (t = 4)
-    p = _generic_affine_p(4, 5)
+    p = generic_affine_p(4, 5)
     pres = quantum_affine(p)
     lam = zeta(5)
     # pick g satisfying the degree-one commutation for both arrows
@@ -234,7 +234,7 @@ def test_search_hypothesis_gates():
     with pytest.raises(InputError):
         enumerate_taft_qplane(3, 2)  # m >= 3
     with pytest.raises(InputError):
-        enumerate_taft_affine(_generic_affine_p(2, 5), 5)  # t >= 3
+        enumerate_taft_affine(generic_affine_p(2, 5), 5)  # t >= 3
     one = Cyc.one(2)
     with pytest.raises(InputError):
         # ord(p_ij) = 2 < 3
@@ -253,32 +253,6 @@ def test_compat_requires_same_presentation():
         compatibility(m2_family(q, 1), plane_family(q, q * q, "a"))
 
 
-def _unpruned_span(pres, g, lam, L):
-    """Kernel of the full system: every position, the commutation identity as
-    rows, and the relation rows."""
-    from qhact.hopf import act_skew_raw, eta_from_entries
-
-    t = pres.ngens
-    positions = [(a, k) for a in range(t) for k in range(t)]
-    rows = []
-    for c, (a, k) in enumerate(positions):
-        coeff = g.scalars[a] - lam * g.scalars[k]
-        if not coeff.is_zero():
-            rows.append({c: coeff})
-    for rel in pres.relations():
-        word_rows = {}
-        for c, pp in enumerate(positions):
-            eta = eta_from_entries(t, {pp: Cyc.one(L)}, L)
-            img = act_skew_raw(pres, g, eta, {w: v.lift(L) for w, v in rel.items()})
-            for w, v in img.terms.items():
-                word_rows.setdefault(w, {})[c] = v
-        rows.extend(word_rows.values())
-    return [
-        eta_from_entries(t, {positions[c]: v for c, v in vec.items()}, L)
-        for vec in linalg.nullspace(rows, len(positions), L)
-    ]
-
-
 @pytest.mark.parametrize("grid", ["plane-3-4", "affine-3-ord5"])
 def test_unpruned_solver_spans_pruned(grid):
     from itertools import product
@@ -291,14 +265,14 @@ def test_unpruned_solver_spans_pruned(grid):
         pres = quantum_plane(zeta(3).lift(L))
     else:
         L, m, t = 5, 5, 3
-        pres = quantum_affine(_generic_affine_p(3, 5))
+        pres = quantum_affine(generic_affine_p(3, 5))
     lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
     nonzero = 0
     for exps in product(range(L), repeat=t):
         g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
         for lam in lams:
             _, pruned = solve_skew_space(pres, g, lam, L)
-            unpruned = _unpruned_span(pres, g, lam, L)
+            _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
             assert spans_equal(unpruned, pruned, t), (exps, lam)
             nonzero += bool(pruned)
     assert nonzero > 0

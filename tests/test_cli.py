@@ -160,9 +160,9 @@ def test_suite_json_deterministic_modulo_seconds(tmp_path, capsys):
 
 
 def test_search_affine_explicit_p(tmp_path, capsys):
-    from qhact.suite import _generic_affine_p
+    from qhact.classify import generic_affine_p
 
-    p = _generic_affine_p(3, 5)
+    p = generic_affine_p(3, 5)
     job = write_job(
         tmp_path,
         "aff.json",
@@ -182,3 +182,75 @@ def test_level_override(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["count"] == 4
+
+
+# every integer field of the README job schemas, given a non-integer string,
+# and every required part of a verify instance, deleted: exit 2, no traceback
+INT_FIELD_JOBS = [
+    ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": "q^2"}, "N"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": "q^2"}, "ord_q"),
+    ("search", {"target": "plane", "k": 3, "m": 3}, "k"),
+    ("search", {"target": "plane", "k": 3, "m": 3}, "m"),
+    ("search", {"target": "weyl", "k": 5, "m": 5}, "k"),
+    ("search", {"target": "weyl", "k": 5, "m": 5}, "m"),
+    ("search", {"target": "affine", "t": 3, "order": 5, "m": 5}, "t"),
+    ("search", {"target": "affine", "t": 3, "order": 5, "m": 5}, "order"),
+    ("search", {"target": "affine", "t": 3, "order": 5, "m": 5}, "m"),
+    ("compat", {"target": "M2", "rows": [1, 8], "ord_q": 5}, "ord_q"),
+    ("compat", {"target": "M2", "rows": [1, 8], "ord_q": 5}, "rows"),
+    ("max-rank", {"target": "M2", "ord_q": 5}, "ord_q"),
+    ("max-rank", {"target": "affine", "t": 3, "order": 5, "m": 5}, "t"),
+    ("max-rank", {"target": "affine", "t": 3, "order": 5, "m": 5}, "order"),
+    ("max-rank", {"target": "affine", "t": 3, "order": 5, "m": 5}, "m"),
+    ("invariants", {"k": 6, "m": 4, "checks": ["trace"], "degree_bound": 20}, "k"),
+    ("invariants", {"k": 6, "m": 4, "checks": ["trace"], "degree_bound": 20}, "m"),
+    ("invariants", {"k": 6, "m": 4, "checks": ["trace"], "degree_bound": 20}, "degree_bound"),
+    ("qdet", {"N": 3, "ord_q": 5, "checks": ["centrality"]}, "N"),
+    ("qdet", {"N": 3, "ord_q": 5, "checks": ["centrality"]}, "ord_q"),
+]
+
+
+def _assert_input_error(capsys, tmp_path, command, payload, field):
+    job = write_job(tmp_path, "job.json", payload)
+    code, _, err = run_cli(capsys, command, "--job", job, "--json")
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert field in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command,payload,field", INT_FIELD_JOBS)
+def test_non_integer_field_is_input_error(tmp_path, capsys, command, payload, field):
+    payload = dict(payload)
+    if field == "rows":
+        payload[field] = [1, "two"]
+    else:
+        payload[field] = "two"
+    _assert_input_error(capsys, tmp_path, command, payload, field)
+
+
+@pytest.mark.parametrize("path", [("grouplikes",), ("skews",), ("hopf", "type")])
+def test_verify_instance_missing_part_is_input_error(tmp_path, capsys, path):
+    obj = instance_to_json(m2_family(zeta(5), 1).instance())
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, path[-1])
+
+
+def test_raising_criterion_is_a_fail_row(tmp_path, capsys, monkeypatch):
+    from qhact import suite
+
+    def criterion_broken():
+        """A criterion whose verification raises."""
+        raise InputError("family member failed verification: [...]")
+
+    monkeypatch.setitem(suite.CRITERIA, 3, criterion_broken)
+    rows = suite.run_suite([3, 12])
+    assert [r["status"] for r in rows] == ["fail", "pass"]
+    assert rows[0]["name"] == "A criterion whose verification raises."
+    assert "family member failed verification" in rows[0]["detail"]
+    job = write_job(tmp_path, "suite.json", {"criteria": [3]})
+    code, out, err = run_cli(capsys, "suite", "--job", job, "--json")
+    assert code == 1, err
+    assert json.loads(out)["results"][0]["status"] == "fail"

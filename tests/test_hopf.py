@@ -361,10 +361,9 @@ def test_bosonization_witness_roundtrip():
 
 def test_dual_of_rank4_bosonization():
     # the full rank-4 affine patching transports to the exterior algebra
-    from qhact.classify import example_affine_sharp
-    from qhact.suite import _generic_affine_p
+    from qhact.classify import example_affine_sharp, generic_affine_p
 
-    pres = quantum_affine(_generic_affine_p(3, 5))
+    pres = quantum_affine(generic_affine_p(3, 5))
     witness = example_affine_sharp(pres)
     dual = dual_action(witness)
     assert dual.qls.theta == 4
