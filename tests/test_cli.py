@@ -254,3 +254,33 @@ def test_raising_criterion_is_a_fail_row(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "suite", "--job", job, "--json")
     assert code == 1, err
     assert json.loads(out)["results"][0]["status"] == "fail"
+
+
+# sha256 of the --json report for fixed search and max-rank jobs: the
+# search and patching layers must reproduce these reports byte for byte
+REPORT_DIGESTS = [
+    ("search", {"target": "plane", "k": 3, "m": 4},
+     "cc0fd7a22850a138167aa7b9b88108daf7770daf2ba4e022e0c4bf3cb50563de"),
+    ("search", {"target": "weyl", "k": 5, "m": 5},
+     "900bfb1998754f9c3eafda706ebfaed56494388c467930690eefedbda57427c9"),
+    ("search", {"target": "affine", "t": 3, "order": 5, "m": 5},
+     "4a97d23a5c05aeb90ce76e310d1d38921fbe8d48c5e86675fa474d67b52cfe8d"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": "q^2"},
+     "e69f2ca56861880a9f7eb9461441d565bd0ed310c091400e02a617940d28a1c2"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2"},
+     "5602273c6e655bb0884529fd1e72c04558c4b9ac114bf065d30e38af23960c5a"),
+    ("max-rank", {"target": "M2", "ord_q": 5},
+     "3fe45ad438f0809e76bb238571a895fbdbbf7f7fe0fa14b8ed4f578cd269b521"),
+    ("max-rank", {"target": "affine", "t": 3, "order": 5, "m": 5},
+     "96519f11dbac715047a2c99d578b5756991a538fcdfdf16646a1ca4bd0cd6987"),
+]
+
+
+@pytest.mark.parametrize("command,payload,digest", REPORT_DIGESTS)
+def test_report_digest(tmp_path, capsys, command, payload, digest):
+    import hashlib
+
+    job = write_job(tmp_path, "job.json", payload)
+    code, out, err = run_cli(capsys, command, "--job", job, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
