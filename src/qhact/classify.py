@@ -20,7 +20,7 @@ member's skew matrix entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 from . import linalg
@@ -53,69 +53,26 @@ from .ncalg import (
 # search configuration
 
 
+# Affine family members whose skew matrix has a larger support are dropped.
+SUPPORT_CAP = 4
+
+
 @dataclass(frozen=True)
 class SearchGrid:
-    """Grid for an exhaustive search: ambient level, shape constraint, caps."""
+    """Grid for an exhaustive search: ambient level and grouplike shape
+    (diagonal, or monomial to add the nontrivial permutations)."""
 
     level: int
-    g_shape: str = "diagonal"  # diagonal | monomial | rank_one | rank_one_tau
-    support_cap: int = 4
+    g_shape: str = "diagonal"
 
     def __post_init__(self):
-        if self.support_cap < 1:
-            raise InputError("support cap must be >= 1")
+        if self.g_shape not in ("diagonal", "monomial"):
+            raise InputError(f"unknown grouplike shape {self.g_shape!r}")
 
 
-@dataclass
-class FoundFamily:
-    """A nonzero solution space of skew matrices at a fixed grouplike."""
-
-    pres: Presentation
-    g: GrouplikeAction
-    lam: Cyc
-    basis: tuple[SkewAction, ...]
-    tag: str = "unclassified"
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def span_key(self):
-        return span_canonical(self.basis, self.pres.ngens)
-
-    def members(self):
-        """Representative skew matrices: each basis vector and the full sum."""
-        out = list(self.basis)
-        if len(self.basis) > 1:
-            total = self.basis[0].matrix()
-            level = lcm_all([e.L for row in total for e in row])
-            t = self.pres.ngens
-            acc = [[Cyc.zero(level) for _ in range(t)] for _ in range(t)]
-            for b in self.basis:
-                for a in range(t):
-                    for k in range(t):
-                        acc[a][k] = acc[a][k] + b.eta[a][k]
-            out.append(SkewAction(acc))
-        return out
-
-
-@dataclass
-class ClassifiedAction:
-    """A verified instance together with its structural tag."""
-
-    instance: ActionInstance
-    tag: str
-    family: FoundFamily | None = None
-
-
-def as_classified(families, m, n=None):
-    """Expand found families into verified ClassifiedAction records, one per
-    representative member (verification failures raise)."""
-    out = []
-    for fam in families:
-        for inst in verify_family(fam, m, n=n):
-            out.append(ClassifiedAction(inst, fam.tag, fam))
-    return out
+def primitive_lambdas(L, m):
+    """The primitive m-th roots of unity at level L (m | L)."""
+    return [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
 
 
 def span_canonical(skews, t):
@@ -294,7 +251,7 @@ def _rank_one_candidates(N, L, tau=False):
 # family classification tags
 
 
-def _affine_tag(fam: FoundFamily):
+def _affine_tag(fam):
     supports = [x.support() for x in fam.basis]
     union = set().union(*supports) if supports else set()
     if len(union) == 1 and fam.dim == 1:
@@ -323,6 +280,30 @@ def _affine_tag(fam: FoundFamily):
 # enumerations (spec operations)
 
 
+def _sweep(pres, lams, cands, level, keep):
+    """Families over every lambda and every relation-preserving grouplike
+    candidate: the skew solutions x with keep(g, x), as parts p0, p1, ...,
+    sorted by (lambda, g).  cands is iterated once per lambda."""
+    found = []
+    for lam in lams:
+        for g in cands:
+            if not preserves_relations(pres, g, level):
+                continue
+            _, basis = solve_skew_space(pres, g, lam, level)
+            kept = [x for x in basis if keep(g, x)]
+            if kept:
+                parts = tuple((f"p{i}", x) for i, x in enumerate(kept))
+                found.append(ParamAction(pres, g, lam, parts))
+    found.sort(key=lambda f: (f.lam.sort_key(), f.g.key()))
+    return found
+
+
+def _gamma_zero(pres, m, level):
+    """The keep test of the gamma = 0 searches: X^m = 0."""
+    zero = Cyc.zero(level)
+    return lambda g, x: solve_power_scalar(pres, g, x, m, level) == zero
+
+
 def enumerate_taft_qplane(k, m, grid: SearchGrid | None = None, algebra="plane"):
     """Unpruned census of T_n(lam, m, 0) actions on the quantum plane or the
     first quantum Weyl algebra, n = lcm(k, m), mu = zeta_k.
@@ -347,29 +328,12 @@ def enumerate_taft_qplane(k, m, grid: SearchGrid | None = None, algebra="plane")
         v_idx, u_idx = 0, 1
     else:
         raise InputError(f"unknown algebra {algebra!r}")
-
-    lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
-    found = []
-    for lam in lams:
-        cands = list(_diag_candidates(2, L)) + list(
-            _monomial_candidates(2, L, [(1, 0)])
-        )
-        for g in cands:
-            if not preserves_relations(pres, g, L):
-                continue
-            _, basis = solve_skew_space(pres, g, lam, L)
-            basis = [
-                x for x in basis if solve_power_scalar(pres, g, x, m, L) == Cyc.zero(L)
-            ]
-            if not basis:
-                continue
-            fam = FoundFamily(pres, g, lam, tuple(basis))
-            # inner faithfulness for the rank-one case: x != 0, ord(g) = n
-            if g.order() != n:
-                continue
-            fam.tag = _plane_tag(fam, mu, lam, u_idx, v_idx)
-            found.append(fam)
-    found.sort(key=lambda f: (f.lam.sort_key(), f.g.key()))
+    cands = list(_diag_candidates(2, L)) + list(_monomial_candidates(2, L, [(1, 0)]))
+    found = _sweep(pres, primitive_lambdas(L, m), cands, L, _gamma_zero(pres, m, L))
+    # inner faithfulness for the rank-one case: x != 0, ord(g) = n
+    found = [fam for fam in found if fam.g.order() == n]
+    for fam in found:
+        fam.tag = _plane_tag(fam, mu, fam.lam, u_idx, v_idx)
     return found
 
 
@@ -387,7 +351,7 @@ def _plane_tag(fam, mu, lam, u_idx, v_idx):
     return "unclassified"
 
 
-def enumerate_taft_affine(p, m, grid: SearchGrid | None = None, lams=None):
+def enumerate_taft_affine(p, m, grid: SearchGrid | None = None):
     """All T_n(lam, m, gamma) actions on k_p[u_1..u_t] over the grid.
 
     Diagonal grouplikes by default; the monomial shape constraint widens the
@@ -406,79 +370,45 @@ def enumerate_taft_affine(p, m, grid: SearchGrid | None = None, lams=None):
                     raise InputError("ord(p_ij) must be at least 3")
     grid = grid or SearchGrid(level=lcm(pres.level, m))
     L = lcm(grid.level, lcm(pres.level, m))
-    if lams is None:
-        lams = [
-            root_of_unity(L, (L // m) * j)
-            for j in range(1, m)
-            if gcd(j, m) == 1
-        ]
     if grid.g_shape == "diagonal":
         cands = list(_diag_candidates(t, L))
-    elif grid.g_shape == "monomial":
-        from itertools import permutations
-
-        perms = [s for s in permutations(range(t))]
-        cands = list(_monomial_candidates(t, L, perms))
     else:
-        raise InputError("affine search supports diagonal or monomial grids")
+        cands = list(_monomial_candidates(t, L, list(permutations(range(t)))))
 
-    found = []
-    for lam in lams:
-        for g in cands:
-            if not preserves_relations(pres, g, L):
-                continue
-            positions, basis = solve_skew_space(pres, g, lam, L)
-            kept = []
-            for x in basis:
-                if len(x.support()) > grid.support_cap:
-                    continue
-                if solve_power_scalar(pres, g, x, m, L) is not None:
-                    kept.append(x)
-            if not kept:
-                continue
-            fam = FoundFamily(pres, g, lam, tuple(kept))
-            fam.tag = _affine_tag(fam)
-            found.append(fam)
-    found.sort(key=lambda f: (f.lam.sort_key(), f.g.key()))
+    def keep(g, x):
+        return (
+            len(x.support()) <= SUPPORT_CAP
+            and solve_power_scalar(pres, g, x, m, L) is not None
+        )
+
+    found = _sweep(pres, primitive_lambdas(L, m), cands, L, keep)
+    for fam in found:
+        fam.tag = _affine_tag(fam)
     return found
 
 
 def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau=True):
     """All T_n(lam, m, 0) actions on O_q(M_N) with the grouplike running over
-    rank-one diagonals in mu_ord(q), optionally composed with the transpose."""
+    rank-one diagonals in mu_ord(q), composed with the transpose as well
+    when include_tau is set.  Only the grid's level is read."""
     n = q.mult_order()
     if n is None or n < 3:
         raise InputError("q must be a root of unity of order >= 3 (and != +-1)")
     m = lam.mult_order()
     if m is None or m < 3:
         raise InputError("lambda must be a root of unity of order >= 3")
-    grid = grid or SearchGrid(level=lcm(n, m), g_shape="rank_one_tau")
+    grid = grid or SearchGrid(level=lcm(n, m))
     L = lcm(grid.level, lcm(n, m))
     pres = quantum_matrix(N, q.lift(L), level=L)
-    lam = lam.lift(L)
-    found = []
-    branches = [False, True] if (include_tau and grid.g_shape == "rank_one_tau") else [False]
-    for tau in branches:
-        for g in _rank_one_candidates(N, L, tau=tau):
-            if not preserves_relations(pres, g, L):
-                continue
-            _, basis = solve_skew_space(pres, g, lam, L)
-            kept = [
-                x
-                for x in basis
-                if solve_power_scalar(pres, g, x, m, L) == Cyc.zero(L)
-            ]
-            if not kept:
-                continue
-            fam = FoundFamily(pres, g, lam, tuple(kept))
-            found.append(fam)
+    branches = [False, True] if include_tau else [False]
+    cands = (g for tau in branches for g in _rank_one_candidates(N, L, tau=tau))
+    found = _sweep(pres, [lam.lift(L)], cands, L, _gamma_zero(pres, m, L))
     for fam in found:
         fam.tag = match_matrix_family(N, q, fam)
-    found.sort(key=lambda f: (f.lam.sort_key(), f.g.key()))
     return found
 
 
-def verify_family(fam: FoundFamily, m, n=None):
+def verify_family(fam: ParamAction, m, n=None):
     """Run the full module-algebra verification on family representatives.
 
     Returns the list of verified instances (one per representative).
@@ -506,7 +436,9 @@ def verify_family(fam: FoundFamily, m, n=None):
 
 @dataclass
 class ParamAction:
-    """A rank-one action family with named free scalars in the skew matrix."""
+    """A rank-one action family at a fixed (g, lambda): the skew matrices
+    spanned by labelled parts, each carrying a free scalar.  Templates name
+    their parts; the searches label them p0, p1, ..."""
 
     pres: Presentation
     g: GrouplikeAction
@@ -517,6 +449,22 @@ class ParamAction:
     @property
     def m(self):
         return self.lam.mult_order()
+
+    @property
+    def basis(self):
+        return tuple(part for _, part in self.parts)
+
+    @property
+    def dim(self):
+        return len(self.parts)
+
+    def members(self):
+        """Representative skew matrices: each part and, when there are
+        several, their sum."""
+        out = list(self.basis)
+        if len(self.parts) > 1:
+            out.append(self.skew())
+        return out
 
     def skew(self, coeffs=None):
         t = self.pres.ngens
@@ -757,13 +705,13 @@ def all_matrix_families(N, q):
     return out
 
 
-def match_matrix_family(N, q, fam: FoundFamily):
+def match_matrix_family(N, q, fam: ParamAction):
     """Tag a found matrix family against the printed templates."""
     t = N * N
     for cand in all_matrix_families(N, q):
         if cand.lam != fam.lam or not (cand.g == fam.g):
             continue
-        if spans_equal(list(fam.basis), [p for _, p in cand.parts], t):
+        if spans_equal(fam.basis, cand.basis, t):
             return cand.tag
     return "unclassified"
 
@@ -1026,19 +974,25 @@ def assemble_bosonization(actions, clique, kills, zeta_table) -> ActionInstance:
 # named witness constructions
 
 
+def _patch(acts, q=None) -> ActionInstance:
+    """The bosonization of actions that are pairwise compatible with no free
+    scalar forced to zero (raises otherwise)."""
+    theta = len(acts)
+    zeta_table = {}
+    for i in range(theta):
+        for j in range(i + 1, theta):
+            res = compatibility(acts[i], acts[j], q)
+            if not res.compatible or res.forced_zero:
+                raise InputError(f"components {i},{j} unexpectedly incompatible")
+            zeta_table[(i, j)] = res.zeta
+    kills = {i: set() for i in range(theta)}
+    return assemble_bosonization(acts, tuple(range(theta)), kills, zeta_table)
+
+
 def example_m2_rank3(q) -> ActionInstance:
     """The rank-3 bosonization acting on O_q(M_2): components of types 1, 2,
     and 8, patched over G = (Z_n)^3 with the compatibility character table."""
-    acts = [m2_family(q, 1), m2_family(q, 2), m2_family(q, 8)]
-    zeta_table = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            res = compatibility(acts[i], acts[j], q)
-            if not res.compatible or res.forced_zero:
-                raise InputError("component pair unexpectedly incompatible")
-            zeta_table[(i, j)] = res.zeta
-    kills = {i: set() for i in range(3)}
-    return assemble_bosonization(acts, (0, 1, 2), kills, zeta_table)
+    return _patch([m2_family(q, 1), m2_family(q, 2), m2_family(q, 8)], q)
 
 
 def matrix_max_rank_components(N, q):
@@ -1074,17 +1028,7 @@ def matrix_max_rank_components(N, q):
 
 def example_matrix_max_rank(N, q) -> ActionInstance:
     """The verified rank-(2N-2) patched action on O_q(M_N)."""
-    acts = matrix_max_rank_components(N, q)
-    theta = len(acts)
-    zeta_table = {}
-    for i in range(theta):
-        for j in range(i + 1, theta):
-            res = compatibility(acts[i], acts[j], q)
-            if not res.compatible or res.forced_zero:
-                raise InputError(f"components {i},{j} unexpectedly incompatible")
-            zeta_table[(i, j)] = res.zeta
-    kills = {i: set() for i in range(theta)}
-    return assemble_bosonization(acts, tuple(range(theta)), kills, zeta_table)
+    return _patch(matrix_max_rank_components(N, q), q)
 
 
 def affine_sharp_components(pres: Presentation, lams=None):
@@ -1105,22 +1049,14 @@ def affine_sharp_components(pres: Presentation, lams=None):
 
 
 def example_affine_sharp(pres: Presentation, lams=None) -> ActionInstance:
-    acts = affine_sharp_components(pres, lams)
-    theta = len(acts)
-    zeta_table = {}
-    for i in range(theta):
-        for j in range(i + 1, theta):
-            res = compatibility(acts[i], acts[j])
-            if not res.compatible or res.forced_zero:
-                raise InputError(f"components {i},{j} unexpectedly incompatible")
-            zeta_table[(i, j)] = res.zeta
-    kills = {i: set() for i in range(theta)}
-    return assemble_bosonization(acts, tuple(range(theta)), kills, zeta_table)
+    return _patch(affine_sharp_components(pres, lams))
 
 
 def generic_affine_p(t, order):
     """A multiplicatively antisymmetric matrix with all off-diagonal orders
     equal to `order` and pairwise-independent exponent pattern."""
+    if order < 2:
+        raise InputError(f"order must be at least 2, got {order}")
     z = root_of_unity(order, 1)
     one = Cyc.one(order)
     p = [[one for _ in range(t)] for _ in range(t)]
@@ -1188,16 +1124,3 @@ def respects_filtration(inst: ActionInstance) -> bool:
                 if not x.eta[a][k].is_zero() and weights[a] > weights[k]:
                     return False
     return True
-
-
-def build_paper_examples(which, **kwargs) -> ActionInstance:
-    """Dispatch for the named witness constructions."""
-    if which == "m2_rank3":
-        return example_m2_rank3(kwargs["q"])
-    if which == "matrix_max_rank":
-        return example_matrix_max_rank(kwargs["N"], kwargs["q"])
-    if which == "affine_sharp":
-        return example_affine_sharp(kwargs["pres"], kwargs.get("lams"))
-    if which == "weyl_nonfiltered":
-        return example_weyl_nonfiltered(kwargs["lam"], kwargs["p12"])
-    raise InputError(f"unknown example {which!r}")

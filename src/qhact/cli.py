@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import qdet as qdet_mod
 from .classify import (
-    ParamAction,
+    SearchGrid,
     all_matrix_families,
     compatibility,
     enumerate_taft_affine,
@@ -89,8 +89,12 @@ def _as_int(value, field):
         raise InputError(f"job field {field}: expected an integer, got {value!r}") from None
 
 
-def _require_int(job, key):
-    return _as_int(_require(job, key), key)
+def _require_int(job, key, low=None):
+    """Integer job[key], refused below `low` when a bound is given."""
+    value = _as_int(_require(job, key), key)
+    if low is not None and value < low:
+        raise InputError(f"job field {key}: must be at least {low}, got {value}")
+    return value
 
 
 def _int_list(job, key, default=None):
@@ -144,14 +148,10 @@ def cmd_verify(job, opts):
 
 def cmd_search(job, opts):
     target = _require(job, "target")
-    grid = None
-    if opts.level:
-        from .classify import SearchGrid
-
-        grid = SearchGrid(level=opts.level)
+    grid = SearchGrid(level=opts.level) if opts.level else None
     if target == "matrix":
-        N = _require_int(job, "N")
-        q = zeta(_require_int(job, "ord_q"))
+        N = _require_int(job, "N", 2)
+        q = zeta(_require_int(job, "ord_q", 3))
         lam = parse_scalar(_require(job, "lambda"), q, "lambda")
         fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=job.get("tau", True))
         ref = q
@@ -164,7 +164,7 @@ def cmd_search(job, opts):
         if "p" in job:
             p = [[parse_scalar(e, None, "p") for e in row] for row in job["p"]]
         else:
-            p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order"))
+            p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order", 3))
         fams = enumerate_taft_affine(p, m, grid=grid)
         ref = None
     else:
@@ -182,7 +182,7 @@ def _table_actions(job):
     if target not in ("M2", "M3", "M4"):
         raise InputError(f"unknown table target {target!r}")
     N = int(target[1])
-    q = zeta(_require_int(job, "ord_q"))
+    q = zeta(_require_int(job, "ord_q", 3))
     return N, q
 
 
@@ -204,20 +204,13 @@ def cmd_compat(job, opts):
 def cmd_maxrank(job, opts):
     target = _require(job, "target")
     if target in ("M2", "M3", "M4"):
-        N = int(target[1])
-        q = zeta(_require_int(job, "ord_q"))
+        N, q = _table_actions(job)
         actions = all_matrix_families(N, q)
         ref = q
     elif target == "affine":
         m = _require_int(job, "m")
-        p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order"))
-        fams = enumerate_taft_affine(p, m)
-        actions = [
-            ParamAction(
-                f.pres, f.g, f.lam, tuple((f"p{i}", x) for i, x in enumerate(f.basis)), f.tag
-            )
-            for f in fams
-        ]
+        p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order", 3))
+        actions = enumerate_taft_affine(p, m)
         ref = None
     else:
         raise InputError(f"unknown max-rank target {target!r}")
@@ -285,7 +278,7 @@ def cmd_invariants(job, opts):
 
 
 def cmd_qdet(job, opts):
-    N = _require_int(job, "N")
+    N = _require_int(job, "N", 1)
     q = zeta(_require_int(job, "ord_q"))
     pres = quantum_matrix(N, q)
     checks = job.get("checks", ["centrality", "laplace"])

@@ -101,21 +101,6 @@ class Character:
         return Character(self.group, self.group.reduce(tuple(-f for f in self.exps)))
 
 
-def character_from_value(group: AbelianGroup, generator_values):
-    """Character with the given Cyc value on each cyclic factor generator."""
-    exps = []
-    for d, val in zip(group.orders, generator_values):
-        from .cyclotomic import root_of_unity
-
-        for e in range(d):
-            if root_of_unity(d, e) == val:
-                exps.append(e)
-                break
-        else:
-            raise InputError(f"value {val!r} is not a {d}th root of unity")
-    return Character(group, tuple(exps))
-
-
 # quantum linear space data ------------------------------------------------------
 
 
@@ -541,23 +526,19 @@ def skew_matrix_deg(pres, g_att, x, d, index=None):
 def operator_matrix(inst: ActionInstance, ops, d):
     """Sparse matrix on basis(pres, d) of a composite Hopf word.
 
-    ops is a sequence of ("g", j) for the j-th group generator, ("gelem",
-    exps) for an arbitrary group element, or ("x", i); the rightmost entry
-    acts first.
+    ops is a non-empty sequence of ("g", j) for the j-th group generator or
+    ("x", i); the rightmost entry acts first.
     """
     pres = inst.pres
-    n = len(pres.basis(d))
-    out = linalg.s_identity(n, inst.level)
+    out = None
     for kind, arg in reversed(list(ops)):
         if kind == "g":
             mat = grouplike_matrix_deg(pres, inst.gen_actions[arg], d)
-        elif kind == "gelem":
-            mat = grouplike_matrix_deg(pres, inst.group_elem_action(arg), d)
         elif kind == "x":
             mat = skew_matrix_deg(pres, inst.attached_grouplike(arg), inst.skews[arg], d)
         else:
             raise InputError(f"unknown operator kind {kind!r}")
-        out = linalg.s_mul(mat, out)
+        out = mat if out is None else linalg.s_mul(mat, out)
     return out
 
 

@@ -27,24 +27,29 @@ from .ncalg import NCPoly, Presentation, commutator
 # fixed spaces -----------------------------------------------------------------
 
 
+def _stacked_kernel(n, level, grouplikes=(), skews=()):
+    """Right kernel of the stacked sparse operators {G - 1 : G in grouplikes}
+    and {X : X in skews} on an n-dimensional graded piece."""
+    ident = linalg.s_identity(n, level)
+    rows = []
+    for mat in grouplikes:
+        rows.extend(r for r in linalg.s_rows(linalg.s_sub(mat, ident), n) if r)
+    for mat in skews:
+        rows.extend(r for r in linalg.s_rows(mat, n) if r)
+    return linalg.nullspace(rows, n, level)
+
+
 def fixed_space(inst: ActionInstance, d, group_only=False):
     """Basis of the degree-d invariants: kernel of the stacked operators
     {G_h - 1 : group generators h} and (unless group_only) {X_i}."""
-    pres = inst.pres
-    words = pres.basis(d)
-    n = len(words)
-    if n == 0:
+    words = inst.pres.basis(d)
+    if not words:
         return []
-    rows = []
-    ident = linalg.s_identity(n, inst.level)
-    for j in range(inst.qls.group.rank):
-        mat = operator_matrix(inst, [("g", j)], d)
-        rows.extend(r for r in linalg.s_rows(linalg.s_sub(mat, ident), n) if r)
-    if not group_only:
-        for i in range(inst.qls.theta):
-            mat = operator_matrix(inst, [("x", i)], d)
-            rows.extend(r for r in linalg.s_rows(mat, n) if r)
-    vecs = linalg.nullspace(rows, n, inst.level)
+    gs = (operator_matrix(inst, [("g", j)], d) for j in range(inst.qls.group.rank))
+    xs = () if group_only else (
+        operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta)
+    )
+    vecs = _stacked_kernel(len(words), inst.level, gs, xs)
     return [NCPoly({words[c]: v for c, v in vec.items()}) for vec in vecs]
 
 
@@ -54,14 +59,9 @@ def fixed_dims(inst, D, group_only=False):
 
 def skew_kernel_space(inst: ActionInstance, d):
     """Kernel of the skew operators alone on degree d."""
-    pres = inst.pres
-    words = pres.basis(d)
-    n = len(words)
-    rows = []
-    for i in range(inst.qls.theta):
-        mat = operator_matrix(inst, [("x", i)], d)
-        rows.extend(r for r in linalg.s_rows(mat, n) if r)
-    vecs = linalg.nullspace(rows, n, inst.level)
+    words = inst.pres.basis(d)
+    xs = (operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta))
+    vecs = _stacked_kernel(len(words), inst.level, skews=xs)
     return [NCPoly({words[c]: v for c, v in vec.items()}) for vec in vecs]
 
 
@@ -153,7 +153,7 @@ def group_closure(gens, cap=10_000):
     return list(seen.values())
 
 
-def molien_check(pres: Presentation, gens, D, fixed_dims_fn=None):
+def molien_check(pres: Presentation, gens, D):
     """Molien identity: average trace series of the generated group versus
     dimensions of the joint fixed spaces, degrees 0..D.
 
@@ -168,20 +168,11 @@ def molien_check(pres: Presentation, gens, D, fixed_dims_fn=None):
     inv_order = Cyc.rational(1, level) / Cyc.rational(len(group), level)
     avg = [inv_order * c for c in total]
 
-    if fixed_dims_fn is None:
-        words_rows = []
-        dims = []
-        for d in range(D + 1):
-            words = pres.basis(d)
-            n = len(words)
-            rows = []
-            ident = linalg.s_identity(n, level)
-            for g in gens:
-                mat = grouplike_matrix_deg(pres, g.lift(level), d)
-                rows.extend(r for r in linalg.s_rows(linalg.s_sub(mat, ident), n) if r)
-            dims.append(len(linalg.nullspace(rows, n, level)))
-    else:
-        dims = fixed_dims_fn(D)
+    gens = [g.lift(level) for g in gens]
+    dims = []
+    for d in range(D + 1):
+        mats = (grouplike_matrix_deg(pres, g, d) for g in gens)
+        dims.append(len(_stacked_kernel(len(pres.basis(d)), level, mats)))
     equal = all(avg[d] == dims[d] for d in range(D + 1))
     return equal, avg, dims
 

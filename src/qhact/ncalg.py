@@ -237,13 +237,6 @@ class Presentation:
             return k // 2 + 1
         return 1
 
-    def is_normal_word(self, word):
-        rules = self._rules
-        for i in range(len(word) - 1):
-            if (word[i], word[i + 1]) in rules:
-                return False
-        return True
-
     def __eq__(self, other):
         if not isinstance(other, Presentation) or self.family != other.family:
             return False
@@ -334,9 +327,6 @@ class Presentation:
         if self.family == EXTERIOR:
             return [tuple(w) for w in combinations(range(n), d)]
         return [tuple(w) for w in combinations_with_replacement(range(n), d)]
-
-    def basis_index(self, d):
-        return {w: i for i, w in enumerate(self.basis(d))}
 
     def hilbert_coeffs(self, D):
         return [len(self.basis(d)) for d in range(D + 1)]

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
-from math import gcd
 
 from .cyclotomic import Cyc, lcm, root_of_unity, zeta
 from . import qdet
 from .classify import (
+    SUPPORT_CAP,
     CompatResult,
-    ParamAction,
+    _diag_candidates,
     all_matrix_families,
     compatibility,
     enumerate_taft_affine,
@@ -31,6 +30,7 @@ from .classify import (
     max_rank,
     mn_family,
     plane_instance,
+    primitive_lambdas,
     respects_filtration,
     solve_power_scalar,
     solve_skew_space,
@@ -92,7 +92,7 @@ def criterion_1():
         mu = root_of_unity(n, n // k)
         fams = enumerate_taft_qplane(k, m, algebra="plane")
         # expected: for each primitive m-th root lam, one (a) and one (b)
-        prim = [root_of_unity(n, (n // m) * j) for j in range(1, m) if gcd(j, m) == 1]
+        prim = primitive_lambdas(n, m)
         if len(fams) != 2 * len(prim) or any(f.tag not in ("a", "b") for f in fams):
             return _result(1, name, False, f"plane census off at (k,m)=({k},{m})")
         for f in fams:
@@ -310,11 +310,10 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
     pres = quantum_affine(p)
     t = pres.ngens
     L = lcm(pres.level, m)
-    lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
-    for count, exps in enumerate(product(range(L), repeat=t), 1):
+    lams = primitive_lambdas(L, m)
+    for count, g in enumerate(_diag_candidates(t, L), 1):
         if count % sample_stride:
             continue
-        g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
         for lam in lams:
             _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
             matching = [f for f in fams if f.lam == lam and f.g == g]
@@ -324,7 +323,7 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
                 kept = [
                     x
                     for x in unpruned
-                    if len(x.support()) <= 4
+                    if len(x.support()) <= SUPPORT_CAP
                     and solve_power_scalar(pres, g, x, m, L) is not None
                 ]
                 if kept:
@@ -403,12 +402,7 @@ def criterion_7():
     witness = example_affine_sharp(pres)
     if witness.qls.theta != 4 or not verify_module_algebra(witness).ok:
         return _result(7, name, False, "rank-4 construction fails")
-    fams = enumerate_taft_affine(p5, 5)
-    actions = [
-        ParamAction(f.pres, f.g, f.lam, tuple((f"p{i}", x) for i, x in enumerate(f.basis)), f.tag)
-        for f in fams
-    ]
-    res = max_rank(actions)
+    res = max_rank(enumerate_taft_affine(p5, 5))
     if res.theta != 4:
         return _result(7, name, False, f"max rank over the discovered set is {res.theta} != 4")
     return _result(7, name, True, "rank-4 witness verifies; max rank over 24 found families is 4")

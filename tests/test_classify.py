@@ -2,12 +2,10 @@ import pytest
 
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
 from qhact.classify import (
-    ParamAction,
     all_matrix_families,
     plane_family,
     SearchGrid,
     affine_pair_family,
-    build_paper_examples,
     compatibility,
     enumerate_taft_affine,
     enumerate_taft_matrix,
@@ -132,12 +130,7 @@ def test_ord3_extras_compat():
 
 
 def test_plane_max_rank_two():
-    fams = enumerate_taft_qplane(5, 5)
-    actions = [
-        ParamAction(f.pres, f.g, f.lam, tuple((f"p{i}", x) for i, x in enumerate(f.basis)), f.tag)
-        for f in fams
-    ]
-    res = max_rank(actions)
+    res = max_rank(enumerate_taft_qplane(5, 5))
     assert res.theta == 2
     w = res.witness
     assert verify_module_algebra(w).ok
@@ -165,16 +158,6 @@ def test_solve_skew_space_positions():
     positions, basis = solve_skew_space(pres, g, lam)
     assert positions == [(0, 1)]
     assert len(basis) == 1
-
-
-def test_build_paper_examples_dispatch():
-    q = zeta(5)
-    inst = build_paper_examples("m2_rank3", q=q)
-    assert inst.qls.theta == 3
-    inst2 = build_paper_examples("weyl_nonfiltered", lam=zeta(5), p12=zeta(5, 2))
-    assert verify_module_algebra(inst2).ok
-    with pytest.raises(InputError):
-        build_paper_examples("nonsense")
 
 
 def test_affine_pair_family_alpha_rule():
@@ -245,6 +228,8 @@ def test_search_hypothesis_gates():
         enumerate_taft_matrix(2, Cyc.rational(-1), zeta(5))  # q = -1
     with pytest.raises(InputError):
         enumerate_taft_matrix(2, zeta(5), Cyc.rational(-1))  # ord(lambda) = 2
+    with pytest.raises(InputError):
+        SearchGrid(level=5, g_shape="rank_one")  # diagonal or monomial only
 
 
 def test_compat_requires_same_presentation():

@@ -284,3 +284,56 @@ def test_report_digest(tmp_path, capsys, command, payload, digest):
     code, out, err = run_cli(capsys, command, "--job", job, "--json")
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_level_override_keeps_transposed_candidates(tmp_path, capsys, monkeypatch):
+    # --level sets only the grid's level: a matrix job still sweeps the
+    # transposed rank-one candidates unless the job sets "tau": false
+    from qhact import classify
+
+    seen = []
+    real = classify._rank_one_candidates
+
+    def recording(N, L, tau=False):
+        seen.append(tau)
+        return real(N, L, tau=tau)
+
+    monkeypatch.setattr(classify, "_rank_one_candidates", recording)
+    payload = {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2"}
+    job = write_job(tmp_path, "m.json", payload)
+    code, _, err = run_cli(capsys, "search", "--job", job, "--json", "--level", "3")
+    assert code == 0, err
+    assert seen == [False, True]
+    seen.clear()
+    job = write_job(tmp_path, "m.json", dict(payload, tau=False))
+    code, _, err = run_cli(capsys, "search", "--job", job, "--json", "--level", "3")
+    assert code == 0, err
+    assert seen == [False]
+
+
+# sizes the engine cannot work with: exit 2 naming the field, no traceback
+OUT_OF_RANGE_JOBS = [
+    ("search", {"target": "affine", "t": 3, "order": 1, "m": 5}, "order"),
+    ("search", {"target": "affine", "t": 3, "order": 2, "m": 5}, "order"),
+    ("search", {"target": "matrix", "N": 0, "ord_q": 5, "lambda": "q^2"}, "N"),
+    ("search", {"target": "matrix", "N": 1, "ord_q": 5, "lambda": "q^2"}, "N"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 0, "lambda": "q^2"}, "ord_q"),
+    ("max-rank", {"target": "affine", "t": 3, "order": 1, "m": 5}, "order"),
+    ("max-rank", {"target": "M2", "ord_q": 1}, "ord_q"),
+    ("max-rank", {"target": "M3", "ord_q": 2}, "ord_q"),
+    ("compat", {"target": "M2", "rows": [1, 8], "ord_q": 1}, "ord_q"),
+    ("qdet", {"N": 0, "ord_q": 5}, "N"),
+    ("qdet", {"N": -1, "ord_q": 5}, "N"),
+]
+
+
+@pytest.mark.parametrize("command,payload,field", OUT_OF_RANGE_JOBS)
+def test_out_of_range_field_is_input_error(tmp_path, capsys, command, payload, field):
+    _assert_input_error(capsys, tmp_path, command, payload, field)
+
+
+def test_generic_affine_p_refuses_order_below_two():
+    from qhact.classify import generic_affine_p
+
+    with pytest.raises(InputError):
+        generic_affine_p(3, 1)
