@@ -333,12 +333,12 @@ def enumerate_taft_qplane(k, m, grid: SearchGrid | None = None, algebra="plane")
     # inner faithfulness for the rank-one case: x != 0, ord(g) = n
     found = [fam for fam in found if fam.g.order() == n]
     for fam in found:
-        fam.tag = _plane_tag(fam, mu, fam.lam, u_idx, v_idx)
+        fam.tag = _plane_tag(fam, mu, u_idx, v_idx)
     return found
 
 
-def _plane_tag(fam, mu, lam, u_idx, v_idx):
-    g = fam.g
+def _plane_tag(fam, mu, u_idx, v_idx):
+    g, lam = fam.g, fam.lam
     if not g.is_diagonal() or fam.dim != 1:
         return "unclassified"
     support = fam.basis[0].support()
