@@ -97,6 +97,14 @@ def _require_int(job, key, low=None):
     return value
 
 
+def _degree_bound(opts, job, default):
+    """--degree-bound when given, else job["degree_bound"], else default.
+    An explicit 0 counts; values below 0 are refused."""
+    if opts.degree_bound is not None:
+        job = vars(opts)
+    return _require_int(job, "degree_bound", 0) if "degree_bound" in job else default
+
+
 def _int_list(job, key, default=None):
     """List of integers in job[key]; required unless a default is given."""
     values = _require(job, key) if default is None else job.get(key, default)
@@ -134,7 +142,7 @@ def _family_json(fam, q=None):
 
 def cmd_verify(job, opts):
     inst = instance_from_json(_require(job, "instance"))
-    d_check = opts.degree_bound or 3
+    d_check = _degree_bound(opts, {}, 3)
     report = verify_module_algebra(inst, d_check=d_check)
     out = report.to_json()
     if job.get("inner_faithful"):
@@ -148,7 +156,9 @@ def cmd_verify(job, opts):
 
 def cmd_search(job, opts):
     target = _require(job, "target")
-    grid = SearchGrid(level=opts.level) if opts.level else None
+    grid = None
+    if opts.level is not None:
+        grid = SearchGrid(level=_require_int(vars(opts), "level", 1))
     if target == "matrix":
         N = _require_int(job, "N", 2)
         q = zeta(_require_int(job, "ord_q", 3))
@@ -156,7 +166,7 @@ def cmd_search(job, opts):
         fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=job.get("tau", True))
         ref = q
     elif target in ("plane", "weyl"):
-        k, m = _require_int(job, "k"), _require_int(job, "m")
+        k, m = _require_int(job, "k", 2), _require_int(job, "m", 3)
         fams = enumerate_taft_qplane(k, m, grid=grid, algebra=target)
         ref = None
     elif target == "affine":
@@ -233,9 +243,9 @@ def cmd_maxrank(job, opts):
 
 
 def cmd_invariants(job, opts):
-    k, m = _require_int(job, "k"), _require_int(job, "m")
+    k, m = _require_int(job, "k", 1), _require_int(job, "m", 1)
     checks = job.get("checks", ["commutativity", "reflection", "trace", "molien"])
-    D = opts.degree_bound or _as_int(job.get("degree_bound", 20), "degree_bound")
+    D = _degree_bound(opts, job, 20)
     inst, mu = plane_instance(k, m)
     results = {}
     ok = True
@@ -279,7 +289,7 @@ def cmd_invariants(job, opts):
 
 def cmd_qdet(job, opts):
     N = _require_int(job, "N", 1)
-    q = zeta(_require_int(job, "ord_q"))
+    q = zeta(_require_int(job, "ord_q", 1))
     pres = quantum_matrix(N, q)
     checks = job.get("checks", ["centrality", "laplace"])
     results = {}

@@ -10,13 +10,19 @@ Representation: an integer numerator vector of length phi(L) over a single
 positive denominator, normalized so gcd(content, den) = 1.  Operands at
 different levels are lifted to the lcm level before combining; no attempt
 is made to compress results back into minimal subfields.
+
+Arithmetic stays on integer vectors.  Products reduce through the rows of
+x^k mod Phi_L (one recurrence, `_power_row`).  Inverses use the Galois
+norm: the product P of the conjugates sigma_j(a), j a unit mod L other
+than 1, satisfies a * P = N(a), a rational, so 1/a = P / N(a) (H. Cohen,
+A Course in Computational Algebraic Number Theory, GTM 138).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from . import _kernel as K
 
@@ -91,41 +97,48 @@ def cyclotomic_polynomial(L: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _ctx(L: int):
-    """Per-level data: degree, Phi_L, and reduction rows for x^(deg+e)."""
+    """Per-level data: degree, Phi_L, and the rows of x^(deg+e) mod Phi_L
+    (e < deg - 1) that conv_reduce folds back."""
     phi = cyclotomic_polynomial(L)
     deg = len(phi) - 1
-    rows = []
-    if deg >= 1:
-        cur = [-c for c in phi[:deg]]
-        rows.append(tuple(cur))
-        for _ in range(deg - 2):
-            nxt = [0] + cur[: deg - 1]
-            top = cur[deg - 1]
-            if top:
-                base = rows[0]
-                nxt = [nxt[i] + top * base[i] for i in range(deg)]
-            rows.append(tuple(nxt))
-            cur = nxt
-    return deg, phi, tuple(rows)
+    return deg, phi, tuple(_power_row(L, deg + e) for e in range(deg - 1))
+
+
+def _power_row(L: int, k: int) -> tuple[int, ...]:
+    """x^k reduced mod Phi_L as an integer vector of length deg."""
+    return _power_table(L)[k % L]
 
 
 @lru_cache(maxsize=None)
-def _power_row(L: int, k: int) -> tuple[int, ...]:
-    """x^k reduced mod Phi_L as an integer vector of length deg."""
-    deg, _, rows = _ctx(L)
-    if k < deg:
-        row = [0] * deg
-        row[k] = 1
-        return tuple(row)
-    if k - deg < len(rows):
-        return rows[k - deg]
-    prev = _power_row(L, k - 1)
-    shifted = [0] + list(prev[: deg - 1])
-    top = prev[deg - 1]
-    if top:
-        base = rows[0]
-        shifted = [shifted[i] + top * base[i] for i in range(deg)]
-    return tuple(shifted)
+def _power_table(L: int) -> tuple[tuple[int, ...], ...]:
+    """x^k mod Phi_L for 0 <= k < L, which are all the powers (x^L = 1).
+
+    x^k is x^(k-1) shifted up one degree, with its x^deg term folded back
+    through the monic Phi_L.
+    """
+    phi = cyclotomic_polynomial(L)
+    deg = len(phi) - 1
+    rows = [tuple(int(i == k) for i in range(deg)) for k in range(deg)]
+    for _ in range(deg, L):
+        prev = rows[-1]
+        rows.append(tuple((prev[i - 1] if i else 0) - prev[-1] * phi[i] for i in range(deg)))
+    return tuple(rows)
+
+
+def _substitute(num, M, m):
+    """sum_k num[k] x^(m*k) reduced mod Phi_M: x replaced by x^m.  With
+    M = m*L this lifts a level-L vector to level M; with M = L and m a unit
+    mod L it is the Galois conjugate sigma_m."""
+    deg = _ctx(M)[0]
+    out = [0] * deg
+    for k, c in enumerate(num):
+        if c:
+            row = _power_row(M, m * k)
+            for i in range(deg):
+                ri = row[i]
+                if ri:
+                    out[i] += c * ri
+    return out
 
 
 def _normalize(L, num, den):
@@ -205,24 +218,14 @@ class Cyc:
             raise InputError(f"level {self.L} does not divide target level {M}")
         if M == self.L:
             return self
-        step = M // self.L
-        deg, _, _ = _ctx(M)
-        out = [0] * deg
-        for j, c in enumerate(self.num):
-            if c:
-                row = _power_row(M, j * step)
-                for i in range(deg):
-                    ri = row[i]
-                    if ri:
-                        out[i] += c * ri
-        return Cyc(M, out, self.den)
+        return Cyc(M, _substitute(self.num, M, M // self.L), self.den)
 
     def _pair(self, other):
         if not isinstance(other, Cyc):
             other = Cyc.rational(other, self.L)
         if self.L == other.L:
             return self, other
-        M = self.L * other.L // gcd(self.L, other.L)
+        M = lcm(self.L, other.L)
         return self.lift(M), other.lift(M)
 
     # arithmetic -----------------------------------------------------------
@@ -258,34 +261,23 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self):
+        """num/den inverts to den * P / (num * P), where P is the product of
+        the conjugates sigma_j(num), j a unit mod L other than 1: num * P is
+        the rational norm of num, an integer."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
+        L, num = self.L, self.num
+        deg, _, rows = _ctx(L)
         if self.is_rational():
-            fr = 1 / Fraction(self.num[0], self.den)
-            return Cyc.rational(fr, self.L)
-        deg, phi, _ = _ctx(self.L)
-        # extended Euclid in Q[x] against Phi_L (irreducible, so the gcd is
-        # a nonzero constant once the remainder drops to degree 0)
-        r0 = [Fraction(c) for c in phi]
-        r1 = [Fraction(n, self.den) for n in self.num]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                break
-            q, r = _fr_poly_divmod(r0, r1)
-            s = _fr_poly_sub(s0, _fr_poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        c = r1[0]
-        inv_coeffs = [x / c for x in s1]
-        inv_coeffs += [Fraction(0)] * (deg - len(inv_coeffs))
-        den = 1
-        for f in inv_coeffs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = [int(f * den) for f in inv_coeffs[:deg]]
-        return Cyc(self.L, num, den)
+            return Cyc(L, [self.den] + [0] * (deg - 1), num[0])
+        prod = None
+        for j in range(2, L):
+            if gcd(j, L) != 1:
+                continue
+            conj = _substitute(num, L, j)
+            prod = conj if prod is None else K.conv_reduce(prod, conj, rows, deg)
+        norm = K.conv_reduce(num, prod, rows, deg)[0]
+        return Cyc(L, K.scale(prod, self.den), norm)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -362,9 +354,7 @@ class Cyc:
             fracs = [Fraction(c) for c in obj["coeffs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad scalar object: {obj!r}") from exc
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
+        den = lcm_all(f.denominator for f in fracs)
         return Cyc(L, [int(f * den) for f in fracs], den)
 
     def __repr__(self):
@@ -379,42 +369,6 @@ class Cyc:
 
 def _rebuild_cyc(L, num, den):
     return Cyc(L, list(num), den, _norm=False)
-
-
-# Fraction-polynomial helpers used only by inv (not hot).
-
-
-def _fr_poly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    lead = b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        if a[k]:
-            c = a[k] / lead
-            q[k - db] = c
-            for j in range(db + 1):
-                a[k - db + j] -= c * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _fr_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _fr_poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 @lru_cache(maxsize=None)
@@ -439,7 +393,6 @@ def root_of_unity(L: int, k: int) -> Cyc:
     """zeta_L^k reduced mod Phi_L, at level L."""
     if L < 1:
         raise InputError(f"level must be >= 1, got {L}")
-    k %= L
     return Cyc(L, list(_power_row(L, k)))
 
 
@@ -447,15 +400,8 @@ def zeta(L: int, k: int = 1) -> Cyc:
     return root_of_unity(L, k)
 
 
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = lcm(out, v)
-    return out
+    return lcm(*values)
 
 
 def as_q_power(value: Cyc, q: Cyc):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import gcd
 
 from . import linalg
 from .cyclotomic import Cyc, InputError, lcm_all
@@ -66,13 +67,7 @@ class AbelianGroup:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
 
     def element_order(self, exps):
-        from math import gcd
-
-        n = 1
-        for e, d in zip(exps, self.orders):
-            o = d // gcd(d, e) if e else 1
-            n = n * o // gcd(n, o)
-        return n
+        return lcm_all(d // gcd(d, e) for e, d in zip(exps, self.orders))
 
     def char_level(self):
         return lcm_all(self.orders)

@@ -11,10 +11,9 @@ as an isomorphism proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import linalg
-from .cyclotomic import Cyc, InputError
+from .cyclotomic import Cyc, InputError, lcm_all
 from .hopf import (
     ActionInstance,
     GrouplikeAction,
@@ -94,9 +93,7 @@ def trace_series_product(eigenvalues, weights, D):
     """Coefficients of prod_i (1 - lam_i t^{w_i})^{-1} up to degree D."""
     if len(eigenvalues) != len(weights):
         raise InputError("one weight per eigenvalue")
-    level = 1
-    for lam in eigenvalues:
-        level = level * lam.L // gcd(level, lam.L)
+    level = lcm_all(lam.L for lam in eigenvalues)
     series = [Cyc.one(level)] + [Cyc.zero(level)] * D
     for lam, w in zip(eigenvalues, weights):
         lam = lam.lift(level)
@@ -108,9 +105,7 @@ def trace_series_product(eigenvalues, weights, D):
 
 def trace_series_direct(pres: Presentation, g: GrouplikeAction, D):
     """Trace of the induced operator on each graded piece, degrees 0..D."""
-    level = 1
-    for s in g.scalars:
-        level = level * s.L // gcd(level, s.L)
+    level = lcm_all(s.L for s in g.scalars)
     out = [Cyc.one(level)]
     for d in range(1, D + 1):
         mat = grouplike_matrix_deg(pres, g, d)
@@ -132,10 +127,7 @@ def group_closure(gens, cap=10_000):
     if not gens:
         raise InputError("need at least one grouplike")
     t = len(gens[0].perm)
-    level = 1
-    for g in gens:
-        for s in g.scalars:
-            level = level * s.L // gcd(level, s.L)
+    level = lcm_all(s.L for g in gens for s in g.scalars)
     gens = [g.lift(level) for g in gens]
     ident = GrouplikeAction.identity(t, level)
     seen = {ident.key(): ident}

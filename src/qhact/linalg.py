@@ -12,9 +12,7 @@ exact integers by construction.
 
 from __future__ import annotations
 
-from math import gcd
-
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, lcm_all
 
 # dense ----------------------------------------------------------------------
 
@@ -33,9 +31,7 @@ def d_from_monomial(perm, scalars, level=None):
     """Matrix of u_k -> scalars[k] * u_{perm[k]} on the generator basis."""
     n = len(perm)
     if level is None:
-        level = 1
-        for s in scalars:
-            level = level * s.L // gcd(level, s.L)
+        level = lcm_all(s.L for s in scalars)
     M = d_zero(n, n, level)
     for k in range(n):
         M[perm[k]][k] = scalars[k]
@@ -90,19 +86,6 @@ def d_eq(A, B):
 
 def d_is_zero(A):
     return all(a.is_zero() for row in A for a in row)
-
-
-def d_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
-def d_is_identity(A):
-    n = len(A)
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] != (1 if i == j else 0):
-                return False
-    return True
 
 
 # sparse column-major ----------------------------------------------------------
@@ -177,51 +160,38 @@ def s_rows(A, nrows):
 # elimination -----------------------------------------------------------------
 
 
-def _reduce_row(row, pivots):
-    """Fully reduce a sparse row dict against reduced pivot rows."""
-    row = dict(row)
-    changed = True
-    while changed:
-        changed = False
-        for col in sorted(row):
-            piv = pivots.get(col)
-            if piv is None:
-                continue
-            c = row[col]
-            for j, v in piv.items():
-                cur = row.get(j)
-                nv = -(c * v) if cur is None else cur - c * v
-                if nv.is_zero():
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-            changed = True
-            break
-    return row
+def _subtract(row, c, piv):
+    """row -= c * piv in place, dropping entries that cancel."""
+    for j, v in piv.items():
+        cur = row.get(j)
+        nv = -(c * v) if cur is None else cur - c * v
+        if nv.is_zero():
+            row.pop(j, None)
+        else:
+            row[j] = nv
 
 
 def rref(rows):
-    """Reduced row echelon pivots of sparse rows; returns {pivot_col: row}."""
+    """Reduced row echelon pivots of sparse rows; returns {pivot_col: row}.
+
+    Each pivot row is 1 at its lead and 0 on every other pivot column, so
+    one pass over an incoming row's pivot columns reduces it fully.
+    """
     pivots: dict[int, dict[int, Cyc]] = {}
     for row in rows:
-        r = _reduce_row(row, pivots)
+        r = dict(row)
+        for col in [c for c in r if c in pivots]:
+            _subtract(r, r[col], pivots[col])
         if not r:
             continue
         lead = min(r)
         inv = r[lead].inv()
         r = {j: inv * v for j, v in r.items()}
         # keep existing pivot rows reduced against the new one
-        for pcol, prow in pivots.items():
+        for prow in pivots.values():
             c = prow.get(lead)
-            if c is None:
-                continue
-            for j, v in r.items():
-                cur = prow.get(j)
-                nv = -(c * v) if cur is None else cur - c * v
-                if nv.is_zero():
-                    prow.pop(j, None)
-                else:
-                    prow[j] = nv
+            if c is not None:
+                _subtract(prow, c, r)
         pivots[lead] = r
     return pivots
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -215,7 +216,8 @@ def _assert_input_error(capsys, tmp_path, command, payload, field):
     code, _, err = run_cli(capsys, command, "--job", job, "--json")
     assert code == 2, err
     assert "Traceback" not in err
-    assert field in json.loads(err)["error"]
+    # the field as a word: "m" must not match inside "must"
+    assert re.search(rf"\b{re.escape(field)}\b", json.loads(err)["error"]), err
 
 
 @pytest.mark.parametrize("command,payload,field", INT_FIELD_JOBS)
@@ -324,6 +326,16 @@ OUT_OF_RANGE_JOBS = [
     ("compat", {"target": "M2", "rows": [1, 8], "ord_q": 1}, "ord_q"),
     ("qdet", {"N": 0, "ord_q": 5}, "N"),
     ("qdet", {"N": -1, "ord_q": 5}, "N"),
+    ("qdet", {"N": 2, "ord_q": 0}, "ord_q"),
+    ("qdet", {"N": 2, "ord_q": -3}, "ord_q"),
+    ("invariants", {"k": 0, "m": 3, "checks": ["trace"]}, "k"),
+    ("invariants", {"k": 3, "m": 0, "checks": ["trace"]}, "m"),
+    ("invariants", {"k": 6, "m": 4, "checks": ["fixed_dims"], "degree_bound": -2}, "degree_bound"),
+    ("search", {"target": "plane", "k": 0, "m": 3}, "k"),
+    ("search", {"target": "plane", "k": 1, "m": 3}, "k"),
+    ("search", {"target": "plane", "k": 3, "m": 2}, "m"),
+    ("search", {"target": "weyl", "k": 0, "m": 5}, "k"),
+    ("search", {"target": "weyl", "k": 5, "m": 0}, "m"),
 ]
 
 
@@ -332,8 +344,63 @@ def test_out_of_range_field_is_input_error(tmp_path, capsys, command, payload, f
     _assert_input_error(capsys, tmp_path, command, payload, field)
 
 
+@pytest.mark.parametrize("target", [{"target": "plane", "k": 3, "m": 3},
+                                    {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2"}])
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_level_below_one_is_input_error(tmp_path, capsys, target, level):
+    job = write_job(tmp_path, "job.json", target)
+    code, _, err = run_cli(capsys, "search", "--job", job, "--json", "--level", level)
+    assert code == 2, err
+    assert "level" in json.loads(err)["error"]
+
+
 def test_generic_affine_p_refuses_order_below_two():
     from qhact.classify import generic_affine_p
 
     with pytest.raises(InputError):
         generic_affine_p(3, 1)
+
+
+def test_degree_bound_zero_is_honoured(tmp_path, capsys):
+    # an explicit 0 is a bound, not "unset"
+    job = write_job(tmp_path, "i.json", {"k": 6, "m": 4, "checks": ["fixed_dims"]})
+    code, out, err = run_cli(capsys, "invariants", "--job", job, "--json", "--degree-bound", "0")
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["degree_bound"] == 0 and report["results"]["fixed_dims"] == [1]
+    code, _, err = run_cli(capsys, "invariants", "--job", job, "--json", "--degree-bound", "-1")
+    assert code == 2 and "degree_bound" in json.loads(err)["error"]
+
+
+# each README job schema with every field present; deleting a required field
+# must exit 2 naming it, deleting an optional one must still exit 0
+SCHEMA_JOBS = [
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2", "tau": False}, {"tau"}),
+    ("search", {"target": "plane", "k": 3, "m": 3}, set()),
+    ("search", {"target": "weyl", "k": 3, "m": 3}, set()),
+    ("search", {"target": "affine", "t": 2, "order": 3, "m": 3}, set()),
+    ("compat", {"target": "M2", "rows": [1, 8], "ord_q": 5}, set()),
+    ("max-rank", {"target": "M2", "ord_q": 3}, set()),
+    ("max-rank", {"target": "affine", "t": 2, "order": 3, "m": 3}, set()),
+    ("invariants", {"k": 6, "m": 4, "checks": ["trace"], "degree_bound": 4},
+     {"checks", "degree_bound"}),
+    ("invariants", {"k": 3, "m": 6, "checks": ["match"], "case": "divides_km", "degree_bound": 6},
+     {"checks", "degree_bound"}),
+    ("qdet", {"N": 2, "ord_q": 5, "checks": ["centrality"]}, {"checks"}),
+]
+DELETION_CASES = [
+    (command, payload, field, field in optional)
+    for command, payload, optional in SCHEMA_JOBS
+    for field in payload
+]
+
+
+@pytest.mark.parametrize("command,payload,field,optional", DELETION_CASES)
+def test_deleted_field(tmp_path, capsys, command, payload, field, optional):
+    payload = {k: v for k, v in payload.items() if k != field}
+    if not optional:
+        _assert_input_error(capsys, tmp_path, command, payload, field)
+        return
+    job = write_job(tmp_path, "job.json", payload)
+    code, _, err = run_cli(capsys, command, "--job", job, "--json")
+    assert code == 0, err

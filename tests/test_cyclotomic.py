@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from qhact import _cycore_py
 from qhact.cyclotomic import (
     Cyc,
     DivisionByZero,
     InputError,
+    _ctx,
+    _poly_divmod_int,
+    _power_row,
     cyclotomic_polynomial,
     root_of_unity,
     zeta,
@@ -85,14 +89,47 @@ def test_lift_is_ring_embedding():
 
 def test_field_axioms_random():
     rng = random.Random(11)
-    for _ in range(60):
-        L = rng.choice([3, 4, 5, 6, 8, 12])
+    for _ in range(120):
+        L = rng.choice([3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 36, 60])
         deg = len(zeta(L).num)
-        a = Cyc(L, [rng.randrange(-4, 5) for _ in range(deg)], rng.randrange(1, 4))
-        b = Cyc(L, [rng.randrange(-4, 5) for _ in range(deg)], rng.randrange(1, 4))
+        big = rng.random() < 0.3
+        bound = 2**70 if big else 4
+        dens = 2**66 + 1 if big else 4
+        a = Cyc(L, [rng.randrange(-bound, bound + 1) for _ in range(deg)], rng.randrange(1, dens))
+        b = Cyc(L, [rng.randrange(-bound, bound + 1) for _ in range(deg)], rng.randrange(1, dens))
         assert a * b == b * a
         if not a.is_zero():
             assert a * a.inv() == 1
+        # rationals, negative ones included, invert at every level
+        r = Fraction(-rng.randrange(1, 2**65), rng.randrange(1, 2**65))
+        assert Cyc.rational(r, L).inv() == Cyc.rational(1 / r, L)
+
+
+def test_power_rows_are_residues_mod_phi():
+    # x^k - _power_row(L, k) is an exact multiple of Phi_L
+    for L in (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 20, 36):
+        phi = cyclotomic_polynomial(L)
+        deg = len(phi) - 1
+        for k in range(3 * L):
+            diff = [-c for c in _power_row(L, k)] + [0] * max(k + 1 - deg, 0)
+            diff[k] += 1
+            _poly_divmod_int(diff, phi)  # raises unless exact
+
+
+def test_conv_reduce_matches_power_rows():
+    rng = random.Random(3)
+    for L in (1, 2, 3, 5, 7, 9, 12, 20, 36):
+        deg, _, rows = _ctx(L)
+        for _ in range(10):
+            a = [rng.randrange(-(10**20), 10**20) for _ in range(deg)]
+            b = [rng.randrange(-(10**20), 10**20) for _ in range(deg)]
+            expected = [0] * deg
+            for i in range(deg):
+                for j in range(deg):
+                    row = _power_row(L, i + j)
+                    for e in range(deg):
+                        expected[e] += a[i] * b[j] * row[e]
+            assert _cycore_py.conv_reduce(a, b, rows, deg) == expected
 
 
 def test_pow_and_order_consistency():
