@@ -258,8 +258,9 @@ def test_raising_criterion_is_a_fail_row(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["results"][0]["status"] == "fail"
 
 
-# sha256 of the --json report for fixed search and max-rank jobs: the
-# search and patching layers must reproduce these reports byte for byte
+# sha256 of the --json report for fixed search, compat and max-rank jobs:
+# the search, compatibility and patching layers must reproduce these
+# reports byte for byte
 REPORT_DIGESTS = [
     ("search", {"target": "plane", "k": 3, "m": 4},
      "cc0fd7a22850a138167aa7b9b88108daf7770daf2ba4e022e0c4bf3cb50563de"),
@@ -275,6 +276,16 @@ REPORT_DIGESTS = [
      "3fe45ad438f0809e76bb238571a895fbdbbf7f7fe0fa14b8ed4f578cd269b521"),
     ("max-rank", {"target": "affine", "t": 3, "order": 5, "m": 5},
      "96519f11dbac715047a2c99d578b5756991a538fcdfdf16646a1ca4bd0cd6987"),
+    # the compatibility layer: a two-part cell at ord 3 and at ord 7, the
+    # ord-3 table with its two extra families, and the M_3 table
+    ("compat", {"target": "M2", "rows": [3, 6], "ord_q": 3},
+     "ef48b37b0e074b9b34c1eb6facb03250c1183d0c622c0ad2d7ca242cd763071d"),
+    ("compat", {"target": "M2", "rows": [3, 6], "ord_q": 7},
+     "5c51468290c0e58116bf425f0c6de3a48eda8efe4c0f66bb76ed1b2a0883296c"),
+    ("max-rank", {"target": "M2", "ord_q": 3},
+     "45508b9a3ace7d31c76985dcc2fea0a8f1b4237df1590e180742f478b77e687f"),
+    ("max-rank", {"target": "M3", "ord_q": 5},
+     "ddada753ceda24590ade6a34e757f7c97609dce6088c3d65efca11438d1e4ce7"),
 ]
 
 
