@@ -191,23 +191,11 @@ def solve_skew_space(
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
     """gamma with X^m = gamma (G^m - I), or None when no scalar works."""
     X = x.matrix(level)
-    Xm = linalg.d_pow(X, m)
-    if linalg.d_is_zero(Xm):
+    Xm = linalg.s_pow(X, m, level)
+    if linalg.s_is_zero(Xm):
         return Cyc.zero(level)
-    D = linalg.d_sub(g.power(m).matrix(level), linalg.d_identity(len(X), level))
-    c = None
-    for i in range(len(X)):
-        for j in range(len(X)):
-            if not Xm[i][j].is_zero():
-                if D[i][j].is_zero():
-                    return None
-                c = Xm[i][j] / D[i][j]
-                break
-        if c is not None:
-            break
-    if c is None or not linalg.d_eq(Xm, linalg.d_scale(D, c)):
-        return None
-    return c
+    D = linalg.s_sub(g.power(m).matrix(level), linalg.s_identity(len(X), level))
+    return _scalar_ratio(Xm, D)
 
 
 def preserves_relations(pres, g: GrouplikeAction, level):
@@ -742,20 +730,17 @@ class CompatResult:
 
 
 def _scalar_ratio(P, Q):
-    """r with P = r Q for dense matrices, or None."""
-    n, m = len(P), len(P[0])
+    """r with P = r Q for sparse matrices of the same support, or None."""
     r = None
-    for i in range(n):
-        for j in range(m):
-            pz, qz = P[i][j].is_zero(), Q[i][j].is_zero()
-            if pz != qz:
+    for cp, cq in zip(P, Q):
+        if cp.keys() != cq.keys():
+            return None
+        for i, v in cp.items():
+            cand = v / cq[i]
+            if r is None:
+                r = cand
+            elif r != cand:
                 return None
-            if not pz:
-                cand = P[i][j] / Q[i][j]
-                if r is None:
-                    r = cand
-                elif r != cand:
-                    return None
     return r
 
 
@@ -779,14 +764,14 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     # candidate zeta per part, from the grouplike equations
     zeta_j, dead = {}, set()
     for lab, B in parts_j:
-        r = _scalar_ratio(linalg.d_mul(Gi, B), linalg.d_mul(B, Gi))
+        r = _scalar_ratio(linalg.s_mul(Gi, B), linalg.s_mul(B, Gi))
         if r is None:
             dead.add(("j", lab))
         else:
             zeta_j[lab] = r
     zeta_i = {}
     for lab, B in parts_i:
-        r = _scalar_ratio(linalg.d_mul(Gj, B), linalg.d_mul(B, Gj))
+        r = _scalar_ratio(linalg.s_mul(Gj, B), linalg.s_mul(B, Gj))
         if r is None:
             dead.add(("i", lab))
         else:
@@ -800,9 +785,9 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
         for lab_j, Bj in parts_j:
             if ("j", lab_j) in dead:
                 continue
-            P = linalg.d_mul(Bi, Bj)
-            Q = linalg.d_mul(Bj, Bi)
-            pz, qz = linalg.d_is_zero(P), linalg.d_is_zero(Q)
+            P = linalg.s_mul(Bi, Bj)
+            Q = linalg.s_mul(Bj, Bi)
+            pz, qz = linalg.s_is_zero(P), linalg.s_is_zero(Q)
             if pz and qz:
                 prod_req[(lab_i, lab_j)] = None
             elif pz or qz:

@@ -83,10 +83,10 @@ def _require(job, key, field=None):
 
 
 def _as_int(value, field):
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"job field {field}: expected an integer, got {value!r}") from None
+    """A JSON integer: floats, booleans and strings are refused, not rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"job field {field}: expected an integer, got {value!r}")
 
 
 def _require_int(job, key, low=None):

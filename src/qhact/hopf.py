@@ -287,10 +287,9 @@ class GrouplikeAction:
         raise InputError("grouplike order exceeds cap")
 
     def matrix(self, level=None):
+        """Sparse column-major matrix: column k is scalars[k] at row perm[k]."""
         level = level or lcm_all(s.L for s in self.scalars)
-        return linalg.d_from_monomial(
-            self.perm, tuple(s.lift(level) for s in self.scalars), level
-        )
+        return [{p: s.lift(level)} for p, s in zip(self.perm, self.scalars)]
 
     def lift(self, level):
         return GrouplikeAction(self.perm, tuple(s.lift(level) for s in self.scalars))
@@ -335,10 +334,14 @@ class SkewAction:
         }
 
     def matrix(self, level=None):
+        """Sparse column-major matrix: column k holds the nonzero eta[a][k]."""
         level = level or lcm_all(
             [1] + [e.L for row in self.eta for e in row if not e.is_zero()]
         )
-        return [[e.lift(level) for e in row] for row in self.eta]
+        return [
+            {a: row[k].lift(level) for a, row in enumerate(self.eta) if not row[k].is_zero()}
+            for k in range(len(self.eta))
+        ]
 
     def transpose(self):
         return SkewAction(tuple(zip(*self.eta)))
@@ -540,26 +543,18 @@ def operator_matrix(inst: ActionInstance, ops, d):
 # verification ----------------------------------------------------------------------------
 
 
-def _columns(dense):
-    """Sparse column-major form of a dense matrix."""
-    return [
-        {a: row[k] for a, row in enumerate(dense) if not row[k].is_zero()}
-        for k in range(len(dense))
-    ]
-
-
 def _grouplike_op(inst: ActionInstance, g: GrouplikeAction, d):
     """Sparse matrix of a grouplike on degree d.  Degree one reads it off the
     generator matrix, so it also covers ungraded presentations."""
     if d == 1:
-        return _columns(g.matrix(inst.level))
+        return g.matrix(inst.level)
     return grouplike_matrix_deg(inst.pres, g, d)
 
 
 def _skew_op(inst: ActionInstance, i, d):
     """Sparse matrix of x_i on degree d, read off eta on degree one."""
     if d == 1:
-        return _columns(inst.skews[i].matrix(inst.level))
+        return inst.skews[i].matrix(inst.level)
     return skew_matrix_deg(inst.pres, inst.attached_grouplike(i), inst.skews[i], d)
 
 
@@ -674,9 +669,7 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
         for i, X in enumerate(x_mats):
             m_i = inst.qls.m(i)
             ident = linalg.s_identity(len(X), level)
-            power = ident
-            for _ in range(m_i):
-                power = linalg.s_mul(X, power)
+            power = linalg.s_pow(X, m_i, level)
             gm = _grouplike_op(inst, inst.attached_grouplike(i).power(m_i), d)
             rhs_op = linalg.s_scale(linalg.s_sub(gm, ident), inst.gammas[i])
             if not linalg.s_is_zero(linalg.s_sub(power, rhs_op)):

@@ -1,10 +1,10 @@
 """Exact linear algebra over cyclotomic fields.
 
-Two matrix flavors, both with Cyc entries:
-
-* dense lists of lists for the small degree-one operator identities,
-* sparse column-major dicts for graded-degree operators, whose kernels
-  feed the fixed-ring computations.
+Every matrix is sparse and column-major: a list of {row: Cyc} dicts, one per
+column, so column j holds the image of the j-th basis vector.  Elimination
+takes sparse rows, {column: Cyc} dicts.  A sparse matrix or row never stores
+a zero entry: every helper here drops the entries that cancel, and `rref`
+relies on it, since `min(row)` must pick a nonzero lead.
 
 Kernels are computed by exact row reduction; ranks and dimensions are
 exact integers by construction.
@@ -12,81 +12,7 @@ exact integers by construction.
 
 from __future__ import annotations
 
-from .cyclotomic import Cyc, lcm_all
-
-# dense ----------------------------------------------------------------------
-
-
-def d_zero(n, m, level=1):
-    z = Cyc.zero(level)
-    return [[z for _ in range(m)] for _ in range(n)]
-
-
-def d_identity(n, level=1):
-    one, z = Cyc.one(level), Cyc.zero(level)
-    return [[one if i == j else z for j in range(n)] for i in range(n)]
-
-
-def d_from_monomial(perm, scalars, level=None):
-    """Matrix of u_k -> scalars[k] * u_{perm[k]} on the generator basis."""
-    n = len(perm)
-    if level is None:
-        level = lcm_all(s.L for s in scalars)
-    M = d_zero(n, n, level)
-    for k in range(n):
-        M[perm[k]][k] = scalars[k]
-    return M
-
-
-def d_mul(A, B):
-    n, m, p = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for j in range(m):
-            acc = None
-            for k in range(p):
-                a = Ai[k]
-                if a.is_zero():
-                    continue
-                b = B[k][j]
-                if b.is_zero():
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else Cyc.zero(A[i][0].L))
-        out.append(row)
-    return out
-
-
-def d_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def d_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
-def d_pow(A, e):
-    n = len(A)
-    out = d_identity(n, A[0][0].L)
-    base = A
-    while e:
-        if e & 1:
-            out = d_mul(out, base)
-        base = d_mul(base, base)
-        e >>= 1
-    return out
-
-
-def d_eq(A, B):
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def d_is_zero(A):
-    return all(a.is_zero() for row in A for a in row)
-
+from .cyclotomic import Cyc
 
 # sparse column-major ----------------------------------------------------------
 
@@ -114,6 +40,11 @@ def s_mul(A, B):
     return out
 
 
+# perfbench/tracing.py resolves `linalg.d_mul` by name; it now names the one
+# matrix product.
+d_mul = s_mul
+
+
 def s_sub(A, B):
     out = []
     for ca, cb in zip(A, B):
@@ -127,6 +58,20 @@ def s_sub(A, B):
                 acc[i] = nv
         out.append(acc)
     return out
+
+
+def s_pow(A, e, level=1):
+    """A^e by repeated squaring; the identity only for e = 0."""
+    if e == 0:
+        return s_identity(len(A), level)
+    out = None
+    while True:
+        if e & 1:
+            out = A if out is None else s_mul(out, A)
+        e >>= 1
+        if not e:
+            return out
+        A = s_mul(A, A)
 
 
 def s_scale(A, c):

@@ -11,7 +11,7 @@ import random
 import time
 
 from .cyclotomic import Cyc, lcm, root_of_unity, zeta
-from . import qdet
+from . import linalg, qdet
 from .classify import (
     SUPPORT_CAP,
     CompatResult,
@@ -380,10 +380,8 @@ def criterion_6():
     if not rep.ok:
         return _result(6, name, False, "gamma != 0 cycle instance fails verification")
     # the power identity must genuinely bite: X^3 is nonzero
-    from . import linalg
-
-    X3 = linalg.d_pow(inst.skews[0].matrix(inst.level), 3)
-    if linalg.d_is_zero(X3):
+    X3 = linalg.s_pow(inst.skews[0].matrix(inst.level), 3, inst.level)
+    if linalg.s_is_zero(X3):
         return _result(6, name, False, "cycle skew matrix is unexpectedly nilpotent")
     return _result(
         6,

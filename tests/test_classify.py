@@ -77,6 +77,35 @@ def test_affine_monomial_grouplikes_admit_nothing():
         assert all(f.g.is_diagonal() for f in fams)
 
 
+def test_scalar_ratio_needs_equal_supports():
+    from qhact.classify import _scalar_ratio
+
+    one, two = Cyc.one(5), Cyc.rational(2, 5)
+    assert _scalar_ratio([{0: two}, {1: two}], [{0: one}, {1: one}]) == 2
+    assert _scalar_ratio([{0: two}, {}], [{0: one}, {1: one}]) is None
+    assert _scalar_ratio([{0: two}, {1: two}], [{0: one}, {}]) is None
+    assert _scalar_ratio([{0: two}, {1: one}], [{0: one}, {1: one}]) is None
+    assert _scalar_ratio([{}, {}], [{}, {}]) is None
+
+
+def test_solve_power_scalar_cycle():
+    # X is the 3-cycle of ones, so X^3 = I: gamma (G^3 - I) = I needs every
+    # alpha_k^3 equal and different from 1
+    from qhact.classify import solve_power_scalar
+    from qhact.hopf import eta_from_entries
+
+    alpha = zeta(9)
+    one = Cyc.one(9)
+    pres = quantum_affine([[one] * 3] * 3)
+    x = eta_from_entries(3, {(0, 1): one, (1, 2): one, (2, 0): one}, 9)
+    g = GrouplikeAction.diagonal([alpha, alpha * zeta(3).lift(9), alpha])
+    assert solve_power_scalar(pres, g, x, 3, 9) == (alpha**3 - 1).inv()
+    assert solve_power_scalar(pres, GrouplikeAction.diagonal([alpha, alpha, one]), x, 3, 9) is None
+    assert solve_power_scalar(pres, GrouplikeAction.identity(3, 9), x, 3, 9) is None
+    nil = eta_from_entries(3, {(0, 1): one, (1, 2): one}, 9)
+    assert solve_power_scalar(pres, g, nil, 3, 9) == 0
+
+
 def test_found_affine_structure():
     # row/column uniqueness and nilpotency (m != 3) for every found family
     p = generic_affine_p(3, 5)
@@ -89,8 +118,8 @@ def test_found_affine_structure():
             assert len(rows) == len(set(rows)) and len(cols) == len(set(cols))
             for (a, k) in sup:
                 assert (k, a) not in sup
-            X = member.matrix(fam.g.scalars[0].L)
-            assert linalg.d_is_zero(linalg.d_pow(X, 3))
+            L = fam.g.scalars[0].L
+            assert linalg.s_is_zero(linalg.s_pow(member.matrix(L), 3, L))
 
 
 def test_compat_symmetry():

@@ -186,7 +186,8 @@ def test_level_override(tmp_path, capsys):
 
 
 # every integer field of the README job schemas, given a non-integer string,
-# and every required part of a verify instance, deleted: exit 2, no traceback
+# a float or a boolean, and every required part of a verify instance,
+# deleted: exit 2, no traceback
 INT_FIELD_JOBS = [
     ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": "q^2"}, "N"),
     ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": "q^2"}, "ord_q"),
@@ -222,12 +223,11 @@ def _assert_input_error(capsys, tmp_path, command, payload, field):
 
 @pytest.mark.parametrize("command,payload,field", INT_FIELD_JOBS)
 def test_non_integer_field_is_input_error(tmp_path, capsys, command, payload, field):
-    payload = dict(payload)
-    if field == "rows":
-        payload[field] = [1, "two"]
-    else:
-        payload[field] = "two"
-    _assert_input_error(capsys, tmp_path, command, payload, field)
+    # a float is not rounded and a boolean is not read as 0 or 1
+    for bad in ("two", 4.9, 3.0, True):
+        job = dict(payload)
+        job[field] = [1, bad] if field == "rows" else bad
+        _assert_input_error(capsys, tmp_path, command, job, field)
 
 
 @pytest.mark.parametrize("path", [("grouplikes",), ("skews",), ("hopf", "type")])

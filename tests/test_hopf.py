@@ -189,15 +189,20 @@ def test_operator_matrix():
     inst = plane_a(3, 4)
     pres = inst.pres
     g1 = operator_matrix(inst, [("g", 0)], 1)
-    dense = inst.gen_actions[0].matrix(inst.level)
+    G = inst.gen_actions[0].matrix(inst.level)
     for j, col in enumerate(g1):
         for i, v in col.items():
-            assert v == dense[i][j]
+            assert v == G[j][i]
+    assert g1 == G
     # x^2 at degree 1 is the matrix square
     x2 = operator_matrix(inst, [("x", 0), ("x", 0)], 1)
     X = inst.skews[0].matrix(inst.level)
-    XX = linalg.d_mul(X, X)
-    assert all(XX[i][j] == x2[j].get(i, Cyc.zero(inst.level)) for i in range(2) for j in range(2))
+    XX = linalg.s_mul(X, X)
+    assert all(
+        XX[j].get(i, Cyc.zero(inst.level)) == x2[j].get(i, Cyc.zero(inst.level))
+        for i in range(2)
+        for j in range(2)
+    )
     # g x - lambda x g vanishes on degree 2 for a verified instance
     lam = inst.lam(0)
     gx = operator_matrix(inst, [("g", 0), ("x", 0)], 2)
