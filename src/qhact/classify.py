@@ -9,6 +9,17 @@ skew support; relation equations are linear in the skew matrix), so a
 pruned search is still exhaustive at its grid resolution; an unpruned
 mode is kept as the ground-truth oracle for small cases.
 
+Before the exact solver, the sweep passes each candidate through two
+filters.  Whether g preserves the relations depends only on its permutation
+and on the exponent differences within each relation, so it is decided once
+per such key, exactly.  The skew system is then built mod a prime
+p = 1 (mod L), from normal-form tables made once per permutation, and its
+rank is taken over F_p (multimodular linear algebra, W. Stein, Modular
+Forms: A Computational Approach, AMS 2007).  That certificate is one-sided:
+full column rank mod p proves the kernel over Q(zeta_L) is 0, and only then
+is the candidate skipped.  Every other candidate goes to the exact solver,
+which decides every reported family.
+
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
 exactly for zeta, reporting any free scalars that must vanish.  Maximum
@@ -24,7 +35,16 @@ from itertools import permutations, product
 from math import gcd
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, as_q_power, lcm, lcm_all, root_of_unity
+from .cyclotomic import (
+    Cyc,
+    InputError,
+    as_q_power,
+    fp_image,
+    fp_root,
+    lcm,
+    lcm_all,
+    root_of_unity,
+)
 from .hopf import (
     AbelianGroup,
     ActionInstance,
@@ -43,6 +63,7 @@ from .ncalg import (
     AFFINE,
     Presentation,
     first_weyl,
+    nf_word,
     quantum_affine,
     quantum_matrix,
     quantum_plane,
@@ -209,15 +230,23 @@ def preserves_relations(pres, g: GrouplikeAction, level):
 # grouplike candidate generators (exponent grids over mu_L)
 
 
+# A candidate is (perm, exps): the grouplike u_k -> zeta_L^exps[k] u_perm[k].
+
+
+def _grouplike(perm, exps, L):
+    return GrouplikeAction(perm, [root_of_unity(L, e) for e in exps])
+
+
 def _diag_candidates(t, L):
+    perm = tuple(range(t))
     for exps in product(range(L), repeat=t):
-        yield GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
+        yield perm, exps
 
 
 def _monomial_candidates(t, L, perms):
-    for perm in perms:
+    for perm in map(tuple, perms):
         for exps in product(range(L), repeat=t):
-            yield GrouplikeAction(perm, [root_of_unity(L, e) for e in exps])
+            yield perm, exps
 
 
 def _rank_one_candidates(N, L, tau=False):
@@ -231,8 +260,121 @@ def _rank_one_candidates(N, L, tau=False):
     for a in product(range(L), repeat=N):
         for b in product(range(L), repeat=N - 1):
             bb = b + (0,)
-            scalars = [root_of_unity(L, a[i] + bb[j]) for i in range(N) for j in range(N)]
-            yield GrouplikeAction(perm, scalars)
+            yield perm, tuple((a[i] + bb[j]) % L for i in range(N) for j in range(N))
+
+
+# ---------------------------------------------------------------------------
+# the sweep's prefilter: an exact preservation memo and a zero-kernel
+# certificate mod p
+
+
+class _PreservationMemo:
+    """Whether the candidate (perm, exps) preserves the relations, decided by
+    preserves_relations once per key.  g . r = zeta^E(w0) sum_w c_w
+    zeta^(E(w) - E(w0)) nf(perm w), with E(w) the exponent sum of the word
+    w, so the verdict depends on g only through perm and the differences
+    E(w) - E(w0) mod L within each relation."""
+
+    def __init__(self, pres, L):
+        self.pres = pres
+        self.L = L
+        self.words = [tuple(rel) for rel in pres.relations()]
+        self.verdicts = {}
+
+    def __call__(self, perm, exps):
+        L = self.L
+        diffs = []
+        for words in self.words:
+            sums = [sum(map(exps.__getitem__, w)) for w in words]
+            diffs.append(tuple((e - sums[0]) % L for e in sums[1:]))
+        key = (perm, tuple(diffs))
+        ok = self.verdicts.get(key)
+        if ok is None:
+            ok = self.verdicts[key] = preserves_relations(self.pres, _grouplike(perm, exps, L), L)
+        return ok
+
+
+class _SkewRows:
+    """The system solve_skew_space sets up, for every grouplike with the
+    permutation perm at once, with entries in F_p (fp_root(L)).
+
+    x kills the relation r at the unit eta (a, k) through the twisted Leibniz
+    rule: the sum, over the places of k in the words w of r, of
+    c_w chi_g(prefix) nf(perm(prefix) a suffix).  Only chi_g(prefix) =
+    zeta^(exponent sum of the prefix) depends on g, so the normal forms are
+    tabled once: terms[(a, k)] lists (prefix, [(row, coefficient mod p)]),
+    one row per (relation, normal word).  terms is None when p divides a
+    coefficient's denominator: that table certifies nothing.  The terms of
+    one position are grouped by prefix, so each character is taken once."""
+
+    def __init__(self, pres, perm, L):
+        t = pres.ngens
+        self.t, self.L, self.perm = t, L, perm
+        self.p, omega = fp_root(L)
+        self.powers = [pow(omega, e, self.p) for e in range(L)]
+        self.diagonal = perm == tuple(range(t))
+        merged: dict[tuple, dict] = {}
+        rows: dict[tuple, int] = {}
+        for ridx, rel in enumerate(pres.relations()):
+            for word, c in rel.items():
+                for pos, k in enumerate(word):
+                    prefix, suffix = word[:pos], word[pos + 1 :]
+                    head = tuple(perm[x] for x in prefix)
+                    for a in range(t):
+                        acc = merged.setdefault((a, k), {})
+                        for u, cu in nf_word(pres, head + (a,) + suffix).items():
+                            key = (rows.setdefault((ridx, u), len(rows)), prefix)
+                            acc[key] = c * cu if key not in acc else acc[key] + c * cu
+        self.terms = {}
+        for pos, acc in merged.items():
+            by_prefix: dict[tuple, list] = {}
+            for (row, prefix), v in acc.items():
+                if v.is_zero():
+                    continue
+                fv = fp_image(v, self.p, omega, L)
+                if fv is None:
+                    self.terms = None
+                    return
+                by_prefix.setdefault(prefix, []).append((row, fv))
+            self.terms[pos] = list(by_prefix.items())
+
+    def zero_kernel(self, exps, ell):
+        """True when the system of (perm, exps) at lam = zeta_L^ell has full
+        column rank mod p.  A maximal minor that is nonzero mod p is nonzero
+        over Q(zeta_L), so the exact kernel is 0.  False certifies nothing."""
+        t, L, p, pw = self.t, self.L, self.p, self.powers
+        if self.diagonal:
+            positions = [
+                (a, k) for a in range(t) for k in range(t) if (exps[a] - exps[k] - ell) % L == 0
+            ]
+            rows = []
+        else:
+            # every position, and g x = lam x g entrywise, as solve_skew_space
+            positions = [(a, k) for a in range(t) for k in range(t)]
+            perm = self.perm
+            inv = [0] * t
+            for k in range(t):
+                inv[perm[k]] = k
+            rows = []
+            for r in range(t):
+                for c in range(t):
+                    row = {inv[r] * t + c: pw[exps[inv[r]]]}
+                    col = r * t + perm[c]
+                    row[col] = row.get(col, 0) - pw[(ell + exps[c]) % L]
+                    rows.append(row)
+        if not positions:
+            return True
+        if self.terms is None:
+            return False
+        system: dict[int, dict[int, int]] = {}
+        for col, pos in enumerate(positions):
+            for prefix, terms in self.terms.get(pos, ()):
+                chi = pw[sum(map(exps.__getitem__, prefix)) % L]
+                for row, c in terms:
+                    entries = system.setdefault(row, {})
+                    entries[col] = entries.get(col, 0) + c * chi
+        rows.extend(system.values())
+        return linalg.rank_mod(rows, len(positions), p) == len(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +412,25 @@ def _affine_tag(fam):
 
 def _sweep(pres, lams, cands, level, keep):
     """Families over every lambda and every relation-preserving grouplike
-    candidate: the skew solutions x with keep(g, x), as parts p0, p1, ...,
-    sorted by (lambda, g).  cands is iterated once per lambda."""
+    candidate (perm, exps) at this level: the skew solutions x with
+    keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A candidate
+    whose system _SkewRows certifies to have kernel 0 is skipped; every
+    other one goes to solve_skew_space."""
+    preserves = _PreservationMemo(pres, level)
+    tables: dict[tuple, _SkewRows] = {}
+    zeta_L = root_of_unity(level, 1)
+    ells = [as_q_power(lam, zeta_L) for lam in lams]  # lam = zeta_L^ell, or None
     found = []
-    for lam in lams:
-        for g in cands:
-            if not preserves_relations(pres, g, level):
-                continue
+    for perm, exps in cands:
+        if not preserves(perm, exps):
+            continue
+        for lam, ell in zip(lams, ells):
+            if ell is not None:
+                if perm not in tables:
+                    tables[perm] = _SkewRows(pres, perm, level)
+                if tables[perm].zero_kernel(exps, ell):
+                    continue
+            g = _grouplike(perm, exps, level)
             _, basis = solve_skew_space(pres, g, lam, level)
             kept = [x for x in basis if keep(g, x)]
             if kept:
@@ -389,7 +543,7 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     L = lcm(grid.level, lcm(n, m))
     pres = quantum_matrix(N, q.lift(L), level=L)
     branches = [False, True] if include_tau else [False]
-    cands = (g for tau in branches for g in _rank_one_candidates(N, L, tau=tau))
+    cands = [c for tau in branches for c in _rank_one_candidates(N, L, tau=tau)]
     found = _sweep(pres, [lam.lift(L)], cands, L, _gamma_zero(pres, m, L))
     for fam in found:
         fam.tag = match_matrix_family(N, q, fam)

@@ -27,7 +27,7 @@ from .classify import (
     max_rank,
     plane_instance,
 )
-from .cyclotomic import Cyc, InputError, as_q_power, lcm, zeta
+from .cyclotomic import Cyc, InputError, QPowers, lcm, zeta
 from .hopf import (
     inner_faithfulness,
     instance_from_json,
@@ -113,26 +113,28 @@ def _int_list(job, key, default=None):
     return [_as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
-def _scalar_json(c, q=None):
+def _scalar_json(c, powers=None):
+    """c.to_json(), plus its exponent as a power of q when powers (a
+    QPowers of q, built once per report) finds one."""
     obj = c.to_json()
-    if q is not None:
-        e = as_q_power(c, q)
+    if powers is not None:
+        e = powers(c)
         if e is not None:
             obj["as_q_power"] = e
     return obj
 
 
-def _family_json(fam, q=None):
+def _family_json(fam, powers=None):
     return {
         "tag": fam.tag,
-        "lambda": _scalar_json(fam.lam, q),
+        "lambda": _scalar_json(fam.lam, powers),
         "grouplike": {
             "perm": list(fam.g.perm),
-            "alpha": [_scalar_json(s, q) for s in fam.g.scalars],
+            "alpha": [_scalar_json(s, powers) for s in fam.g.scalars],
         },
         "dimension": fam.dim,
         "basis": [
-            [[_scalar_json(e, q) for e in row] for row in x.eta] for x in fam.basis
+            [[_scalar_json(e, powers) for e in row] for row in x.eta] for x in fam.basis
         ],
     }
 
@@ -163,26 +165,32 @@ def cmd_search(job, opts):
         N = _require_int(job, "N", 2)
         q = zeta(_require_int(job, "ord_q", 3))
         lam = parse_scalar(_require(job, "lambda"), q, "lambda")
-        fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=job.get("tau", True))
-        ref = q
+        tau = job.get("tau", True)
+        if not isinstance(tau, bool):
+            raise InputError(f"job field tau: expected true or false, got {tau!r}")
+        fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=tau)
+        powers = QPowers(q)
     elif target in ("plane", "weyl"):
         k, m = _require_int(job, "k", 2), _require_int(job, "m", 3)
         fams = enumerate_taft_qplane(k, m, grid=grid, algebra=target)
-        ref = None
+        powers = None
     elif target == "affine":
         m = _require_int(job, "m")
         if "p" in job:
-            p = [[parse_scalar(e, None, "p") for e in row] for row in job["p"]]
+            rows = job["p"]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise InputError("job field p: expected a list of lists of scalars")
+            p = [[parse_scalar(e, None, "p") for e in row] for row in rows]
         else:
             p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order", 3))
         fams = enumerate_taft_affine(p, m, grid=grid)
-        ref = None
+        powers = None
     else:
         raise InputError(f"unknown search target {target!r}")
     out = {
         "target": target,
         "count": len(fams),
-        "families": [_family_json(f, ref) for f in fams],
+        "families": [_family_json(f, powers) for f in fams],
     }
     return out, 0
 
@@ -235,8 +243,9 @@ def cmd_maxrank(job, opts):
         out["witness"] = instance_to_json(res.witness)
         out["witness_verifies"] = rep.ok
         qls = res.witness.qls
+        powers = QPowers(ref) if ref is not None else None
         out["character_table"] = [
-            [_scalar_json(chi.eval(g, res.witness.level), ref) for g in qls.gs]
+            [_scalar_json(chi.eval(g, res.witness.level), powers) for g in qls.gs]
             for chi in qls.chis
         ]
     return out, 0

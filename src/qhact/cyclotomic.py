@@ -404,16 +404,85 @@ def lcm_all(values) -> int:
     return lcm(*values)
 
 
+class QPowers:
+    """value -> exponent e with value = q^e, minimal |e| (positive on ties),
+    or None.  ord(q) and the powers q^e are computed once; the powers are
+    lifted once per level they are compared at."""
+
+    def __init__(self, q: Cyc):
+        self.q = q
+        self.n = q.mult_order()
+        self._tables = {}
+
+    def __call__(self, value: Cyc):
+        if self.n is None:
+            return None
+        M = lcm(value.L, self.q.L)
+        table = self._tables.get(M)
+        if table is None:
+            table = self._tables[M] = {}
+            cur = Cyc.one(self.q.L)
+            for e in range(self.n):
+                table[cur.lift(M).sort_key()] = e - self.n if e > self.n - e else e
+                cur = cur * self.q
+        return table.get(value.lift(M).sort_key())
+
+
 def as_q_power(value: Cyc, q: Cyc):
     """Exponent e with value = q^e, minimal |e| (positive on ties), or None."""
-    n = q.mult_order()
-    if n is None:
+    return QPowers(q)(value)
+
+
+# reduction mod a prime of degree one -------------------------------------------
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin; these bases decide every n < 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for b in bases:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def fp_root(L: int):
+    """(p, omega): the first prime p > 2^31 with p = 1 (mod L), and an omega
+    of exact order L in F_p.  zeta_L -> omega is then a ring map from the
+    integers of Q(zeta_L) onto F_p (reduction mod a prime above p)."""
+    p = (2**31 // L + 1) * L + 1
+    while not _is_prime(p):
+        p += L
+    h = 2
+    while True:
+        omega = pow(h, (p - 1) // L, p)
+        if all(pow(omega, L // r, p) != 1 for r in _prime_factors(L)):
+            return p, omega
+        h += 1
+
+
+def fp_image(value: Cyc, p, omega, L):
+    """Image of value in F_p under zeta_L -> omega (omega of exact order L),
+    or None when p divides its denominator or its level does not divide L."""
+    if L % value.L or value.den % p == 0:
         return None
-    cur = Cyc.one(q.L)
-    for e in range(n):
-        if cur == value:
-            if e > n - e:
-                return e - n
-            return e
-        cur = cur * q
-    return None
+    w = pow(omega, L // value.L, p)
+    acc = 0
+    for c in reversed(value.num):
+        acc = (acc * w + c) % p
+    return acc * pow(value.den, -1, p) % p

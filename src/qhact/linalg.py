@@ -7,7 +7,9 @@ a zero entry: every helper here drops the entries that cancel, and `rref`
 relies on it, since `min(row)` must pick a nonzero lead.
 
 Kernels are computed by exact row reduction; ranks and dimensions are
-exact integers by construction.
+exact integers by construction.  `rank_mod` is the one routine over F_p: it
+takes rows of integers, reduces them mod p itself, and serves the search's
+zero-kernel certificate.
 """
 
 from __future__ import annotations
@@ -143,6 +145,32 @@ def rref(rows):
 
 def rank(rows):
     return len(rref(rows))
+
+
+def rank_mod(rows, ncols, p):
+    """Rank over F_p of sparse rows of integers ({column: int}, columns below
+    ncols); the rows left once the rank is ncols are not read.  Entries that
+    vanish mod p are dropped here, so the rows may hold them."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == ncols:
+            break
+        r = {j: v % p for j, v in row.items() if v % p}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in r.items()}
+                break
+            c = r[lead]
+            for j, v in piv.items():
+                nv = (r.get(j, 0) - c * v) % p
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+    return len(pivots)
 
 
 def nullspace(rows, ncols, level=1):

@@ -16,6 +16,7 @@ from .classify import (
     SUPPORT_CAP,
     CompatResult,
     _diag_candidates,
+    _grouplike,
     all_matrix_families,
     compatibility,
     enumerate_taft_affine,
@@ -311,9 +312,10 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
     t = pres.ngens
     L = lcm(pres.level, m)
     lams = primitive_lambdas(L, m)
-    for count, g in enumerate(_diag_candidates(t, L), 1):
+    for count, (perm, exps) in enumerate(_diag_candidates(t, L), 1):
         if count % sample_stride:
             continue
+        g = _grouplike(perm, exps, L)
         for lam in lams:
             _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
             matching = [f for f in fams if f.lam == lam and f.g == g]

@@ -24,7 +24,7 @@ from qhact.hopf import (
     verify_module_algebra,
 )
 from qhact import linalg
-from qhact.ncalg import quantum_affine, quantum_plane
+from qhact.ncalg import first_weyl, quantum_affine, quantum_matrix, quantum_plane
 
 
 def test_skew_support_examples():
@@ -290,3 +290,63 @@ def test_unpruned_solver_spans_pruned(grid):
             assert spans_equal(unpruned, pruned, t), (exps, lam)
             nonzero += bool(pruned)
     assert nonzero > 0
+
+
+def _prefilter_grid(name):
+    """(presentation, level, lambdas, candidates) of a sweep grid, with every
+    primitive lambda of the order."""
+    from itertools import permutations
+
+    from qhact.classify import (
+        _diag_candidates,
+        _monomial_candidates,
+        _rank_one_candidates,
+        primitive_lambdas,
+    )
+
+    if name in ("plane-3-4", "weyl-3-4"):
+        L = 12
+        mu = zeta(3).lift(L)
+        pres = quantum_plane(mu) if name == "plane-3-4" else first_weyl(mu)
+        cands = list(_diag_candidates(2, L)) + list(_monomial_candidates(2, L, [(1, 0)]))
+        return pres, L, primitive_lambdas(L, 4), cands
+    if name == "affine-3-ord5":
+        L = 5
+        cands = list(_monomial_candidates(3, L, permutations(range(3))))
+        return quantum_affine(generic_affine_p(3, 5)), L, primitive_lambdas(L, 5), cands
+    L = 5
+    cands = [c for tau in (False, True) for c in _rank_one_candidates(2, L, tau=tau)]
+    return quantum_matrix(2, zeta(5), level=L), L, primitive_lambdas(L, 5), cands
+
+
+@pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
+def test_sweep_prefilter_is_sound(grid):
+    """On every candidate of the grid and every lambda, the sweep's
+    preservation memo gives the verdict of preserves_relations, and a zero
+    kernel certified mod p is a zero kernel of the exact solver."""
+    from qhact.classify import (
+        _grouplike,
+        _PreservationMemo,
+        _SkewRows,
+        preserves_relations,
+    )
+    from qhact.cyclotomic import as_q_power, root_of_unity
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    ells = [as_q_power(lam, root_of_unity(L, 1)) for lam in lams]
+    memo = _PreservationMemo(pres, L)
+    tables = {}
+    certified = uncertified = 0
+    for perm, exps in cands:
+        g = _grouplike(perm, exps, L)
+        assert memo(perm, exps) == preserves_relations(pres, g, L), (perm, exps)
+        if perm not in tables:
+            tables[perm] = _SkewRows(pres, perm, L)
+        for lam, ell in zip(lams, ells):
+            if tables[perm].zero_kernel(exps, ell):
+                certified += 1
+                assert solve_skew_space(pres, g, lam, L)[1] == [], (perm, exps, lam)
+            else:
+                uncertified += 1
+    assert len(memo.verdicts) < len(cands)
+    assert certified > 0 and uncertified > 0

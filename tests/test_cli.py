@@ -324,7 +324,8 @@ def test_level_override_keeps_transposed_candidates(tmp_path, capsys, monkeypatc
     assert seen == [False]
 
 
-# sizes the engine cannot work with: exit 2 naming the field, no traceback
+# sizes and shapes the engine cannot work with: exit 2 naming the field, no
+# traceback
 OUT_OF_RANGE_JOBS = [
     ("search", {"target": "affine", "t": 3, "order": 1, "m": 5}, "order"),
     ("search", {"target": "affine", "t": 3, "order": 2, "m": 5}, "order"),
@@ -347,6 +348,15 @@ OUT_OF_RANGE_JOBS = [
     ("search", {"target": "plane", "k": 3, "m": 2}, "m"),
     ("search", {"target": "weyl", "k": 0, "m": 5}, "k"),
     ("search", {"target": "weyl", "k": 5, "m": 0}, "m"),
+    # tau is a JSON boolean: "no" is not read as true, nor null as false
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2", "tau": "no"}, "tau"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2", "tau": None}, "tau"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2", "tau": 0}, "tau"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2", "tau": 1}, "tau"),
+    # p is a list of rows of scalars
+    ("search", {"target": "affine", "m": 5, "p": [1, 2, 3]}, "p"),
+    ("search", {"target": "affine", "m": 5, "p": 5}, "p"),
+    ("search", {"target": "affine", "m": 5, "p": "q"}, "p"),
 ]
 
 

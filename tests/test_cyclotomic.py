@@ -169,3 +169,46 @@ def test_level_validation():
         cyclotomic_polynomial(-3)
     with pytest.raises(InputError):
         Cyc(6, [1, 2, 3])  # wrong coefficient length for phi(6) = 2
+
+
+def test_q_powers_match_the_power_loop():
+    # minimal |e|, positive on ties, looked up across levels
+    from qhact.cyclotomic import QPowers, as_q_power
+
+    for q in (zeta(5), zeta(6), zeta(7, 3)):
+        n = q.mult_order()
+        powers = QPowers(q)
+        for e in range(n):
+            want = e - n if e > n - e else e
+            value = q**e
+            assert powers(value) == want
+            assert powers(value.lift(value.L * 4)) == want
+            assert as_q_power(value, q) == want
+        assert powers(Cyc.rational(2)) is None
+        assert powers(zeta(4)) is None
+    assert QPowers(Cyc.rational(2))(Cyc.one()) is None
+
+
+def test_fp_image_is_a_ring_map():
+    from qhact.cyclotomic import fp_image, fp_root
+
+    rng = random.Random(3)
+    for L in (1, 2, 5, 8, 12, 30):
+        p, omega = fp_root(L)
+        assert p > 2**31 and (p - 1) % L == 0
+        assert all(p % d for d in range(2, 46400))
+        assert pow(omega, L, p) == 1
+        assert all(pow(omega, k, p) != 1 for k in range(1, L))
+        deg = _ctx(L)[0]
+        for _ in range(20):
+            a = Cyc(L, [rng.randint(-9, 9) for _ in range(deg)], rng.randint(1, 9))
+            b = Cyc(L, [rng.randint(-9, 9) for _ in range(deg)], rng.randint(1, 9))
+            fa, fb = fp_image(a, p, omega, L), fp_image(b, p, omega, L)
+            assert fp_image(a * b, p, omega, L) == fa * fb % p
+            assert fp_image(a + b, p, omega, L) == (fa + fb) % p
+        # a scalar of a dividing level maps through the same omega
+        for d in (1, L):
+            assert fp_image(root_of_unity(d, 1), p, omega, L) == pow(omega, L // d, p)
+    p, omega = fp_root(5)
+    assert fp_image(Cyc.rational(Fraction(1, p), 5), p, omega, 5) is None
+    assert fp_image(zeta(3), p, omega, 5) is None

@@ -194,3 +194,14 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                     ):
                         _assert_no_zeros(M, what)
     assert systems > 0 and members > 0
+
+
+def test_rank_mod():
+    # rank over F_7, not over Q: the second row is 3 times the first mod 7
+    assert linalg.rank_mod([{0: 1, 1: 2}, {0: 3, 1: 13}], 2, 7) == 1
+    assert linalg.rank([{0: C(1), 1: C(2)}, {0: C(3), 1: C(13)}]) == 2
+    # entries that vanish mod p may be stored
+    assert linalg.rank_mod([{0: 7, 1: 14}, {1: 1}], 2, 7) == 1
+    assert linalg.rank_mod([], 3, 7) == 0
+    # the rank stops at the column count; later rows are not read
+    assert linalg.rank_mod([{0: 1}, {1: 1}, None], 2, 7) == 2
