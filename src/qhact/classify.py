@@ -544,7 +544,9 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     pres = quantum_matrix(N, q.lift(L), level=L)
     branches = [False, True] if include_tau else [False]
     cands = [c for tau in branches for c in _rank_one_candidates(N, L, tau=tau)]
-    found = _sweep(pres, [lam.lift(L)], cands, L, _gamma_zero(pres, m, L))
+    # ord(lam) divides L, so lam is a power of zeta_L whatever level it was written at
+    lam = root_of_unity(L, as_q_power(lam, root_of_unity(L, 1)) % L)
+    found = _sweep(pres, [lam], cands, L, _gamma_zero(pres, m, L))
     for fam in found:
         fam.tag = match_matrix_family(N, q, fam)
     return found

@@ -498,42 +498,48 @@ def act_skew(pres, inst: ActionInstance, i: int, poly: NCPoly) -> NCPoly:
 # degree-d operator matrices -------------------------------------------------------------
 
 
-def grouplike_matrix_deg(pres, g: GrouplikeAction, d, index=None):
-    """Sparse column-major matrix of a monomial operator on basis(pres, d)."""
-    words = pres.basis(d)
-    index = index or {w: i for i, w in enumerate(words)}
+def grouplike_matrix_deg(pres, g: GrouplikeAction, d, words=None):
+    """Sparse column-major matrix of a monomial operator on basis(pres, d).
+    words, a sub-list of that basis, keeps only their columns; the rows
+    always index the whole basis."""
+    basis = pres.basis(d)
+    index = {w: i for i, w in enumerate(basis)}
     one = Cyc.one(g.scalars[0].L)
     cols = []
-    for w in words:
+    for w in basis if words is None else words:
         img = act_grouplike_raw(pres, g, {w: one})
         cols.append({index[wi]: c for wi, c in img.terms.items()})
     return cols
 
 
-def skew_matrix_deg(pres, g_att, x, d, index=None):
-    words = pres.basis(d)
-    index = index or {w: i for i, w in enumerate(words)}
+def skew_matrix_deg(pres, g_att, x, d, words=None):
+    """Sparse column-major matrix of x on basis(pres, d); words as in
+    grouplike_matrix_deg."""
+    basis = pres.basis(d)
+    index = {w: i for i, w in enumerate(basis)}
     one = Cyc.one(g_att.scalars[0].L)
     cols = []
-    for w in words:
+    for w in basis if words is None else words:
         img = act_skew_raw(pres, g_att, x, {w: one})
         cols.append({index[wi]: c for wi, c in img.terms.items()})
     return cols
 
 
-def operator_matrix(inst: ActionInstance, ops, d):
+def operator_matrix(inst: ActionInstance, ops, d, words=None):
     """Sparse matrix on basis(pres, d) of a composite Hopf word.
 
     ops is a non-empty sequence of ("g", j) for the j-th group generator or
-    ("x", i); the rightmost entry acts first.
+    ("x", i); the rightmost entry acts first.  words, a sub-list of the
+    basis, keeps only their columns (the rows index the whole basis).
     """
     pres = inst.pres
     out = None
     for kind, arg in reversed(list(ops)):
+        src = words if out is None else None
         if kind == "g":
-            mat = grouplike_matrix_deg(pres, inst.gen_actions[arg], d)
+            mat = grouplike_matrix_deg(pres, inst.gen_actions[arg], d, src)
         elif kind == "x":
-            mat = skew_matrix_deg(pres, inst.attached_grouplike(arg), inst.skews[arg], d)
+            mat = skew_matrix_deg(pres, inst.attached_grouplike(arg), inst.skews[arg], d, src)
         else:
             raise InputError(f"unknown operator kind {kind!r}")
         out = mat if out is None else linalg.s_mul(mat, out)

@@ -6,21 +6,28 @@ operators {G_h - 1} and {X_i} on each graded piece; all series are exact
 integer (or cyclotomic) coefficient vectors.  Hilbert-series agreement with
 a candidate presentation is reported as evidence to the stated degree, not
 as an isomorphism proof.
+
+When every group generator is diagonal with root-of-unity scalars, each
+normal word is an eigenvector of the group, and the group-fixed part of a
+graded piece is spanned by the words of trivial weight.  The fixed space is
+then the kernel of the X_i on those words alone, and Molien's fixed
+dimensions are counts of them.  Any other group takes the stacked path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, lcm_all
+from .cyclotomic import Cyc, InputError, QPowers, lcm_all, zeta
 from .hopf import (
     ActionInstance,
     GrouplikeAction,
     grouplike_matrix_deg,
     operator_matrix,
 )
-from .ncalg import NCPoly, Presentation, commutator
+from .ncalg import AFFINE, NCPoly, Presentation, commutator
 
 
 # fixed spaces -----------------------------------------------------------------
@@ -38,12 +45,63 @@ def _stacked_kernel(n, level, grouplikes=(), skews=()):
     return linalg.nullspace(rows, n, level)
 
 
+@lru_cache(maxsize=None)
+def _root_powers(M):
+    return QPowers(zeta(M))
+
+
+def _weights(gens, level):
+    """(M, exps) with gens[j].scalars[k] = zeta_M^exps[j][k], where mu_M is
+    the group of roots of unity of Q(zeta_level); None unless every
+    generator is diagonal with root-of-unity scalars."""
+    if not all(g.is_diagonal() for g in gens):
+        return None
+    M = level if level % 2 == 0 else 2 * level
+    powers = _root_powers(M)
+    exps = [[powers(s) for s in g.scalars] for g in gens]
+    if any(e is None for row in exps for e in row):
+        return None
+    return M, exps
+
+
+def _trivial_words(words, weights):
+    """The words every generator fixes: a diagonal g sends the word w to
+    prod_k scalars[k]^(count of k in w) times w."""
+    M, exps = weights
+    return [w for w in words if all(sum(e[k] for k in w) % M == 0 for e in exps)]
+
+
 def fixed_space(inst: ActionInstance, d, group_only=False):
     """Basis of the degree-d invariants: kernel of the stacked operators
-    {G_h - 1 : group generators h} and (unless group_only) {X_i}."""
+    {G_h - 1 : group generators h} and (unless group_only) {X_i}.
+
+    For a diagonal group the basis is the kernel of the X_i on the
+    trivial-weight words.  It is the same list of vectors the stacked path
+    gives: a reduced-echelon kernel basis depends only on the kernel and
+    the column order, and the rows of G_h - 1 only zero the other columns.
+    """
     words = inst.pres.basis(d)
     if not words:
         return []
+    weights = _weights(inst.gen_actions, inst.level)
+    if weights is None:
+        return _stacked_fixed_space(inst, d, words, group_only)
+    fixed = _trivial_words(words, weights)
+    if group_only:
+        one = Cyc.one(inst.level)
+        return [NCPoly({w: one}) for w in fixed]
+    rows = [
+        r
+        for i in range(inst.qls.theta)
+        for r in linalg.s_rows(operator_matrix(inst, [("x", i)], d, fixed), len(words))
+        if r
+    ]
+    vecs = linalg.nullspace(rows, len(fixed), inst.level)
+    return [NCPoly({fixed[c]: v for c, v in vec.items()}) for vec in vecs]
+
+
+def _stacked_fixed_space(inst: ActionInstance, d, words, group_only=False):
+    """fixed_space for any group, from the stacked operators on all words."""
     gs = (operator_matrix(inst, [("g", j)], d) for j in range(inst.qls.group.rank))
     xs = () if group_only else (
         operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta)
@@ -150,21 +208,30 @@ def molien_check(pres: Presentation, gens, D):
     dimensions of the joint fixed spaces, degrees 0..D.
 
     Returns (equal, averaged series as exact rationals, fixed dimensions).
+    On a quantum affine space with a diagonal group, the trace series of g
+    is prod_k (1 - scalars[k] t)^{-1} and the fixed dimensions count the
+    trivial-weight words; otherwise both come from the degree-d matrices.
     """
     group = group_closure(gens)
     level = group[0].scalars[0].L
+    gens = [g.lift(level) for g in gens]
+    weights = _weights(gens, level) if pres.family == AFFINE else None
+    if weights is None:
+        traces = (trace_series_direct(pres, g, D) for g in group)
+        dims = [
+            len(_stacked_kernel(len(pres.basis(d)), level,
+                                (grouplike_matrix_deg(pres, g, d) for g in gens)))
+            for d in range(D + 1)
+        ]
+    else:
+        ones = [1] * pres.ngens
+        traces = (trace_series_product(g.scalars, ones, D) for g in group)
+        dims = [len(_trivial_words(pres.basis(d), weights)) for d in range(D + 1)]
     total = [Cyc.zero(level)] * (D + 1)
-    for g in group:
-        tr = trace_series_direct(pres, g, D)
+    for tr in traces:
         total = [a + b for a, b in zip(total, tr)]
     inv_order = Cyc.rational(1, level) / Cyc.rational(len(group), level)
     avg = [inv_order * c for c in total]
-
-    gens = [g.lift(level) for g in gens]
-    dims = []
-    for d in range(D + 1):
-        mats = (grouplike_matrix_deg(pres, g, d) for g in gens)
-        dims.append(len(_stacked_kernel(len(pres.basis(d)), level, mats)))
     equal = all(avg[d] == dims[d] for d in range(D + 1))
     return equal, avg, dims
 

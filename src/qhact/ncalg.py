@@ -166,6 +166,7 @@ class Presentation:
         self._one = Cyc.one(self.level)
         self._rules = self._build_rules()
         self._nf_cache: dict[tuple, dict] = {}
+        self._pow_tables: dict[tuple, tuple] = {}
 
     # construction of the rule table ------------------------------------
 
@@ -380,17 +381,31 @@ def nf_word(pres: Presentation, word) -> dict:
 
 
 def _nf_affine(pres, word):
-    w = list(word)
+    """Sorting the word swaps each pair a > b with a before b once, picking
+    up p[a][b]; the coefficient is prod p[a][b]^(number of such pairs)."""
+    t = pres.t
+    seen = [0] * t
+    inversions = {}
+    for b in word:
+        for a in range(b + 1, t):
+            if seen[a]:
+                inversions[a, b] = inversions.get((a, b), 0) + seen[a]
+        seen[b] += 1
     coeff = pres._one
-    p = pres.p
-    # insertion sort; each adjacent swap of (a, b) with a > b picks up p[a][b]
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            coeff = coeff * p[w[j - 1]][w[j]]
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-    return {tuple(w): coeff}
+    for pair, n in inversions.items():
+        coeff = coeff * _pair_power(pres, pair, n)
+    return {tuple(sorted(word)): coeff}
+
+
+def _pair_power(pres, pair, n):
+    """p[a][b]^n, read from a table of the powers of p[a][b] built on first
+    use when it is a root of unity."""
+    base = pres.p[pair[0]][pair[1]]
+    table = pres._pow_tables.get(pair)
+    if table is None:
+        order = base.mult_order() or 0
+        table = pres._pow_tables[pair] = tuple(base**e for e in range(order))
+    return table[n % len(table)] if table else base**n
 
 
 def _nf_exterior(pres, word):

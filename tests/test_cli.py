@@ -71,6 +71,24 @@ def test_search_report(tmp_path, capsys):
     assert code == 0 and "| r1 |" in out_md
 
 
+def test_search_lambda_at_any_level(tmp_path, capsys):
+    # q^2 at ord q = 5 written at level 10 (-zeta_10^3): the sweep runs at
+    # level 5, which 10 does not divide
+    q2_level10 = {"level": 10, "coeffs": ["-1", "1", "-1", "1"]}
+    assert parse_scalar(q2_level10) == zeta(5) ** 2
+    reports = []
+    for lam in ("q^2", q2_level10):
+        job = write_job(tmp_path, "s.json", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": lam})
+        code, out, err = run_cli(capsys, "search", "--job", job, "--json")
+        assert code == 0, err
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["count"] == 3
+    # a lambda that is no root of unity is still refused, naming the field
+    _assert_input_error(capsys, tmp_path, "search",
+                        {"target": "matrix", "N": 2, "ord_q": 5, "lambda": 2}, "lambda")
+
+
 def test_compat_cell(tmp_path, capsys):
     job = write_job(tmp_path, "c.json", {"target": "M2", "rows": [1, 8], "ord_q": 5})
     code, out, _ = run_cli(capsys, "compat", "--job", job, "--json")

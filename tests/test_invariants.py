@@ -1,7 +1,15 @@
 import pytest
 
+from qhact import invariants
+from qhact.classify import plane_instance
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
-from qhact.hopf import GrouplikeAction, TaftSpec, eta_from_entries, taft_instance
+from qhact.hopf import (
+    GrouplikeAction,
+    TaftSpec,
+    eta_from_entries,
+    grouplike_matrix_deg,
+    taft_instance,
+)
 from qhact.invariants import (
     FixedRingCase,
     commutativity_check,
@@ -35,6 +43,74 @@ def test_fixed_space_examples():
     # u^k lies in the degree-k fixed space for the k = m = n action
     deg3 = fixed_space(inst, 3)
     assert any(set(p.terms) == {(0, 0, 0)} for p in deg3)
+
+
+def _exact(vectors):
+    """Fixed-space vectors with their terms in order, scalars by exact key."""
+    return [[(w, c.sort_key()) for w, c in v.terms.items()] for v in vectors]
+
+
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """Counts the calls of the stacked-kernel path."""
+    calls = []
+    original = invariants._stacked_kernel
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "_stacked_kernel", spy)
+    return calls
+
+
+def _odd_level_sign_instance():
+    """Level 3 with g = diag(-zeta_3, -1): the weights live in mu_6, so
+    they must be read mod 6, not mod the level."""
+    z = zeta(3)
+    g = GrouplikeAction.diagonal([-z, Cyc.rational(-1, 3)])
+    eta = eta_from_entries(2, {(0, 1): Cyc.one(3)}, 3)
+    return taft_instance(quantum_plane(z), TaftSpec(3, 3, z), g, eta)
+
+
+def _assert_matches_stacked(inst, D, stacked_calls):
+    for d in range(D + 1):
+        words = inst.pres.basis(d)
+        for group_only in (False, True):
+            del stacked_calls[:]
+            fast = fixed_space(inst, d, group_only=group_only)
+            assert stacked_calls == []
+            oracle = invariants._stacked_fixed_space(inst, d, words, group_only)
+            assert _exact(fast) == _exact(oracle), (d, group_only)
+
+
+def test_weight_path_returns_the_stacked_vectors(stacked_calls):
+    for k in range(3, 7):
+        for m in range(3, 7):
+            inst, _ = plane_instance(k, m)
+            _assert_matches_stacked(inst, 12, stacked_calls)
+    inst = _odd_level_sign_instance()
+    assert inst.level == 3
+    _assert_matches_stacked(inst, 12, stacked_calls)
+    # u^a v^b has weight 3b - a mod 6: u^3 and v^3 are not fixed, u^3 v and v^4 are
+    assert fixed_space(inst, 3, group_only=True) == []
+    fixed = {w for v in fixed_space(inst, 4, group_only=True) for w in v.terms}
+    assert fixed == {(0, 0, 0, 1), (1, 1, 1, 1)}
+
+
+@pytest.mark.parametrize("g", [
+    GrouplikeAction((1, 0), [Cyc.one(3), Cyc.one(3)]),  # not diagonal
+    GrouplikeAction.diagonal([Cyc.rational(2, 3), Cyc.one(3)]),  # 2 is no root of unity
+])
+def test_other_groups_take_the_stacked_path(g, stacked_calls):
+    z = zeta(3)
+    eta = eta_from_entries(2, {(0, 1): Cyc.one(3)}, 3)
+    inst = taft_instance(quantum_plane(z), TaftSpec(3, 3, z), g, eta)
+    assert invariants._weights(inst.gen_actions, inst.level) is None
+    for d in range(1, 5):
+        fixed_space(inst, d)
+        assert stacked_calls == [d + 1]
+        del stacked_calls[:]
 
 
 def test_fixed_monomial_criterion():
@@ -122,6 +198,47 @@ def test_molien():
     inst, _ = plane_a(3, 3)
     ok3, _, _ = molien_check(inst.pres, [inst.gen_actions[0]], 12)
     assert ok3
+    # a permuting generator takes the degree-d matrices: symmetric polynomials
+    swap = GrouplikeAction((1, 0), [Cyc.one(2), Cyc.one(2)])
+    ok4, _, dims4 = molien_check(quantum_plane(Cyc.one(2)), [swap], 8)
+    assert ok4 and dims4 == [d // 2 + 1 for d in range(9)]
+
+
+def _molien_direct(pres, g, D):
+    """Molien from the degree-d matrices: the average of the direct trace
+    series and the dimensions of the stacked kernels."""
+    group = group_closure([g])
+    level = group[0].scalars[0].L
+    total = [Cyc.zero(level)] * (D + 1)
+    for h in group:
+        total = [a + b for a, b in zip(total, trace_series_direct(pres, h, D))]
+    inv_order = Cyc.rational(1, level) / Cyc.rational(len(group), level)
+    avg = [inv_order * c for c in total]
+    g = g.lift(level)
+    dims = [
+        len(invariants._stacked_kernel(len(pres.basis(d)), level, [grouplike_matrix_deg(pres, g, d)]))
+        for d in range(D + 1)
+    ]
+    return all(a == n for a, n in zip(avg, dims)), avg, dims
+
+
+def test_molien_weight_path_matches_direct_route(stacked_calls):
+    checked = 0
+    for k in range(3, 7):
+        for m in range(3, 7):
+            if lcm(k, m) > 12:
+                continue
+            inst, _ = plane_instance(k, m)
+            g = inst.gen_actions[0]
+            equal, avg, dims = molien_check(inst.pres, [g], 12)
+            assert stacked_calls == []
+            d_equal, d_avg, d_dims = _molien_direct(inst.pres, g, 12)
+            assert (equal, dims) == (d_equal, d_dims)
+            assert [c.sort_key() for c in avg] == [c.sort_key() for c in d_avg]
+            assert equal
+            checked += 1
+            del stacked_calls[:]
+    assert checked == 10
 
 
 def test_group_closure_sizes():

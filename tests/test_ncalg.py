@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -290,6 +291,40 @@ def test_fast_paths_agree_with_generic_engine():
                 slow = _nf_generic(pres, w)
                 assert set(fast) == set(slow)
                 assert all(fast[k] == slow[k] for k in fast)
+
+
+def _nf_affine_by_swaps(pres, word):
+    """Insertion sort; each adjacent swap of (a, b) with a > b picks up p[a][b]."""
+    w = list(word)
+    coeff = Cyc.one(pres.level)
+    for i in range(1, len(w)):
+        j = i
+        while j > 0 and w[j - 1] > w[j]:
+            coeff = coeff * pres.p[w[j - 1]][w[j]]
+            w[j - 1], w[j] = w[j], w[j - 1]
+            j -= 1
+    return {tuple(w): coeff}
+
+
+def test_nf_affine_inversion_counts_match_insertion_sort():
+    from qhact.ncalg import _nf_affine
+
+    rng = random.Random(29)
+    # t = 3 carries a rational p_01 = 1/2, which has no power table
+    p3 = rand_p(rng, 3, 5)
+    p3[0][1], p3[1][0] = Cyc.rational(Fraction(1, 2), 5), Cyc.rational(2, 5)
+    cases = [quantum_affine(rand_p(rng, 2, 7)), quantum_affine(p3),
+             quantum_affine(rand_p(rng, 4, 12))]
+    for pres in cases:
+        t = pres.t
+        for _ in range(300):
+            w = tuple(rng.randrange(t) for _ in range(rng.randrange(0, 40)))
+            fast = _nf_affine(pres, w)
+            slow = _nf_affine_by_swaps(pres, w)
+            assert list(fast) == list(slow)
+            assert [c.sort_key() for c in fast.values()] == [c.sort_key() for c in slow.values()]
+    assert cases[1]._pow_tables[1, 0] == ()
+    assert len(cases[1]._pow_tables[2, 0]) == 5
 
 
 def test_zero_q_rejected():
