@@ -9,16 +9,18 @@ skew support; relation equations are linear in the skew matrix), so a
 pruned search is still exhaustive at its grid resolution; an unpruned
 mode is kept as the ground-truth oracle for small cases.
 
-Before the exact solver, the sweep passes each candidate through two
-filters.  Whether g preserves the relations depends only on its permutation
-and on the exponent differences within each relation, so it is decided once
-per such key, exactly.  The skew system is then built mod a prime
-p = 1 (mod L), from normal-form tables made once per permutation, and its
-rank is taken over F_p (multimodular linear algebra, W. Stein, Modular
-Forms: A Computational Approach, AMS 2007).  That certificate is one-sided:
-full column rank mod p proves the kernel over Q(zeta_L) is 0, and only then
-is the candidate skipped.  Every other candidate goes to the exact solver,
-which decides every reported family.
+The skew system has one builder, _SkewRows: normal-form tables made once
+per (presentation, permutation, level), which hold each coefficient exactly
+and mod a prime p = 1 (mod L).  Before the exact solver, the sweep passes
+each candidate through two filters.  Whether g preserves the relations
+depends only on its permutation and on the exponent differences within each
+relation, so it is decided once per such key, exactly.  The system is then
+read from the tables mod p and its rank taken over F_p (multimodular linear
+algebra, W. Stein, Modular Forms: A Computational Approach, AMS 2007).  That
+certificate is one-sided: full column rank mod p proves the kernel over
+Q(zeta_L) is 0, and only then is the candidate skipped.  Every other
+candidate goes to the exact solver, which reads the same tables exactly and
+decides every reported family.
 
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
@@ -54,7 +56,6 @@ from .hopf import (
     SkewAction,
     TaftSpec,
     act_grouplike_raw,
-    act_skew_raw,
     eta_from_entries,
     taft_instance,
     verify_module_algebra,
@@ -122,86 +123,40 @@ def spans_equal(skews_a, skews_b, t):
 # the core linear solver
 
 
-def skew_support(g: GrouplikeAction, lam: Cyc):
-    """Positions (target, source) where the skew matrix may be nonzero,
-    for a diagonal grouplike: alpha_target = lam * alpha_source."""
-    if not g.is_diagonal():
-        raise InputError("skew_support needs a diagonal grouplike")
-    t = len(g.scalars)
-    out = set()
-    for a in range(t):
-        for k in range(t):
-            if g.scalars[a] == lam * g.scalars[k]:
-                out.add((a, k))
-    return out
-
-
 def solve_skew_space(
     pres: Presentation, g: GrouplikeAction, lam: Cyc, level=None, unpruned=False
 ):
     """Kernel basis of the linear system a skew matrix must satisfy.
 
     Unknowns are the entries of eta.  Equations: the degree-one identity
-    g x = lam x g, and the vanishing of x on every defining relation.  A
-    diagonal g restricts the unknowns to skew_support(g, lam) unless
-    `unpruned` is set; otherwise every position is an unknown and the
-    identity enters as rows.  Returns (positions, basis) where positions
-    orders the unknowns and basis is a list of SkewAction kernel vectors
-    (empty when only x = 0).
+    g x = lam x g, and the vanishing of x on every defining relation, as
+    _SkewRows.system builds them from the tables of (pres, g.perm, level).
+    A diagonal g restricts the unknowns to the positions that identity
+    allows unless `unpruned` is set; otherwise every position is an unknown
+    and the identity enters as rows.  Returns (positions, basis) where
+    positions orders the unknowns and basis is a list of SkewAction kernel
+    vectors (empty when only x = 0).
     """
     t = pres.ngens
     level = level or lcm_all([pres.level, lam.L] + [s.L for s in g.scalars])
     lam = lam.lift(level)
-    g = g.lift(level)
+    alpha = g.lift(level).scalars
+    one = Cyc.one(level)
+
+    def chi(prefix):
+        c = one
+        for k in prefix:
+            c = c * alpha[k]
+        return c
+
+    tables = _SkewRows.of(pres, g.perm, level)
     pruned = g.is_diagonal() and not unpruned
-    if pruned:
-        positions = sorted(skew_support(g, lam))
-    else:
-        positions = [(a, k) for a in range(t) for k in range(t)]
+    positions, rows = tables.system(alpha, [lam * a for a in alpha], chi, tables.exact, pruned)
     if not positions:
         return [], []
-    pos_index = {p: c for c, p in enumerate(positions)}
-
-    rows = []
-    if not pruned:
-        # g x = lam x g entrywise; for monomial g this pairs positions
-        sigma = g.perm
-        sigma_inv = [0] * t
-        for k in range(t):
-            sigma_inv[sigma[k]] = k
-        for r in range(t):
-            for c in range(t):
-                row = {}
-                p1 = (sigma_inv[r], c)
-                row[pos_index[p1]] = g.scalars[sigma_inv[r]]
-                p2 = (r, sigma[c])
-                w = -(lam * g.scalars[c])
-                cur = row.get(pos_index[p2])
-                row[pos_index[p2]] = w if cur is None else cur + w
-                row = {k: v for k, v in row.items() if not v.is_zero()}
-                if row:
-                    rows.append(row)
-
-    by_source: dict[int, list] = {}
-    for p in positions:
-        by_source.setdefault(p[1], []).append(p)
-
-    relations = pres.relations()
-    for ridx, rel in enumerate(relations):
-        sources = {letter for w in rel for letter in w}
-        touched = sorted(p for s in sources & set(by_source) for p in by_source[s])
-        if not touched:
-            continue
-        word_rows: dict[tuple, dict[int, Cyc]] = {}
-        for p in touched:
-            a, k = p
-            eta = eta_from_entries(t, {(a, k): Cyc.one(level)}, level)
-            img = act_skew_raw(pres, g, eta, {w: c.lift(level) for w, c in rel.items()})
-            for w, c in img.terms.items():
-                word_rows.setdefault(w, {})[pos_index[p]] = c
-        rows.extend(word_rows.values())
-
-    kernel = linalg.nullspace(rows, len(positions), level)
+    # the sparse contract: entries that cancel are not stored
+    rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows.values()]
+    kernel = linalg.nullspace([row for row in rows if row], len(positions), level)
     basis = []
     for vec in kernel:
         entries = {positions[c]: v for c, v in vec.items()}
@@ -296,14 +251,15 @@ class _PreservationMemo:
 
 class _SkewRows:
     """The system solve_skew_space sets up, for every grouplike with the
-    permutation perm at once, with entries in F_p (fp_root(L)).
+    permutation perm at once, at level L.
 
     x kills the relation r at the unit eta (a, k) through the twisted Leibniz
     rule: the sum, over the places of k in the words w of r, of
-    c_w chi_g(prefix) nf(perm(prefix) a suffix).  Only chi_g(prefix) =
-    zeta^(exponent sum of the prefix) depends on g, so the normal forms are
-    tabled once: terms[(a, k)] lists (prefix, [(row, coefficient mod p)]),
-    one row per (relation, normal word).  terms is None when p divides a
+    c_w chi_g(prefix) nf(perm(prefix) a suffix).  Only chi_g(prefix), the
+    product of g's scalars over the prefix, depends on g, so the normal forms
+    are tabled once: exact[(a, k)] lists (prefix, [(row, coefficient)]), one
+    row per (relation, normal word) as labels[row] names it, and fp is the
+    same table mod p (fp_root(L)).  fp is None when p divides a
     coefficient's denominator: that table certifies nothing.  The terms of
     one position are grouped by prefix, so each character is taken once."""
 
@@ -325,56 +281,82 @@ class _SkewRows:
                         for u, cu in nf_word(pres, head + (a,) + suffix).items():
                             key = (rows.setdefault((ridx, u), len(rows)), prefix)
                             acc[key] = c * cu if key not in acc else acc[key] + c * cu
-        self.terms = {}
+        self.labels = list(rows)
+        self.exact = {}
         for pos, acc in merged.items():
             by_prefix: dict[tuple, list] = {}
             for (row, prefix), v in acc.items():
-                if v.is_zero():
-                    continue
-                fv = fp_image(v, self.p, omega, L)
-                if fv is None:
-                    self.terms = None
-                    return
-                by_prefix.setdefault(prefix, []).append((row, fv))
-            self.terms[pos] = list(by_prefix.items())
+                if not v.is_zero():
+                    by_prefix.setdefault(prefix, []).append((row, v.lift(L)))
+            self.exact[pos] = list(by_prefix.items())
+        self.fp = {}
+        for pos, by_prefix in self.exact.items():
+            self.fp[pos] = [
+                (prefix, [(row, fp_image(v, self.p, omega, L)) for row, v in terms])
+                for prefix, terms in by_prefix
+            ]
+            if any(v is None for _, terms in self.fp[pos] for _, v in terms):
+                self.fp = None
+                break
+
+    @classmethod
+    def of(cls, pres, perm, L):
+        """The tables of (pres, perm, L), built once per presentation."""
+        tables = pres._skew_tables.get((perm, L))
+        if tables is None:
+            tables = pres._skew_tables[perm, L] = cls(pres, perm, L)
+        return tables
+
+    def system(self, alpha, lam_alpha, chi, table, pruned):
+        """(positions, rows) of the skew system of the grouplike u_k ->
+        alpha[k] u_perm[k] at lam, with lam_alpha[k] = lam alpha[k] and
+        chi(prefix) the product of alpha over the prefix, all in the field of
+        table (exact or fp).  A pruned diagonal keeps the positions (a, k)
+        with alpha[a] = lam alpha[k], the support g x = lam x g allows;
+        otherwise every position is an unknown and that identity enters
+        entrywise as rows.  rows maps a row id to {column: entry}: the
+        relation rows have the ids of labels, the identity's rows the ids
+        from len(labels) on.  Entries may vanish."""
+        t = self.t
+        rows: dict[int, dict] = {}
+        if pruned:
+            positions = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
+        else:
+            positions = [(a, k) for a in range(t) for k in range(t)]
+            perm, base = self.perm, len(self.labels)
+            inv = [0] * t
+            for k in range(t):
+                inv[perm[k]] = k
+            for r in range(t):
+                for c in range(t):
+                    col1, col2 = inv[r] * t + c, r * t + perm[c]
+                    if col1 == col2:
+                        rows[base + r * t + c] = {col1: alpha[inv[r]] - lam_alpha[c]}
+                    else:
+                        rows[base + r * t + c] = {col1: alpha[inv[r]], col2: -lam_alpha[c]}
+        for col, pos in enumerate(positions):
+            for prefix, terms in table.get(pos, ()):
+                x = chi(prefix)
+                for row, c in terms:
+                    entries = rows.setdefault(row, {})
+                    entries[col] = c * x if col not in entries else entries[col] + c * x
+        return positions, rows
 
     def zero_kernel(self, exps, ell):
         """True when the system of (perm, exps) at lam = zeta_L^ell has full
         column rank mod p.  A maximal minor that is nonzero mod p is nonzero
         over Q(zeta_L), so the exact kernel is 0.  False certifies nothing."""
-        t, L, p, pw = self.t, self.L, self.p, self.powers
-        if self.diagonal:
-            positions = [
-                (a, k) for a in range(t) for k in range(t) if (exps[a] - exps[k] - ell) % L == 0
-            ]
-            rows = []
-        else:
-            # every position, and g x = lam x g entrywise, as solve_skew_space
-            positions = [(a, k) for a in range(t) for k in range(t)]
-            perm = self.perm
-            inv = [0] * t
-            for k in range(t):
-                inv[perm[k]] = k
-            rows = []
-            for r in range(t):
-                for c in range(t):
-                    row = {inv[r] * t + c: pw[exps[inv[r]]]}
-                    col = r * t + perm[c]
-                    row[col] = row.get(col, 0) - pw[(ell + exps[c]) % L]
-                    rows.append(row)
-        if not positions:
-            return True
-        if self.terms is None:
-            return False
-        system: dict[int, dict[int, int]] = {}
-        for col, pos in enumerate(positions):
-            for prefix, terms in self.terms.get(pos, ()):
-                chi = pw[sum(map(exps.__getitem__, prefix)) % L]
-                for row, c in terms:
-                    entries = system.setdefault(row, {})
-                    entries[col] = entries.get(col, 0) + c * chi
-        rows.extend(system.values())
-        return linalg.rank_mod(rows, len(positions), p) == len(positions)
+        L, pw = self.L, self.powers
+        alpha = [pw[e] for e in exps]
+        lam_alpha = [pw[(ell + e) % L] for e in exps]
+
+        def chi(prefix):
+            return pw[sum(map(exps.__getitem__, prefix)) % L]
+
+        positions, rows = self.system(alpha, lam_alpha, chi, self.fp or {}, self.diagonal)
+        if self.fp is None or not positions:
+            return not positions
+        return linalg.rank_mod(list(rows.values()), len(positions), self.p) == len(positions)
 
 
 # ---------------------------------------------------------------------------
@@ -417,19 +399,16 @@ def _sweep(pres, lams, cands, level, keep):
     whose system _SkewRows certifies to have kernel 0 is skipped; every
     other one goes to solve_skew_space."""
     preserves = _PreservationMemo(pres, level)
-    tables: dict[tuple, _SkewRows] = {}
     zeta_L = root_of_unity(level, 1)
     ells = [as_q_power(lam, zeta_L) for lam in lams]  # lam = zeta_L^ell, or None
     found = []
     for perm, exps in cands:
         if not preserves(perm, exps):
             continue
+        tables = _SkewRows.of(pres, perm, level)
         for lam, ell in zip(lams, ells):
-            if ell is not None:
-                if perm not in tables:
-                    tables[perm] = _SkewRows(pres, perm, level)
-                if tables[perm].zero_kernel(exps, ell):
-                    continue
+            if ell is not None and tables.zero_kernel(exps, ell):
+                continue
             g = _grouplike(perm, exps, level)
             _, basis = solve_skew_space(pres, g, lam, level)
             kept = [x for x in basis if keep(g, x)]

@@ -27,7 +27,7 @@ from .classify import (
     max_rank,
     plane_instance,
 )
-from .cyclotomic import Cyc, InputError, QPowers, lcm, zeta
+from .cyclotomic import Cyc, InputError, QPowers, as_int, lcm, zeta
 from .hopf import (
     inner_faithfulness,
     instance_from_json,
@@ -82,16 +82,9 @@ def _require(job, key, field=None):
         raise InputError(f"missing job field: {field or key}") from None
 
 
-def _as_int(value, field):
-    """A JSON integer: floats, booleans and strings are refused, not rounded."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"job field {field}: expected an integer, got {value!r}")
-
-
 def _require_int(job, key, low=None):
     """Integer job[key], refused below `low` when a bound is given."""
-    value = _as_int(_require(job, key), key)
+    value = as_int(_require(job, key), key)
     if low is not None and value < low:
         raise InputError(f"job field {key}: must be at least {low}, got {value}")
     return value
@@ -110,7 +103,7 @@ def _int_list(job, key, default=None):
     values = _require(job, key) if default is None else job.get(key, default)
     if not isinstance(values, list):
         raise InputError(f"job field {key}: expected a list of integers")
-    return [_as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
+    return [as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
 def _scalar_json(c, powers=None):

@@ -31,6 +31,13 @@ class InputError(ValueError):
     """Malformed input to an engine operation (bad level, shape, parameter)."""
 
 
+def as_int(value, field):
+    """A JSON integer: floats, booleans and strings are refused, not rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"job field {field}: expected an integer, got {value!r}")
+
+
 class DivisionByZero(ZeroDivisionError):
     """Inverse of the zero scalar was requested."""
 
@@ -349,10 +356,19 @@ class Cyc:
 
     @staticmethod
     def from_json(obj):
+        """A {"level": L, "coeffs": [...]} object.  Each coefficient is a JSON
+        integer or a string such as "3/5"; a float is refused, not rounded."""
         try:
-            L = int(obj["level"])
-            fracs = [Fraction(c) for c in obj["coeffs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            L = as_int(obj["level"], "level")
+            if not isinstance(obj["coeffs"], list):
+                raise InputError(f"job field coeffs: expected a list, got {obj['coeffs']!r}")
+            fracs = [
+                Fraction(c if isinstance(c, str) else as_int(c, f"coeffs[{i}]"))
+                for i, c in enumerate(obj["coeffs"])
+            ]
+        except InputError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad scalar object: {obj!r}") from exc
         den = lcm_all(f.denominator for f in fracs)
         return Cyc(L, [int(f * den) for f in fracs], den)

@@ -22,7 +22,7 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, lcm_all
+from .cyclotomic import Cyc, InputError, as_int, lcm_all
 from .ncalg import (
     AFFINE,
     NCPoly,
@@ -794,6 +794,10 @@ def instance_to_json(inst: ActionInstance):
     }
 
 
+def _int_tuple(values, field):
+    return tuple(as_int(v, f"{field}[{i}]") for i, v in enumerate(values))
+
+
 def instance_from_json(obj) -> ActionInstance:
     from .ncalg import presentation_from_json
 
@@ -802,8 +806,11 @@ def instance_from_json(obj) -> ActionInstance:
         hopf = obj["hopf"]
         kind = hopf["type"]
         grouplikes = [
-            GrouplikeAction(rec["perm"], [Cyc.from_json(s) for s in rec["alpha"]])
-            for rec in obj["grouplikes"]
+            GrouplikeAction(
+                _int_tuple(rec["perm"], f"grouplikes[{j}].perm"),
+                [Cyc.from_json(s) for s in rec["alpha"]],
+            )
+            for j, rec in enumerate(obj["grouplikes"])
         ]
         skews = [
             SkewAction([[Cyc.from_json(e) for e in row] for row in rec["eta"]])
@@ -811,15 +818,18 @@ def instance_from_json(obj) -> ActionInstance:
         ]
         if kind == "taft":
             spec = TaftSpec(
-                int(hopf["n"]),
-                int(hopf["m"]),
+                as_int(hopf["n"], "hopf.n"),
+                as_int(hopf["m"], "hopf.m"),
                 Cyc.from_json(hopf["lambda"]),
                 Cyc.from_json(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
             )
         elif kind == "bosonization":
-            group = AbelianGroup(tuple(int(d) for d in hopf["group"]))
-            gs = [tuple(int(e) for e in g) for g in hopf["g"]]
-            chis = [Character(group, tuple(int(e) for e in c)) for c in hopf["chi"]]
+            group = AbelianGroup(_int_tuple(hopf["group"], "hopf.group"))
+            gs = [_int_tuple(g, f"hopf.g[{i}]") for i, g in enumerate(hopf["g"])]
+            chis = [
+                Character(group, _int_tuple(c, f"hopf.chi[{i}]"))
+                for i, c in enumerate(hopf["chi"])
+            ]
             gammas = [Cyc.from_json(g) for g in hopf.get("gamma", [])] or None
         else:
             raise InputError(f"unknown hopf type {kind!r}")

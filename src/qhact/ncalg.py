@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .cyclotomic import Cyc, InputError, lcm_all
+from .cyclotomic import Cyc, InputError, as_int, lcm_all
 
 AFFINE = "quantum_affine"
 EXTERIOR = "quantum_exterior"
@@ -167,6 +167,7 @@ class Presentation:
         self._rules = self._build_rules()
         self._nf_cache: dict[tuple, dict] = {}
         self._pow_tables: dict[tuple, tuple] = {}
+        self._skew_tables: dict[tuple, object] = {}
 
     # construction of the rule table ------------------------------------
 
@@ -369,10 +370,8 @@ def nf_word(pres: Presentation, word) -> dict:
     cached = pres._nf_cache.get(word)
     if cached is not None:
         return cached
-    if pres.family == AFFINE:
+    if pres.family in (AFFINE, EXTERIOR):
         result = _nf_affine(pres, word)
-    elif pres.family == EXTERIOR:
-        result = _nf_exterior(pres, word)
     else:
         result = _nf_generic(pres, word)
     if len(word) <= 24 and len(pres._nf_cache) < 500_000:
@@ -381,8 +380,13 @@ def nf_word(pres: Presentation, word) -> dict:
 
 
 def _nf_affine(pres, word):
-    """Sorting the word swaps each pair a > b with a before b once, picking
-    up p[a][b]; the coefficient is prod p[a][b]^(number of such pairs)."""
+    """Normal form of a word in an affine or exterior presentation, where
+    each rule ba -> c ab (a < b) has one term.  Sorting the word swaps each
+    pair b > a with b before a once, picking up c (p[b][a] affine, -p[a][b]
+    exterior); the coefficient is prod c^(number of such pairs).  An
+    exterior word with a repeated letter is 0."""
+    if pres.family == EXTERIOR and len(set(word)) < len(word):
+        return {}
     t = pres.t
     seen = [0] * t
     inversions = {}
@@ -398,29 +402,14 @@ def _nf_affine(pres, word):
 
 
 def _pair_power(pres, pair, n):
-    """p[a][b]^n, read from a table of the powers of p[a][b] built on first
-    use when it is a root of unity."""
-    base = pres.p[pair[0]][pair[1]]
+    """c^n for the factor c of the rule of pair, read from a table of the
+    powers of c built on first use when it is a root of unity."""
+    base = pres._rules[pair][0][0]
     table = pres._pow_tables.get(pair)
     if table is None:
         order = base.mult_order() or 0
         table = pres._pow_tables[pair] = tuple(base**e for e in range(order))
     return table[n % len(table)] if table else base**n
-
-
-def _nf_exterior(pres, word):
-    w = list(word)
-    coeff = pres._one
-    p = pres.p
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            coeff = -(coeff * p[w[j]][w[j - 1]])
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-        if j > 0 and w[j - 1] == w[j]:
-            return {}
-    return {tuple(w): coeff}
 
 
 def _nf_generic(pres, word):
@@ -618,7 +607,7 @@ def presentation_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise InputError("presentation object needs a 'family' field") from exc
     if family == MATRIX:
-        return quantum_matrix(int(obj["N"]), Cyc.from_json(obj["q"]))
+        return quantum_matrix(as_int(obj["N"], "presentation.N"), Cyc.from_json(obj["q"]))
     p = [[Cyc.from_json(e) for e in row] for row in obj["p"]]
     if family == AFFINE:
         return quantum_affine(p)

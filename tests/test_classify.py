@@ -14,7 +14,6 @@ from qhact.classify import (
     m2_family,
     m2_order3_family,
     max_rank,
-    skew_support,
     solve_skew_space,
     spans_equal,
     verify_family,
@@ -25,19 +24,6 @@ from qhact.hopf import (
 )
 from qhact import linalg
 from qhact.ncalg import first_weyl, quantum_affine, quantum_matrix, quantum_plane
-
-
-def test_skew_support_examples():
-    mu, lam = zeta(5), zeta(5, 2)
-    g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
-    assert skew_support(g, lam) == {(0, 1)}
-    one = Cyc.one(5)
-    g_id = GrouplikeAction.diagonal([one, mu])
-    assert skew_support(g_id, one) == {(0, 0), (1, 1)}
-    lam4 = zeta(8)
-    alpha = zeta(8, 3)
-    g3 = GrouplikeAction.diagonal([alpha, lam4 * alpha, lam4 * lam4 * alpha])
-    assert skew_support(g3, lam4) == {(1, 0), (2, 1)}
 
 
 def test_census_count_frozen():
@@ -181,12 +167,21 @@ def test_mn_family_reduces_to_m2():
 
 
 def test_solve_skew_space_positions():
+    # a diagonal g keeps the positions (a, k) with alpha_a = lam alpha_k
     mu, lam = zeta(5), zeta(5, 2)
     pres = quantum_plane(mu)
     g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
     positions, basis = solve_skew_space(pres, g, lam)
     assert positions == [(0, 1)]
     assert len(basis) == 1
+    one = Cyc.one(5)
+    g_id = GrouplikeAction.diagonal([one, mu])
+    assert solve_skew_space(pres, g_id, one)[0] == [(0, 0), (1, 1)]
+    lam4 = zeta(8)
+    alpha = zeta(8, 3)
+    g3 = GrouplikeAction.diagonal([alpha, lam4 * alpha, lam4 * lam4 * alpha])
+    pres3 = quantum_affine(generic_affine_p(3, 5))
+    assert solve_skew_space(pres3, g3, lam4)[0] == [(1, 0), (2, 1)]
 
 
 def test_affine_pair_family_alpha_rule():
@@ -350,3 +345,45 @@ def test_sweep_prefilter_is_sound(grid):
                 uncertified += 1
     assert len(memo.verdicts) < len(cands)
     assert certified > 0 and uncertified > 0
+
+
+@pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
+def test_skew_rows_match_act_skew_raw(grid, monkeypatch):
+    """On every candidate of the grid, the relation rows that
+    solve_skew_space takes from the tables are, at every unit eta, the
+    act_skew_raw image of that unit eta on each relation."""
+    from qhact import classify
+    from qhact.classify import _grouplike, _SkewRows
+    from qhact.hopf import act_skew_raw, eta_from_entries
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    t = pres.ngens
+    one = Cyc.one(L)
+    rels = [{w: c.lift(L) for w, c in rel.items()} for rel in pres.relations()]
+    built = []
+    real = _SkewRows.system
+
+    def recording(self, *args):
+        out = real(self, *args)
+        built.append((self, out))
+        return out
+
+    monkeypatch.setattr(_SkewRows, "system", recording)
+    monkeypatch.setattr(classify.linalg, "nullspace", lambda rows, ncols, level=1: [])
+    for perm, exps in cands:
+        g = _grouplike(perm, exps, L)
+        built.clear()
+        solve_skew_space(pres, g, lams[0], L, unpruned=True)
+        ((tables, (positions, rows)),) = built
+        assert positions == [(a, k) for a in range(t) for k in range(t)]
+        for col, (a, k) in enumerate(positions):
+            x = eta_from_entries(t, {(a, k): one}, L)
+            got = {}
+            for row, entries in rows.items():
+                v = entries.get(col)
+                if row < len(tables.labels) and v is not None and not v.is_zero():
+                    ridx, word = tables.labels[row]
+                    got.setdefault(ridx, {})[word] = v
+            for ridx, rel in enumerate(rels):
+                want = act_skew_raw(pres, g, x, rel).terms
+                assert got.get(ridx, {}) == want, (perm, exps, (a, k), ridx)

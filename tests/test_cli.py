@@ -443,3 +443,70 @@ def test_deleted_field(tmp_path, capsys, command, payload, field, optional):
     job = write_job(tmp_path, "job.json", payload)
     code, _, err = run_cli(capsys, command, "--job", job, "--json")
     assert code == 0, err
+
+
+def _m2_instance_json():
+    return instance_to_json(m2_family(zeta(5), 1).instance())
+
+
+def _m2_rank3_json():
+    from qhact.classify import example_m2_rank3
+
+    return instance_to_json(example_m2_rank3(zeta(5)))
+
+
+def _set(obj, path, value):
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+
+
+# the integer fields of a verify instance follow the rule of the job fields:
+# each of these values was once read as the integer it names
+INSTANCE_INT_CASES = [
+    (_m2_instance_json, ("hopf", "n"), 5.0, "n"),
+    (_m2_instance_json, ("hopf", "m"), "5", "m"),
+    (_m2_rank3_json, ("hopf", "group"), [5.5, 5, 5], "group"),
+    (_m2_instance_json, ("presentation", "N"), 2.5, "N"),
+    (_m2_instance_json, ("hopf", "lambda", "level"), 12.9, "level"),
+    (_m2_rank3_json, ("hopf", "chi", 0, 0), True, "chi"),
+    (_m2_instance_json, ("grouplikes", 0, "perm"), [0.0, 1.0, 2.0, 3.0], "perm"),
+]
+
+
+@pytest.mark.parametrize("build,path,bad,field", INSTANCE_INT_CASES)
+def test_instance_integer_field_is_input_error(tmp_path, capsys, build, path, bad, field):
+    obj = build()
+    _set(obj, path, bad)
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
+
+
+def test_float_scalar_coefficient_is_input_error(tmp_path, capsys):
+    from qhact.cyclotomic import Cyc
+
+    assert Cyc.from_json({"level": 5, "coeffs": [1, "0", "-1/2", 0]}) == Cyc(5, [2, 0, -1, 0], 2)
+    for coeffs in ([1.0000000001, 0, 0, 0], "1000"):
+        with pytest.raises(InputError):
+            Cyc.from_json({"level": 12, "coeffs": coeffs})
+    obj = _m2_instance_json()
+    obj["hopf"]["lambda"]["coeffs"][0] = 1.0000000001
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, "coeffs")
+    job = {"target": "matrix", "N": 2, "ord_q": 5,
+           "lambda": {"level": 5, "coeffs": ["0", "0", 1.0, "0"]}}
+    _assert_input_error(capsys, tmp_path, "search", job, "coeffs")
+
+
+def test_parallel_suite_matches_serial(tmp_path, capsys):
+    job = write_job(tmp_path, "suite.json", {"criteria": [3, 11, 12]})
+
+    def report(*extra):
+        code, out, err = run_cli(capsys, "suite", "--job", job, "--json", *extra)
+        assert code == 0, err
+        rep = json.loads(out)
+        for r in rep["results"]:
+            r.pop("seconds", None)
+        return rep
+
+    serial = report()
+    assert [r["id"] for r in serial["results"]] == [3, 11, 12]
+    assert report("--workers", "2") == serial

@@ -294,19 +294,26 @@ def test_fast_paths_agree_with_generic_engine():
 
 
 def _nf_affine_by_swaps(pres, word):
-    """Insertion sort; each adjacent swap of (a, b) with a > b picks up p[a][b]."""
+    """Insertion sort; each adjacent swap of (a, b) with a > b picks up
+    p[a][b] (affine) or -p[b][a] (exterior), and an exterior word that
+    brings two equal letters together is 0."""
     w = list(word)
     coeff = Cyc.one(pres.level)
+    exterior = pres.family == "quantum_exterior"
     for i in range(1, len(w)):
         j = i
         while j > 0 and w[j - 1] > w[j]:
-            coeff = coeff * pres.p[w[j - 1]][w[j]]
+            a, b = w[j - 1], w[j]
+            coeff = -(coeff * pres.p[b][a]) if exterior else coeff * pres.p[a][b]
             w[j - 1], w[j] = w[j], w[j - 1]
             j -= 1
+        if exterior and j > 0 and w[j - 1] == w[j]:
+            return {}
     return {tuple(w): coeff}
 
 
 def test_nf_affine_inversion_counts_match_insertion_sort():
+    # affine and exterior words alike
     from qhact.ncalg import _nf_affine
 
     rng = random.Random(29)
@@ -314,17 +321,22 @@ def test_nf_affine_inversion_counts_match_insertion_sort():
     p3 = rand_p(rng, 3, 5)
     p3[0][1], p3[1][0] = Cyc.rational(Fraction(1, 2), 5), Cyc.rational(2, 5)
     cases = [quantum_affine(rand_p(rng, 2, 7)), quantum_affine(p3),
-             quantum_affine(rand_p(rng, 4, 12))]
+             quantum_affine(rand_p(rng, 4, 12)), quantum_exterior(p3)]
     for pres in cases:
         t = pres.t
+        # exterior words longer than t are all 0
+        longest = 40 if pres.family == "quantum_affine" else t + 2
         for _ in range(300):
-            w = tuple(rng.randrange(t) for _ in range(rng.randrange(0, 40)))
+            w = tuple(rng.randrange(t) for _ in range(rng.randrange(0, longest)))
             fast = _nf_affine(pres, w)
             slow = _nf_affine_by_swaps(pres, w)
             assert list(fast) == list(slow)
             assert [c.sort_key() for c in fast.values()] == [c.sort_key() for c in slow.values()]
     assert cases[1]._pow_tables[1, 0] == ()
     assert len(cases[1]._pow_tables[2, 0]) == 5
+    # the exterior factor of the pair (2, 0) is -p[0][2], of order 10
+    assert cases[3]._pow_tables[1, 0] == ()
+    assert len(cases[3]._pow_tables[2, 0]) == 10
 
 
 def test_zero_q_rejected():
