@@ -14,6 +14,7 @@ from qhact.classify import (
     m2_family,
     m2_order3_family,
     max_rank,
+    _SkewRows,
     solve_skew_space,
     spans_equal,
     verify_family,
@@ -164,6 +165,27 @@ def test_mn_family_reduces_to_m2():
     assert r1.lam == q * q and r4.lam == (q * q).inv()
     assert r1.g.scalars == (q, q.inv(), q, q.inv())
     assert {p[0] for p in r1.parts} == {"delta"}
+
+
+def test_skew_support_examples():
+    # the same support rule mod p, as zero_kernel applies it to exponents of
+    # fp_root(L): (a, k) stays when alpha_a = lam alpha_k
+    def fp_support(pres, exps, ell, L):
+        tables = _SkewRows.of(pres, tuple(range(len(exps))), L)
+        pw = tables.powers
+        alpha = [pw[e] for e in exps]
+        lam_alpha = [pw[(ell + e) % L] for e in exps]
+        return tables.system(alpha, lam_alpha, None, {}, True)[0]
+
+    plane = quantum_plane(zeta(5))
+    # mu = w, lam = w^2, lam^-1 mu = w^4
+    assert fp_support(plane, [1, 4], 2, 5) == [(0, 1)]
+    # the x = 0 kernel is not certified where the exact kernel is nonzero
+    assert not _SkewRows.of(plane, (0, 1), 5).zero_kernel([1, 4], 2)
+    assert fp_support(plane, [0, 1], 0, 5) == [(0, 0), (1, 1)]
+    # at level 40: zeta_8 = w^5, alpha = zeta_8^3 = w^15
+    affine = quantum_affine(generic_affine_p(3, 5))
+    assert fp_support(affine, [15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
 
 
 def test_solve_skew_space_positions():
