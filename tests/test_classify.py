@@ -13,6 +13,7 @@ from qhact.classify import (
     generic_affine_p,
     m2_family,
     m2_order3_family,
+    matrix_max_rank_components,
     max_rank,
     _SkewRows,
     solve_skew_space,
@@ -165,6 +166,21 @@ def test_mn_family_reduces_to_m2():
     assert r1.lam == q * q and r4.lam == (q * q).inv()
     assert r1.g.scalars == (q, q.inv(), q, q.inv())
     assert {p[0] for p in r1.parts} == {"delta"}
+
+
+def test_matrix_max_rank_component_tags():
+    # down-shifts of types 1/2 at every even b, a <= N, then up-shifts of
+    # types 5/6 at every even b, a < N: 2N - 2 components for odd and even N
+    expected = {
+        3: ["f1[b=2]", "f2[a=2]", "f5[b=2]", "f6[a=2]"],
+        4: ["f1[b=2]", "f1[b=4]", "f2[a=2]", "f2[a=4]", "f5[b=2]", "f6[a=2]"],
+        5: ["f1[b=2]", "f1[b=4]", "f2[a=2]", "f2[a=4]",
+            "f5[b=2]", "f5[b=4]", "f6[a=2]", "f6[a=4]"],
+        6: ["f1[b=2]", "f1[b=4]", "f1[b=6]", "f2[a=2]", "f2[a=4]", "f2[a=6]",
+            "f5[b=2]", "f5[b=4]", "f6[a=2]", "f6[a=4]"],
+    }
+    for N, tags in expected.items():
+        assert [a.tag for a in matrix_max_rank_components(N, zeta(5))] == tags
 
 
 def test_skew_support_examples():
