@@ -46,6 +46,7 @@ from .cyclotomic import (
     lcm,
     lcm_all,
     root_of_unity,
+    root_powers,
 )
 from .hopf import (
     AbelianGroup,
@@ -1070,12 +1071,10 @@ def assemble_bosonization(actions, clique, kills, zeta_table) -> ActionInstance:
         exps = []
         for i in range(theta):
             val = act.lam.lift(level) if i == j else zeta(i, j)
-            for e in range(orders[i]):
-                if root_of_unity(orders[i], e) == val:
-                    exps.append(e)
-                    break
-            else:
+            e = root_powers(orders[i])(val)
+            if e is None:
                 raise InputError("zeta value does not lie in the factor's roots of unity")
+            exps.append(e % orders[i])
         chis.append(Character(group, tuple(exps)))
     qls = QLSData(group, gs, chis)
     gen_actions = [a.g.lift(level) for a in members]
@@ -1121,29 +1120,12 @@ def matrix_max_rank_components(N, q):
     spacing-2 rows and columns."""
     if N < 3:
         raise InputError("needs N >= 3")
-    acts = []
-    if N % 2:
-        half = (N - 1) // 2
-        for i in range(1, half + 1):
-            acts.append(mn_family(N, q, 1, b=2 * i))
-        for i in range(half + 1, N):
-            acts.append(mn_family(N, q, 2, a=2 * (i - half)))
-        for i in range(N, N + half):
-            acts.append(mn_family(N, q, 5, b=2 * (i - N + 1)))
-        for i in range(N + half, 2 * N - 1):
-            acts.append(mn_family(N, q, 6, a=2 * (i - (N - 1 + half))))
-    else:
-        for i in range(1, N // 2 + 1):
-            acts.append(mn_family(N, q, 1, b=2 * i))
-        for i in range(N // 2 + 1, N + 1):
-            acts.append(mn_family(N, q, 2, a=2 * (i - N // 2)))
-        for i in range(N + 1, N + (N - 2) // 2 + 1):
-            acts.append(mn_family(N, q, 5, b=2 * (i - N)))
-        for i in range(N + (N - 2) // 2 + 1, 2 * N - 1):
-            acts.append(mn_family(N, q, 6, a=2 * (i - N - (N - 2) // 2)))
-    if len(acts) != 2 * N - 2:
-        raise InputError("component count mismatch")
-    return acts
+    return (
+        [mn_family(N, q, 1, b=b) for b in range(2, N + 1, 2)]
+        + [mn_family(N, q, 2, a=a) for a in range(2, N + 1, 2)]
+        + [mn_family(N, q, 5, b=b) for b in range(2, N, 2)]
+        + [mn_family(N, q, 6, a=a) for a in range(2, N, 2)]
+    )
 
 
 def example_matrix_max_rank(N, q) -> ActionInstance:

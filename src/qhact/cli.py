@@ -106,6 +106,14 @@ def _int_list(job, key, default=None):
     return [as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
 
 
+def _checks(job, default):
+    """The list of check names in job["checks"], or default."""
+    checks = job.get("checks", default)
+    if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+        raise InputError("job field checks: expected a list of check names")
+    return checks
+
+
 def _scalar_json(c, powers=None):
     """c.to_json(), plus its exponent as a power of q when powers (a
     QPowers of q, built once per report) finds one."""
@@ -246,7 +254,7 @@ def cmd_maxrank(job, opts):
 
 def cmd_invariants(job, opts):
     k, m = _require_int(job, "k", 1), _require_int(job, "m", 1)
-    checks = job.get("checks", ["commutativity", "reflection", "trace", "molien"])
+    checks = _checks(job, ["commutativity", "reflection", "trace", "molien"])
     D = _degree_bound(opts, job, 20)
     inst, mu = plane_instance(k, m)
     results = {}
@@ -285,7 +293,7 @@ def cmd_invariants(job, opts):
             results[check] = {"match": matched, "dims": dims, "candidate": cand}
             ok = ok and matched
         else:
-            raise InputError(f"unknown invariants check {check!r}")
+            raise InputError(f"job field checks: unknown invariants check {check!r}")
     return {"k": k, "m": m, "degree_bound": D, "results": results}, 0 if ok else 1
 
 
@@ -293,7 +301,9 @@ def cmd_qdet(job, opts):
     N = _require_int(job, "N", 1)
     q = zeta(_require_int(job, "ord_q", 1))
     pres = quantum_matrix(N, q)
-    checks = job.get("checks", ["centrality", "laplace"])
+    checks = _checks(job, ["centrality", "laplace"])
+    if "stability" in checks and N < 2:
+        raise InputError(f"job field N: stability needs N >= 2, got {N}")
     results = {}
     ok = True
     for check in checks:
@@ -317,7 +327,7 @@ def cmd_qdet(job, opts):
                 flags[pa.tag] = {"g_fixes_det": g_fix, "x_kills_det": x_kill}
             results[check] = flags
         else:
-            raise InputError(f"unknown qdet check {check!r}")
+            raise InputError(f"job field checks: unknown qdet check {check!r}")
     return {"N": N, "results": results}, 0 if ok else 1
 
 

@@ -449,6 +449,12 @@ def as_q_power(value: Cyc, q: Cyc):
     return QPowers(q)(value)
 
 
+@lru_cache(maxsize=None)
+def root_powers(M: int) -> QPowers:
+    """QPowers of zeta_M, built once per M: the discrete log in mu_M."""
+    return QPowers(zeta(M))
+
+
 # reduction mod a prime of degree one -------------------------------------------
 
 

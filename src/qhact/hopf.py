@@ -13,6 +13,12 @@ degree-one operator identities of the Hopf relations hold; degree one
 suffices because the relation elements are skew-primitive and the module
 algebra is generated in degree one, but a configurable re-check on low
 degrees is run as an independent guard.
+
+Every matrix of a grouplike or a skew primitive on a graded piece A_d comes
+from one builder, `operator_matrix`: column w is the normal form of the
+operator applied to the word w.  Verification, fixed spaces, trace series
+and the Molien check all use it; degree one is indexed by the letters, so
+it serves the ungraded Weyl family too.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, as_int, lcm_all
+from .cyclotomic import Cyc, InputError, as_int, lcm_all, root_powers
 from .ncalg import (
     AFFINE,
     NCPoly,
@@ -157,10 +163,6 @@ class QLSData:
         return Report(not violations, violations)
 
 
-def validate_qls(qls: QLSData):
-    return qls.validate()
-
-
 def is_faithful_qls(qls: QLSData):
     """Whether G acts faithfully on span(x_i); returns (flag, generators of N)."""
     kernel = []
@@ -205,16 +207,11 @@ class TaftSpec:
             object.__setattr__(self, "gamma", Cyc.zero(self.gamma.L))
 
     def to_qls(self):
-        from .cyclotomic import root_of_unity
-
-        group = AbelianGroup((self.n,))
-        for e in range(self.n):
-            if root_of_unity(self.n, e) == self.lam:
-                chi = Character(group, (e,))
-                break
-        else:
+        e = root_powers(self.n)(self.lam)
+        if e is None:
             raise InputError("lambda does not lie in the n-th roots of unity")
-        return QLSData(group, [(1,)], [chi])
+        group = AbelianGroup((self.n,))
+        return QLSData(group, [(1,)], [Character(group, (e % self.n,))])
 
 
 # actions -------------------------------------------------------------------------
@@ -498,70 +495,26 @@ def act_skew(pres, inst: ActionInstance, i: int, poly: NCPoly) -> NCPoly:
 # degree-d operator matrices -------------------------------------------------------------
 
 
-def grouplike_matrix_deg(pres, g: GrouplikeAction, d, words=None):
-    """Sparse column-major matrix of a monomial operator on basis(pres, d).
-    words, a sub-list of that basis, keeps only their columns; the rows
-    always index the whole basis."""
-    basis = pres.basis(d)
+def operator_matrix(pres, g: GrouplikeAction, d, x: SkewAction | None = None, words=None):
+    """Sparse column-major matrix on the normal words of length d of the
+    grouplike g, or, when x is given, of the skew primitive x with attached
+    grouplike g.  Degree one is the letters, so it needs no grading.  words,
+    a sub-list of those normal words, keeps only their columns; the rows
+    always index all of them."""
+    basis = [(k,) for k in range(pres.ngens)] if d == 1 else pres.basis(d)
     index = {w: i for i, w in enumerate(basis)}
     one = Cyc.one(g.scalars[0].L)
     cols = []
     for w in basis if words is None else words:
-        img = act_grouplike_raw(pres, g, {w: one})
-        cols.append({index[wi]: c for wi, c in img.terms.items()})
-    return cols
-
-
-def skew_matrix_deg(pres, g_att, x, d, words=None):
-    """Sparse column-major matrix of x on basis(pres, d); words as in
-    grouplike_matrix_deg."""
-    basis = pres.basis(d)
-    index = {w: i for i, w in enumerate(basis)}
-    one = Cyc.one(g_att.scalars[0].L)
-    cols = []
-    for w in basis if words is None else words:
-        img = act_skew_raw(pres, g_att, x, {w: one})
-        cols.append({index[wi]: c for wi, c in img.terms.items()})
-    return cols
-
-
-def operator_matrix(inst: ActionInstance, ops, d, words=None):
-    """Sparse matrix on basis(pres, d) of a composite Hopf word.
-
-    ops is a non-empty sequence of ("g", j) for the j-th group generator or
-    ("x", i); the rightmost entry acts first.  words, a sub-list of the
-    basis, keeps only their columns (the rows index the whole basis).
-    """
-    pres = inst.pres
-    out = None
-    for kind, arg in reversed(list(ops)):
-        src = words if out is None else None
-        if kind == "g":
-            mat = grouplike_matrix_deg(pres, inst.gen_actions[arg], d, src)
-        elif kind == "x":
-            mat = skew_matrix_deg(pres, inst.attached_grouplike(arg), inst.skews[arg], d, src)
+        if x is None:
+            img = act_grouplike_raw(pres, g, {w: one})
         else:
-            raise InputError(f"unknown operator kind {kind!r}")
-        out = mat if out is None else linalg.s_mul(mat, out)
-    return out
+            img = act_skew_raw(pres, g, x, {w: one})
+        cols.append({index[wi]: c for wi, c in img.terms.items()})
+    return cols
 
 
 # verification ----------------------------------------------------------------------------
-
-
-def _grouplike_op(inst: ActionInstance, g: GrouplikeAction, d):
-    """Sparse matrix of a grouplike on degree d.  Degree one reads it off the
-    generator matrix, so it also covers ungraded presentations."""
-    if d == 1:
-        return g.matrix(inst.level)
-    return grouplike_matrix_deg(inst.pres, g, d)
-
-
-def _skew_op(inst: ActionInstance, i, d):
-    """Sparse matrix of x_i on degree d, read off eta on degree one."""
-    if d == 1:
-        return inst.skews[i].matrix(inst.level)
-    return skew_matrix_deg(inst.pres, inst.attached_grouplike(i), inst.skews[i], d)
 
 
 def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
@@ -651,8 +604,11 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
     for d in range(1, max(d_check, 1) + 1):
         if d == 2 and (violations or not pres.is_graded()):
             break
-        g_mats = [_grouplike_op(inst, g, d) for g in inst.gen_actions]
-        x_mats = [_skew_op(inst, i, d) for i in range(inst.qls.theta)]
+        g_mats = [operator_matrix(pres, g, d) for g in inst.gen_actions]
+        x_mats = [
+            operator_matrix(pres, inst.attached_grouplike(i), d, inst.skews[i])
+            for i in range(inst.qls.theta)
+        ]
         for i, X in enumerate(x_mats):
             for j, G in enumerate(g_mats):
                 chi = inst.chi_value(i, gen_elems[j])
@@ -676,7 +632,7 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
             m_i = inst.qls.m(i)
             ident = linalg.s_identity(len(X), level)
             power = linalg.s_pow(X, m_i, level)
-            gm = _grouplike_op(inst, inst.attached_grouplike(i).power(m_i), d)
+            gm = operator_matrix(pres, inst.attached_grouplike(i).power(m_i), d)
             rhs_op = linalg.s_scale(linalg.s_sub(gm, ident), inst.gammas[i])
             if not linalg.s_is_zero(linalg.s_sub(power, rhs_op)):
                 context = {"skew": i, "m": m_i} if d == 1 else {"skew-power": i}

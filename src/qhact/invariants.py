@@ -17,16 +17,10 @@ dimensions are counts of them.  Any other group takes the stacked path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, QPowers, lcm_all, zeta
-from .hopf import (
-    ActionInstance,
-    GrouplikeAction,
-    grouplike_matrix_deg,
-    operator_matrix,
-)
+from .cyclotomic import Cyc, InputError, lcm_all, root_powers
+from .hopf import ActionInstance, GrouplikeAction, operator_matrix
 from .ncalg import AFFINE, NCPoly, Presentation, commutator
 
 
@@ -45,11 +39,6 @@ def _stacked_kernel(n, level, grouplikes=(), skews=()):
     return linalg.nullspace(rows, n, level)
 
 
-@lru_cache(maxsize=None)
-def _root_powers(M):
-    return QPowers(zeta(M))
-
-
 def _weights(gens, level):
     """(M, exps) with gens[j].scalars[k] = zeta_M^exps[j][k], where mu_M is
     the group of roots of unity of Q(zeta_level); None unless every
@@ -57,7 +46,7 @@ def _weights(gens, level):
     if not all(g.is_diagonal() for g in gens):
         return None
     M = level if level % 2 == 0 else 2 * level
-    powers = _root_powers(M)
+    powers = root_powers(M)
     exps = [[powers(s) for s in g.scalars] for g in gens]
     if any(e is None for row in exps for e in row):
         return None
@@ -69,6 +58,15 @@ def _trivial_words(words, weights):
     prod_k scalars[k]^(count of k in w) times w."""
     M, exps = weights
     return [w for w in words if all(sum(e[k] for k in w) % M == 0 for e in exps)]
+
+
+def _skew_matrices(inst: ActionInstance, d, words=None):
+    """The matrices of the X_i on degree d, lazily; words as in
+    operator_matrix."""
+    return (
+        operator_matrix(inst.pres, inst.attached_grouplike(i), d, x, words)
+        for i, x in enumerate(inst.skews)
+    )
 
 
 def fixed_space(inst: ActionInstance, d, group_only=False):
@@ -92,8 +90,8 @@ def fixed_space(inst: ActionInstance, d, group_only=False):
         return [NCPoly({w: one}) for w in fixed]
     rows = [
         r
-        for i in range(inst.qls.theta)
-        for r in linalg.s_rows(operator_matrix(inst, [("x", i)], d, fixed), len(words))
+        for X in _skew_matrices(inst, d, fixed)
+        for r in linalg.s_rows(X, len(words))
         if r
     ]
     vecs = linalg.nullspace(rows, len(fixed), inst.level)
@@ -102,10 +100,8 @@ def fixed_space(inst: ActionInstance, d, group_only=False):
 
 def _stacked_fixed_space(inst: ActionInstance, d, words, group_only=False):
     """fixed_space for any group, from the stacked operators on all words."""
-    gs = (operator_matrix(inst, [("g", j)], d) for j in range(inst.qls.group.rank))
-    xs = () if group_only else (
-        operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta)
-    )
+    gs = (operator_matrix(inst.pres, g, d) for g in inst.gen_actions)
+    xs = () if group_only else _skew_matrices(inst, d)
     vecs = _stacked_kernel(len(words), inst.level, gs, xs)
     return [NCPoly({words[c]: v for c, v in vec.items()}) for vec in vecs]
 
@@ -117,8 +113,7 @@ def fixed_dims(inst, D, group_only=False):
 def skew_kernel_space(inst: ActionInstance, d):
     """Kernel of the skew operators alone on degree d."""
     words = inst.pres.basis(d)
-    xs = (operator_matrix(inst, [("x", i)], d) for i in range(inst.qls.theta))
-    vecs = _stacked_kernel(len(words), inst.level, skews=xs)
+    vecs = _stacked_kernel(len(words), inst.level, skews=_skew_matrices(inst, d))
     return [NCPoly({words[c]: v for c, v in vec.items()}) for vec in vecs]
 
 
@@ -166,7 +161,7 @@ def trace_series_direct(pres: Presentation, g: GrouplikeAction, D):
     level = lcm_all(s.L for s in g.scalars)
     out = [Cyc.one(level)]
     for d in range(1, D + 1):
-        mat = grouplike_matrix_deg(pres, g, d)
+        mat = operator_matrix(pres, g, d)
         out.append(linalg.s_trace(mat, level))
     return out
 
@@ -220,7 +215,7 @@ def molien_check(pres: Presentation, gens, D):
         traces = (trace_series_direct(pres, g, D) for g in group)
         dims = [
             len(_stacked_kernel(len(pres.basis(d)), level,
-                                (grouplike_matrix_deg(pres, g, d) for g in gens)))
+                                (operator_matrix(pres, g, d) for g in gens)))
             for d in range(D + 1)
         ]
     else:

@@ -607,8 +607,13 @@ def presentation_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise InputError("presentation object needs a 'family' field") from exc
     if family == MATRIX:
-        return quantum_matrix(as_int(obj["N"], "presentation.N"), Cyc.from_json(obj["q"]))
+        N = as_int(obj["N"], "presentation.N")
+        if N < 1:
+            raise InputError(f"presentation.N: must be at least 1, got {N}")
+        return quantum_matrix(N, Cyc.from_json(obj["q"]))
     p = [[Cyc.from_json(e) for e in row] for row in obj["p"]]
+    if not p:
+        raise InputError("presentation.p: needs at least one generator")
     if family == AFFINE:
         return quantum_affine(p)
     if family == EXTERIOR:

@@ -45,7 +45,6 @@ from .hopf import (
     eta_from_entries,
     inner_faithfulness,
     taft_instance,
-    validate_qls,
     verify_module_algebra,
 )
 from .invariants import (
@@ -219,7 +218,7 @@ def criterion_4():
     w = example_m2_rank3(q)
     checks = (
         verify_module_algebra(w).ok,
-        validate_qls(w.qls).ok,
+        w.qls.validate().ok,
         inner_faithfulness(w) == "inner_faithful",
         w.qls.lam(0) == q * q,
     )
@@ -289,7 +288,7 @@ def criterion_5():
     w3 = example_matrix_max_rank(3, q)
     if not (
         verify_module_algebra(w3).ok
-        and validate_qls(w3.qls).ok
+        and w3.qls.validate().ok
         and inner_faithfulness(w3) == "inner_faithful"
     ):
         return _result(5, name, False, "N=3 patched witness fails")

@@ -375,6 +375,12 @@ OUT_OF_RANGE_JOBS = [
     ("search", {"target": "affine", "m": 5, "p": [1, 2, 3]}, "p"),
     ("search", {"target": "affine", "m": 5, "p": 5}, "p"),
     ("search", {"target": "affine", "m": 5, "p": "q"}, "p"),
+    # checks is a list of check names, and stability needs a 2x2 matrix or larger
+    ("invariants", {"k": 3, "m": 3, "checks": "trace"}, "checks"),
+    ("invariants", {"k": 3, "m": 3, "checks": ["trace", 1]}, "checks"),
+    ("qdet", {"N": 2, "ord_q": 5, "checks": "centrality"}, "checks"),
+    ("qdet", {"N": 2, "ord_q": 5, "checks": {"centrality": True}}, "checks"),
+    ("qdet", {"N": 1, "ord_q": 5, "checks": ["stability"]}, "N"),
 ]
 
 
@@ -478,6 +484,23 @@ INSTANCE_INT_CASES = [
 def test_instance_integer_field_is_input_error(tmp_path, capsys, build, path, bad, field):
     obj = build()
     _set(obj, path, bad)
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
+
+
+# a presentation with no generators is refused, not handed to verification
+EMPTY_PRESENTATIONS = [
+    ({"family": "quantum_affine", "p": []}, "presentation.p"),
+    ({"family": "quantum_exterior", "p": []}, "presentation.p"),
+    ({"family": "quantum_matrix", "N": 0, "q": 1}, "presentation.N"),
+    ({"family": "quantum_matrix", "N": -1, "q": 1}, "presentation.N"),
+    ({"family": "quantized_weyl", "p": [], "gamma": []}, "presentation.p"),
+]
+
+
+@pytest.mark.parametrize("presentation,field", EMPTY_PRESENTATIONS)
+def test_presentation_without_generators_is_input_error(tmp_path, capsys, presentation, field):
+    obj = _m2_instance_json()
+    obj["presentation"] = presentation
     _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
@@ -19,10 +21,10 @@ from qhact.hopf import (
     operator_matrix,
     taft_inner_faithful,
     taft_instance,
-    validate_qls,
     verify_module_algebra,
 )
 from qhact import linalg
+from qhact.classify import example_weyl_nonfiltered, m2_family
 from qhact.ncalg import (
     NCPoly,
     from_word,
@@ -129,12 +131,12 @@ def test_validate_qls_z9_example():
     chi1 = Character(G, (3,))
     chi2 = Character(G, (6,))
     qls = QLSData(G, [(1,), (4,)], [chi1, chi2])
-    assert validate_qls(qls).ok
+    assert qls.validate().ok
     # chi_1(g_1) = omega^3 of order 3
     assert qls.m(0) == 3 and qls.m(1) == 3
 
     trivial = QLSData(G, [(1,)], [Character(G, (0,))])
-    assert not validate_qls(trivial).ok
+    assert not trivial.validate().ok
 
     G3 = AbelianGroup((3, 3))
     bad = QLSData(
@@ -143,7 +145,17 @@ def test_validate_qls_z9_example():
         [Character(G3, (1, 1)), Character(G3, (0, 1))],
     )
     # chi_1(g_2) chi_2(g_1) = zeta_3 * 1 != 1
-    assert not validate_qls(bad).ok
+    assert not bad.validate().ok
+
+
+def test_taft_character_is_the_discrete_log_of_lambda():
+    # chi(g) = lambda: the exponent e in 0..n-1 with zeta_n^e = lambda,
+    # for lambda written at its own level and at a multiple of it
+    for n in range(1, 13):
+        for e in range(n):
+            m = n // gcd(n, e)
+            for lam in (zeta(n, e), zeta(n, e).lift(2 * n)):
+                assert TaftSpec(n, m, lam).to_qls().chis[0].exps == (e,)
 
 
 def test_faithful_qls():
@@ -188,15 +200,17 @@ def test_inner_faithfulness():
 def test_operator_matrix():
     inst = plane_a(3, 4)
     pres = inst.pres
-    g1 = operator_matrix(inst, [("g", 0)], 1)
-    G = inst.gen_actions[0].matrix(inst.level)
+    g, x = inst.gen_actions[0], inst.skews[0]
+    g1 = operator_matrix(pres, g, 1)
+    G = g.matrix(inst.level)
     for j, col in enumerate(g1):
         for i, v in col.items():
             assert v == G[j][i]
     assert g1 == G
     # x^2 at degree 1 is the matrix square
-    x2 = operator_matrix(inst, [("x", 0), ("x", 0)], 1)
-    X = inst.skews[0].matrix(inst.level)
+    X1 = operator_matrix(pres, g, 1, x)
+    x2 = linalg.s_mul(X1, X1)
+    X = x.matrix(inst.level)
     XX = linalg.s_mul(X, X)
     assert all(
         XX[j].get(i, Cyc.zero(inst.level)) == x2[j].get(i, Cyc.zero(inst.level))
@@ -205,9 +219,37 @@ def test_operator_matrix():
     )
     # g x - lambda x g vanishes on degree 2 for a verified instance
     lam = inst.lam(0)
-    gx = operator_matrix(inst, [("g", 0), ("x", 0)], 2)
-    xg = operator_matrix(inst, [("x", 0), ("g", 0)], 2)
+    G2, X2 = operator_matrix(pres, g, 2), operator_matrix(pres, g, 2, x)
+    gx = linalg.s_mul(G2, X2)
+    xg = linalg.s_mul(X2, G2)
     assert linalg.s_is_zero(linalg.s_sub(gx, linalg.s_scale(xg, lam)))
+
+
+def test_operator_matrix_degree_one_is_the_generator_matrices():
+    weyl = example_weyl_nonfiltered(zeta(5), zeta(5, 2))
+    assert not weyl.pres.is_graded()
+    for inst in (plane_a(3, 4), m2_family(zeta(5), 3).instance(), weyl):
+        for j, g in enumerate(inst.gen_actions):
+            assert operator_matrix(inst.pres, g, 1) == g.matrix(inst.level), j
+        for i, x in enumerate(inst.skews):
+            X = operator_matrix(inst.pres, inst.attached_grouplike(i), 1, x)
+            assert X == x.matrix(inst.level), i
+
+
+def test_operator_matrix_words_keeps_those_columns():
+    inst = plane_a(3, 4)
+    pres = inst.pres
+    g, x = inst.gen_actions[0], inst.skews[0]
+    for d in range(5):
+        basis = pres.basis(d)
+        picks = [c for c in range(len(basis)) if c % 2 == 0]
+        words = [basis[c] for c in picks]
+        for mat, sub in (
+            (operator_matrix(pres, g, d), operator_matrix(pres, g, d, words=words)),
+            (operator_matrix(pres, g, d, x), operator_matrix(pres, g, d, x, words)),
+        ):
+            assert len(mat) == len(basis)
+            assert sub == [mat[c] for c in picks]
 
 
 def test_leibniz_consistency():

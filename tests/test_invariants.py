@@ -7,7 +7,7 @@ from qhact.hopf import (
     GrouplikeAction,
     TaftSpec,
     eta_from_entries,
-    grouplike_matrix_deg,
+    operator_matrix,
     taft_instance,
 )
 from qhact.invariants import (
@@ -216,7 +216,7 @@ def _molien_direct(pres, g, D):
     avg = [inv_order * c for c in total]
     g = g.lift(level)
     dims = [
-        len(invariants._stacked_kernel(len(pres.basis(d)), level, [grouplike_matrix_deg(pres, g, d)]))
+        len(invariants._stacked_kernel(len(pres.basis(d)), level, [operator_matrix(pres, g, d)]))
         for d in range(D + 1)
     ]
     return all(a == n for a, n in zip(avg, dims)), avg, dims
