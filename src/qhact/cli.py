@@ -146,9 +146,12 @@ def _family_json(fam, powers=None):
 def cmd_verify(job, opts):
     inst = instance_from_json(_require(job, "instance"))
     d_check = _degree_bound(opts, {}, 3)
+    inner = job.get("inner_faithful", False)
+    if not isinstance(inner, bool):
+        raise InputError(f"job field inner_faithful: expected true or false, got {inner!r}")
     report = verify_module_algebra(inst, d_check=d_check)
     out = report.to_json()
-    if job.get("inner_faithful"):
+    if inner:
         verdict = inner_faithfulness(inst)
         if isinstance(verdict, tuple):
             out["inner_faithfulness"] = {"verdict": verdict[0], "reason": verdict[1]}

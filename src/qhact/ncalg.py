@@ -611,6 +611,8 @@ def presentation_from_json(obj):
         if N < 1:
             raise InputError(f"presentation.N: must be at least 1, got {N}")
         return quantum_matrix(N, Cyc.from_json(obj["q"]))
+    if family not in (AFFINE, EXTERIOR, WEYL):
+        raise InputError(f"unknown family {family!r}")
     p = [[Cyc.from_json(e) for e in row] for row in obj["p"]]
     if not p:
         raise InputError("presentation.p: needs at least one generator")
@@ -618,10 +620,8 @@ def presentation_from_json(obj):
         return quantum_affine(p)
     if family == EXTERIOR:
         return quantum_exterior(p)
-    if family == WEYL:
-        gammas = [Cyc.from_json(g) for g in obj["gamma"]]
-        return quantized_weyl(p, gammas)
-    raise InputError(f"unknown family {family!r}")
+    gammas = [Cyc.from_json(g) for g in obj["gamma"]]
+    return quantized_weyl(p, gammas)
 
 
 def expected_hilbert(pres, d):

@@ -342,6 +342,10 @@ def test_level_override_keeps_transposed_candidates(tmp_path, capsys, monkeypatc
     assert seen == [False]
 
 
+def _m2_instance_json():
+    return instance_to_json(m2_family(zeta(5), 1).instance())
+
+
 # sizes and shapes the engine cannot work with: exit 2 naming the field, no
 # traceback
 OUT_OF_RANGE_JOBS = [
@@ -381,6 +385,10 @@ OUT_OF_RANGE_JOBS = [
     ("qdet", {"N": 2, "ord_q": 5, "checks": "centrality"}, "checks"),
     ("qdet", {"N": 2, "ord_q": 5, "checks": {"centrality": True}}, "checks"),
     ("qdet", {"N": 1, "ord_q": 5, "checks": ["stability"]}, "N"),
+    # inner_faithful is a JSON boolean too: the string "false" does not run the check
+    ("verify", {"instance": _m2_instance_json(), "inner_faithful": "false"}, "inner_faithful"),
+    ("verify", {"instance": _m2_instance_json(), "inner_faithful": 1}, "inner_faithful"),
+    ("verify", {"instance": _m2_instance_json(), "inner_faithful": None}, "inner_faithful"),
 ]
 
 
@@ -451,10 +459,6 @@ def test_deleted_field(tmp_path, capsys, command, payload, field, optional):
     assert code == 0, err
 
 
-def _m2_instance_json():
-    return instance_to_json(m2_family(zeta(5), 1).instance())
-
-
 def _m2_rank3_json():
     from qhact.classify import example_m2_rank3
 
@@ -502,6 +506,33 @@ def test_presentation_without_generators_is_input_error(tmp_path, capsys, presen
     obj = _m2_instance_json()
     obj["presentation"] = presentation
     _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
+
+
+@pytest.mark.parametrize("p", [[], 5])
+def test_unknown_family_is_named(tmp_path, capsys, p):
+    # the family is checked before p is read
+    obj = _m2_instance_json()
+    obj["presentation"] = {"family": "bogus", "p": p}
+    job = write_job(tmp_path, "job.json", {"instance": obj})
+    code, _, err = run_cli(capsys, "verify", "--job", job, "--json")
+    assert code == 2, err
+    assert "unknown family 'bogus'" in json.loads(err)["error"]
+
+
+def test_faithfulness_refuses_a_group_too_large_to_enumerate(tmp_path, capsys):
+    from qhact.hopf import (
+        MAX_GROUP_ORDER, group_acts_faithfully, instance_from_json, is_faithful_qls,
+    )
+
+    obj = _m2_rank3_json()
+    obj["hopf"]["group"] = [100, 100, 100]
+    inst = instance_from_json(obj)
+    assert inst.qls.group.order() > MAX_GROUP_ORDER
+    for check in (lambda: is_faithful_qls(inst.qls), lambda: group_acts_faithfully(inst)):
+        with pytest.raises(InputError, match="hopf.group"):
+            check()
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj, "inner_faithful": True},
+                        "hopf.group")
 
 
 def test_float_scalar_coefficient_is_input_error(tmp_path, capsys):

@@ -24,7 +24,16 @@ from qhact.hopf import (
     verify_module_algebra,
 )
 from qhact import linalg
-from qhact.classify import example_weyl_nonfiltered, m2_family
+from qhact.classify import (
+    affine_pair_family,
+    all_matrix_families,
+    example_affine_sharp,
+    example_m2_rank3,
+    example_matrix_max_rank,
+    example_weyl_nonfiltered,
+    generic_affine_p,
+    m2_family,
+)
 from qhact.ncalg import (
     NCPoly,
     from_word,
@@ -503,3 +512,116 @@ def test_pinned_violations_rank3_wrong_character():
         _no_witness("grouplike-skew-commutation", grouplike=2, skew=0),
         _no_witness("skew-skew-commutation", pair=[1, 0]),
     ]
+
+
+def commutative_pair(e):
+    """Two skew primitives on commutative k[u, v] over G = Z_5^2, both sending
+    v to u: g_1 = diag(1, zeta_5), g_2 = diag(1, zeta_5^e), chi_1 = chi_2 with
+    exponents (4, -e mod 5), so chi_1(g_2) chi_2(g_1) = zeta_5^(4 - e)."""
+    one = Cyc.one(5)
+    group = AbelianGroup((5, 5))
+    chi = Character(group, (4, -e % 5))
+    qls = QLSData(group, [(1, 0), (0, 1)], [chi, chi])
+    gens = [GrouplikeAction.diagonal([one, zeta(5)]), GrouplikeAction.diagonal([one, zeta(5, e)])]
+    x = eta_from_entries(2, {(0, 1): one}, 5)
+    return ActionInstance(quantum_affine([[one, one], [one, one]]), qls, gens, [x, x])
+
+
+def hopf_relation_defects(inst, d):
+    """Which Hopf-relation operators are nonzero on A_d, each built directly:
+    g x_i - chi_i(g) x_i g per generator g of G, x_i x_j - chi_j(g_i) x_j x_i
+    per ordered pair, and x_i^{m_i} - gamma_i (g_i^{m_i} - 1)."""
+    pres, level, qls = inst.pres, inst.level, inst.qls
+
+    def commutator(A, B, c):
+        return linalg.s_sub(linalg.s_mul(A, B), linalg.s_scale(linalg.s_mul(B, A), c))
+
+    G = [operator_matrix(pres, g, d) for g in inst.gen_actions]
+    X = [operator_matrix(pres, inst.attached_grouplike(i), d, x) for i, x in enumerate(inst.skews)]
+    ops = {}
+    for i in range(qls.theta):
+        for j, Gj in enumerate(G):
+            h = tuple(int(k == j) for k in range(qls.group.rank))
+            ops[("grouplike", j, i)] = commutator(Gj, X[i], inst.chi_value(i, h))
+        for j in range(qls.theta):
+            if j != i:
+                ops[("pair", i, j)] = commutator(X[i], X[j], inst.chi_value(j, qls.gs[i]))
+        m = qls.m(i)
+        gm = operator_matrix(pres, inst.attached_grouplike(i).power(m), d)
+        rhs = linalg.s_scale(linalg.s_sub(gm, linalg.s_identity(len(gm), level)), inst.gammas[i])
+        ops[("power", i)] = linalg.s_sub(linalg.s_pow(X[i], m, level), rhs)
+    return [key for key, D in ops.items() if not linalg.s_is_zero(D)]
+
+
+def _high_degree(degree, pair):
+    return _no_witness("relation-operator-nonzero-high-degree", degree=degree, pair=pair)
+
+
+def test_pinned_violations_pair_outside_quantum_linear_space():
+    # degree one passes, but chi_1(g_2) chi_2(g_1) = zeta_5^3 != 1 leaves the
+    # chi-commutation of the pair nonzero on every degree from 2 on
+    inst = commutative_pair(1)
+    assert verify_module_algebra(inst, d_check=1).ok
+    assert verify_module_algebra(inst, d_check=2).violations == [
+        _high_degree(2, [0, 1]), _high_degree(2, [1, 0])
+    ]
+    assert verify_module_algebra(inst, d_check=3).violations == [
+        _high_degree(2, [0, 1]), _high_degree(2, [1, 0]),
+        _high_degree(3, [0, 1]), _high_degree(3, [1, 0]),
+    ]
+    assert hopf_relation_defects(inst, 2) == [("pair", 0, 1), ("pair", 1, 0)]
+    # at e = 4 the pair is a quantum-linear-space pair and nothing fails
+    assert verify_module_algebra(commutative_pair(4), d_check=5).ok
+    assert hopf_relation_defects(commutative_pair(4), 3) == []
+
+
+def _oracle_cases():
+    q = zeta(5)
+    pres = quantum_affine(generic_affine_p(3, 5))
+    cases = [
+        pytest.param(lambda r=r: m2_family(q, r).instance(), (2, 3), id=f"M2-row{r}")
+        for r in range(1, 9)
+    ]
+    cases += [
+        pytest.param(pa.instance, (2, 3), id=f"M3-{pa.tag}") for pa in all_matrix_families(3, q)
+    ]
+    cases += [
+        pytest.param(lambda: example_m2_rank3(q), (2, 3), id="m2-rank3"),
+        pytest.param(lambda: example_affine_sharp(pres), (2, 3), id="affine-sharp"),
+        pytest.param(
+            lambda: dual_action(example_affine_sharp(pres)), (2, 3), id="dual-affine-sharp"
+        ),
+    ]
+    cases += [
+        pytest.param(
+            lambda i=i, j=j: dual_action(affine_pair_family(pres, zeta(5, 2), i, j).instance()),
+            (2, 3),
+            id=f"dual-pair-{i}{j}",
+        )
+        for i in range(3)
+        for j in range(3)
+        if i != j
+    ]
+    # the N = 5 witness at degree 3 takes seconds, so it stops at degree 2
+    cases += [
+        pytest.param(lambda N=N: example_matrix_max_rank(N, q), degrees, id=f"max-rank-M{N}")
+        for N, degrees in ((3, (2, 3)), (4, (2, 3)), (5, (2,)))
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("build,degrees", _oracle_cases())
+def test_degree_one_settles_every_hopf_relation(build, degrees):
+    # the twisted-derivation argument of verify_module_algebra: an instance
+    # that passes on degree one, with only quantum-linear-space pairs, has
+    # every Hopf-relation operator zero on the higher degrees too
+    inst = build()
+    assert inst.qls.validate().ok
+    assert verify_module_algebra(inst, d_check=1).ok
+    for d in degrees:
+        assert hopf_relation_defects(inst, d) == [], d
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_verify_large_max_rank_witness(N):
+    assert verify_module_algebra(example_matrix_max_rank(N, zeta(5))).ok
