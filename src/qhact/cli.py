@@ -41,6 +41,7 @@ from .invariants import (
     is_reflection,
     molien_check,
     presentation_match,
+    reflection_expected,
     series_equal,
     trace_series_direct,
     trace_series_product,
@@ -272,7 +273,7 @@ def cmd_invariants(job, opts):
             from .hopf import GrouplikeAction
 
             flag, xi = is_reflection(GrouplikeAction.diagonal([mu, mu**m]))
-            expected = mu**m == 1
+            expected = reflection_expected(mu, m)
             results[check] = {"is_reflection": flag, "expected": expected}
             ok = ok and flag == expected
         elif check == "trace":

@@ -327,12 +327,12 @@ class Cyc:
     def mult_order(self):
         """Multiplicative order, or None when not a root of unity.
 
-        Roots of unity in Q(zeta_L) are exactly mu_M with M = L for even L
-        and M = 2L for odd L, so membership is one power test.
+        Roots of unity in Q(zeta_L) are exactly mu_M, M = unit_level(L), so
+        membership is one power test.
         """
         if self.is_zero():
             return None
-        M = self.L if self.L % 2 == 0 else 2 * self.L
+        M = unit_level(self.L)
         if self**M != 1:
             return None
         order = M
@@ -418,6 +418,12 @@ def zeta(L: int, k: int = 1) -> Cyc:
 
 def lcm_all(values) -> int:
     return lcm(*values)
+
+
+def unit_level(L: int) -> int:
+    """M with mu_M the roots of unity of Q(zeta_L): L for even L, 2L for
+    odd L, as zeta_2L = -zeta_L^((L+1)/2) lies in Q(zeta_L) then."""
+    return L if L % 2 == 0 else 2 * L
 
 
 class QPowers:

@@ -20,17 +20,30 @@ Every matrix of a grouplike or a skew primitive on a graded piece A_d comes
 from one builder, `operator_matrix`: column w is the normal form of the
 operator applied to the word w.  Verification, fixed spaces, trace series
 and the Molien check all use it; degree one is indexed by the letters, so
-it serves the ungraded Weyl family too.
+it serves the ungraded Weyl family too.  On a quantum affine space with a
+diagonal grouplike, all of whose scalars are roots of unity, a normal word
+is an exponent vector and each column has a closed form (`_affine_columns`);
+every other case applies `act_grouplike_raw` or `act_skew_raw` to the word.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, as_int, lcm_all, root_powers
+from .cyclotomic import (
+    Cyc,
+    InputError,
+    as_int,
+    lcm_all,
+    root_of_unity,
+    root_powers,
+    unit_level,
+)
 from .ncalg import (
     AFFINE,
     NCPoly,
@@ -429,8 +442,12 @@ class ActionInstance:
                 out = self.gen_actions[j].power(e).compose(out)
         return out
 
+    @cached_property
+    def _attached(self):
+        return tuple(self.group_elem_action(g) for g in self.qls.gs)
+
     def attached_grouplike(self, i) -> GrouplikeAction:
-        return self.group_elem_action(self.qls.gs[i])
+        return self._attached[i]
 
     def chi_value(self, i, elem) -> Cyc:
         return self.qls.chis[i].eval(elem, self.level)
@@ -492,17 +509,142 @@ def act_skew(pres, inst: ActionInstance, i: int, poly: NCPoly) -> NCPoly:
 # degree-d operator matrices -------------------------------------------------------------
 
 
+def root_exponents(level, grouplikes, pres=None):
+    """(M, alphas, pi) with M = unit_level(level), every scalar of
+    grouplikes[j] on u_k equal to zeta_M^alphas[j][k] and, when pres is
+    given, pres.p[a][b] = zeta_M^pi[a][b] (pi is None without pres); every
+    exponent lies in 0..M-1.  None unless each grouplike is diagonal with
+    root-of-unity scalars and pres, if given, is a quantum affine space
+    whose p are roots of unity."""
+    if pres is not None and pres.family != AFFINE:
+        return None
+    logs = _root_logs(level)
+
+    def exps(values):
+        out = [logs.get(v.lift(level).sort_key()) if level % v.L == 0 else None for v in values]
+        return None if None in out else out
+
+    alphas = [exps(g.scalars) if g.is_diagonal() else None for g in grouplikes]
+    pi = None
+    if pres is not None:
+        if level not in pres._p_exponents:
+            pres._p_exponents[level] = [exps(row) for row in pres.p]
+        pi = pres._p_exponents[level]
+    if None in alphas or (pi is not None and None in pi):
+        return None
+    return unit_level(level), alphas, pi
+
+
+@lru_cache(maxsize=None)
+def _root_table(L):
+    """zeta_M^e written at level L, for e in 0..M-1 and M = unit_level(L)."""
+    if L % 2 == 0:
+        return tuple(root_of_unity(L, e) for e in range(L))
+    half = (L + 1) // 2  # zeta_2L = -zeta_L^half
+    return tuple(
+        -root_of_unity(L, e * half) if e % 2 else root_of_unity(L, e * half)
+        for e in range(2 * L)
+    )
+
+
+@lru_cache(maxsize=None)
+def _root_logs(L):
+    """The discrete log in mu_M, M = unit_level(L), of values written at
+    level L: sort key of zeta_M^e -> e.  Unlike root_powers(M), it lifts
+    nothing to level M = 2L when L is odd."""
+    return {z.sort_key(): e for e, z in enumerate(_root_table(L))}
+
+
+@lru_cache(maxsize=None)
+def _geometric(L, delta, n):
+    """S(delta, n) = sum_{j<n} zeta_M^(j delta) at level L, M = unit_level(L)."""
+    powers = _root_table(L)
+    out = Cyc.zero(L)
+    for j in range(n):
+        out = out + powers[j * delta % len(powers)]
+    return out
+
+
+def _affine_columns(pres, words, index, level, exps, x):
+    """operator_matrix columns on a quantum affine space for a diagonal
+    grouplike g = diag(zeta_M^alpha) and p = zeta_M^pi, exps as
+    root_exponents gives them.  A normal word is an exponent vector e, and
+    g . w = zeta_M^(sum_k alpha_k e_k) w.  x . w is a sum over the letters k
+    of w and the arrows eta_ak != 0 of x: the twisted Leibniz rule gives the
+    e_k copies of u_k the prefix characters zeta_M^(c + j delta), j < e_k,
+    and moving u_a to its place in e - eps_k + eps_a picks up the p of
+    the letters it passes, so the term is eta_ak zeta_M^c S(delta, e_k) with
+      a < k: delta = alpha_k + pi_ka,
+             c = sum_{l<k} alpha_l e_l + sum_{a<l<k} pi_la e_l;
+      a > k: delta = alpha_k - pi_ak,
+             c = sum_{l<k} alpha_l e_l + pi_ak (e_k - 1) + sum_{k<l<a} pi_al e_l;
+      a = k: delta = alpha_k, c = sum_{l<k} alpha_l e_l."""
+    M, (alpha,), pi = exps
+    powers = _root_table(level)
+    t = pres.ngens
+    if x is None:
+        return [{index[w]: powers[sum(alpha[k] for k in w) % M]} for w in words]
+    arrows = []
+    for a, row in enumerate(x.eta):
+        for k, eta_ak in enumerate(row):
+            if not eta_ak.is_zero():
+                delta = alpha[k] + (pi[k][a] if a < k else -pi[a][k] if a > k else 0)
+                arrows.append((a, k, eta_ak, delta % M))
+    cols = []
+    for w in words:
+        e = [0] * t
+        for k in w:
+            e[k] += 1
+        col = {}
+        for a, k, eta_ak, delta in arrows:
+            n = e[k]
+            if not n:
+                continue
+            S = _geometric(level, delta, n)
+            if S.is_zero():
+                continue
+            c = sum(alpha[l] * e[l] for l in range(k))
+            if a < k:
+                c += sum(pi[l][a] * e[l] for l in range(a + 1, k))
+            elif a > k:
+                c += pi[a][k] * (n - 1) + sum(pi[a][l] * e[l] for l in range(k + 1, a))
+            target = list(w)
+            target.remove(k)
+            insort(target, a)
+            row = index[tuple(target)]
+            v = eta_ak * powers[c % M] * S
+            cur = col.get(row)
+            v = v if cur is None else cur + v
+            if v.is_zero():
+                del col[row]
+            else:
+                col[row] = v
+        cols.append(col)
+    return cols
+
+
 def operator_matrix(pres, g: GrouplikeAction, d, x: SkewAction | None = None, words=None):
     """Sparse column-major matrix on the normal words of length d of the
     grouplike g, or, when x is given, of the skew primitive x with attached
     grouplike g.  Degree one is the letters, so it needs no grading.  words,
     a sub-list of those normal words, keeps only their columns; the rows
-    always index all of them."""
+    always index all of them.  Entries are at the lcm of the levels of
+    pres, g and x wherever the closed form applies."""
     basis = [(k,) for k in range(pres.ngens)] if d == 1 else pres.basis(d)
     index = {w: i for i, w in enumerate(basis)}
+    words = basis if words is None else words
+    if pres.family == AFFINE:
+        level = lcm_all(
+            [pres.level]
+            + [s.L for s in g.scalars]
+            + ([] if x is None else [e.L for row in x.eta for e in row])
+        )
+        exps = root_exponents(level, [g], pres)
+        if exps is not None:
+            return _affine_columns(pres, words, index, level, exps, x)
     one = Cyc.one(g.scalars[0].L)
     cols = []
-    for w in basis if words is None else words:
+    for w in words:
         if x is None:
             img = act_grouplike_raw(pres, g, {w: one})
         else:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .cyclotomic import Cyc, InputError, lcm_all, root_powers
-from .hopf import ActionInstance, GrouplikeAction, operator_matrix
+from .cyclotomic import Cyc, InputError, lcm_all
+from .hopf import ActionInstance, GrouplikeAction, operator_matrix, root_exponents
 from .ncalg import AFFINE, NCPoly, Presentation, commutator
 
 
@@ -39,24 +39,11 @@ def _stacked_kernel(n, level, grouplikes=(), skews=()):
     return linalg.nullspace(rows, n, level)
 
 
-def _weights(gens, level):
-    """(M, exps) with gens[j].scalars[k] = zeta_M^exps[j][k], where mu_M is
-    the group of roots of unity of Q(zeta_level); None unless every
-    generator is diagonal with root-of-unity scalars."""
-    if not all(g.is_diagonal() for g in gens):
-        return None
-    M = level if level % 2 == 0 else 2 * level
-    powers = root_powers(M)
-    exps = [[powers(s) for s in g.scalars] for g in gens]
-    if any(e is None for row in exps for e in row):
-        return None
-    return M, exps
-
-
 def _trivial_words(words, weights):
-    """The words every generator fixes: a diagonal g sends the word w to
-    prod_k scalars[k]^(count of k in w) times w."""
-    M, exps = weights
+    """The words every generator fixes: with weights = root_exponents(level,
+    gens), a diagonal g sends the word w to zeta_M^(sum of its exponents
+    over the letters of w) times w."""
+    M, exps, _ = weights
     return [w for w in words if all(sum(e[k] for k in w) % M == 0 for e in exps)]
 
 
@@ -81,7 +68,7 @@ def fixed_space(inst: ActionInstance, d, group_only=False):
     words = inst.pres.basis(d)
     if not words:
         return []
-    weights = _weights(inst.gen_actions, inst.level)
+    weights = root_exponents(inst.level, inst.gen_actions)
     if weights is None:
         return _stacked_fixed_space(inst, d, words, group_only)
     fixed = _trivial_words(words, weights)
@@ -210,7 +197,7 @@ def molien_check(pres: Presentation, gens, D):
     group = group_closure(gens)
     level = group[0].scalars[0].L
     gens = [g.lift(level) for g in gens]
-    weights = _weights(gens, level) if pres.family == AFFINE else None
+    weights = root_exponents(level, gens) if pres.family == AFFINE else None
     if weights is None:
         traces = (trace_series_direct(pres, g, D) for g in group)
         dims = [
@@ -243,6 +230,12 @@ def is_reflection(g: GrouplikeAction):
     if len(nontrivial) == 1:
         return True, nontrivial[0]
     return False, None
+
+
+def reflection_expected(mu, m):
+    """Whether diag(mu, mu^m) is a reflection, read off the parameters:
+    mu^m = 1 and mu != 1, since diag(1, 1) is the identity."""
+    return mu != 1 and mu**m == 1
 
 
 # commutativity of the fixed ring ---------------------------------------------------

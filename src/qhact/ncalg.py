@@ -168,6 +168,7 @@ class Presentation:
         self._nf_cache: dict[tuple, dict] = {}
         self._pow_tables: dict[tuple, tuple] = {}
         self._skew_tables: dict[tuple, object] = {}
+        self._p_exponents: dict[int, list] = {}
 
     # construction of the rule table ------------------------------------
 

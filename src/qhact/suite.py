@@ -53,6 +53,7 @@ from .invariants import (
     is_reflection,
     molien_check,
     presentation_match,
+    reflection_expected,
     series_equal,
     trace_series_direct,
     trace_series_product,
@@ -436,7 +437,7 @@ def criterion_9():
             flag, xi = is_reflection(
                 GrouplikeAction.diagonal([mu, mu**m])
             )
-            if flag != (mu**m == 1):
+            if flag != reflection_expected(mu, m):
                 return _result(9, name, False, f"reflection criterion off at ({k},{m})")
             if flag and xi != mu:
                 return _result(9, name, False, f"reflection eigenvalue off at ({k},{m})")

@@ -425,6 +425,18 @@ def test_degree_bound_zero_is_honoured(tmp_path, capsys):
     assert code == 2 and "degree_bound" in json.loads(err)["error"]
 
 
+def test_invariants_k1_is_not_a_reflection(tmp_path, capsys):
+    # mu = 1: diag(1, 1) is the identity, so no reflection is expected
+    job = write_job(tmp_path, "i.json", {
+        "k": 1, "m": 3, "checks": ["commutativity", "reflection", "trace", "molien"],
+    })
+    code, out, err = run_cli(capsys, "invariants", "--job", job, "--json")
+    assert code == 0, out + err
+    results = json.loads(out)["results"]
+    assert results["reflection"] == {"is_reflection": False, "expected": False}
+    assert results["commutativity"] and results["trace"] and results["molien"]["equal"]
+
+
 # each README job schema with every field present; deleting a required field
 # must exit 2 naming it, deleting an optional one must still exit 0
 SCHEMA_JOBS = [

@@ -1,17 +1,22 @@
+import random
 from math import gcd
 
 import pytest
 
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
+from qhact import hopf
 from qhact.hopf import (
     AbelianGroup,
     ActionInstance,
     Character,
     GrouplikeAction,
     QLSData,
+    SkewAction,
     TaftSpec,
     act_grouplike,
+    act_grouplike_raw,
     act_skew,
+    act_skew_raw,
     dual_action,
     eta_from_entries,
     inner_faithfulness,
@@ -33,6 +38,7 @@ from qhact.classify import (
     example_weyl_nonfiltered,
     generic_affine_p,
     m2_family,
+    plane_instance,
 )
 from qhact.ncalg import (
     NCPoly,
@@ -40,6 +46,7 @@ from qhact.ncalg import (
     multiply,
     p_add,
     quantum_affine,
+    quantum_exterior,
     quantum_matrix,
     quantum_plane,
 )
@@ -625,3 +632,145 @@ def test_degree_one_settles_every_hopf_relation(build, degrees):
 @pytest.mark.parametrize("N", [5, 6])
 def test_verify_large_max_rank_witness(N):
     assert verify_module_algebra(example_matrix_max_rank(N, zeta(5))).ok
+
+
+# closed-form columns on quantum affine spaces -----------------------------------
+
+
+@pytest.fixture
+def raw_calls(monkeypatch):
+    """Counts the calls of act_grouplike_raw and act_skew_raw."""
+    calls = {"grouplike": 0, "skew": 0}
+
+    def spy(kind, original):
+        def wrapped(*args, **kwargs):
+            calls[kind] += 1
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(hopf, "act_grouplike_raw", spy("grouplike", act_grouplike_raw))
+    monkeypatch.setattr(hopf, "act_skew_raw", spy("skew", act_skew_raw))
+    return calls
+
+
+def _oracle_matrix(pres, g, d, x=None):
+    """The columns of operator_matrix, built word by word from act_*_raw."""
+    basis = [(k,) for k in range(pres.ngens)] if d == 1 else pres.basis(d)
+    index = {w: i for i, w in enumerate(basis)}
+    one = Cyc.one(g.scalars[0].L)
+    cols = []
+    for w in basis:
+        if x is None:
+            img = act_grouplike_raw(pres, g, {w: one})
+        else:
+            img = act_skew_raw(pres, g, x, {w: one})
+        cols.append({index[wi]: c for wi, c in img.terms.items()})
+    return cols
+
+
+def _assert_closed_form(pres, g, d, x, raw_calls):
+    before = dict(raw_calls)
+    fast = operator_matrix(pres, g, d, x)
+    assert raw_calls == before, "the closed form must not call act_*_raw"
+    assert fast == _oracle_matrix(pres, g, d, x), d
+    assert not any(v.is_zero() for col in fast for v in col.values()), d
+
+
+def test_closed_form_matches_oracle_on_plane_actions(raw_calls):
+    for k in range(2, 7):
+        for m in range(2, 7):
+            inst, _ = plane_instance(k, m)
+            g, g_att, x = inst.gen_actions[0], inst.attached_grouplike(0), inst.skews[0]
+            for d in range(9):
+                _assert_closed_form(inst.pres, g, d, None, raw_calls)
+                _assert_closed_form(inst.pres, g_att, d, x, raw_calls)
+
+
+def _seeded_affine_case(rng):
+    """A t = 3 quantum affine space, a diagonal g and a multi-arrow eta, all
+    over roots of unity of a seeded level (an odd level allows -zeta)."""
+    L = rng.choice([3, 4, 5, 6, 7, 8])
+
+    def unit():
+        z = zeta(L, rng.randrange(L))
+        return -z if rng.random() < 0.3 else z
+
+    one = Cyc.one(L)
+    p = [[one] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            p[i][j] = unit()
+            p[j][i] = p[i][j].inv()
+    g = GrouplikeAction.diagonal([unit() for _ in range(3)])
+    values = [one, Cyc.rational(2, L) * zeta(L), -zeta(L, 2), Cyc.rational(-3, L)]
+    eta = [[Cyc.zero(L)] * 3 for _ in range(3)]
+    for _ in range(rng.randrange(1, 6)):
+        eta[rng.randrange(3)][rng.randrange(3)] = rng.choice(values)
+    return quantum_affine(p), g, SkewAction(eta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_closed_form_matches_oracle_on_affine_grids(seed, raw_calls):
+    rng = random.Random(seed)
+    for _ in range(10):
+        pres, g, x = _seeded_affine_case(rng)
+        for d in range(6):
+            _assert_closed_form(pres, g, d, None, raw_calls)
+            _assert_closed_form(pres, g, d, x, raw_calls)
+
+
+def test_closed_form_drops_vanishing_terms(raw_calls):
+    # g = diag(-1, i) on the plane with p_01 = i: the arrow u_0 -> u_0 has
+    # delta = alpha_0 = M/2, so S(delta, 2) = 1 - 1 = 0, and x.(u_0^2) = 0
+    i4 = zeta(4)
+    minus = Cyc.rational(-1, 4)
+    pres = quantum_plane(i4)
+    g = GrouplikeAction.diagonal([minus, i4])
+    x = eta_from_entries(2, {(0, 0): Cyc.one(4), (0, 1): Cyc.one(4)}, 4)
+    M, (alpha,), _ = hopf.root_exponents(4, [g], pres)
+    assert hopf._geometric(4, alpha[0], 2).is_zero()
+    for d in range(7):
+        _assert_closed_form(pres, g, d, x, raw_calls)
+    assert operator_matrix(pres, g, 2, x)[0] == {}
+    # two diagonal arrows that cancel on one word: x.(u_0 u_1) = u_0 u_1 - u_0 u_1
+    one = GrouplikeAction.identity(2, 4)
+    y = eta_from_entries(2, {(0, 0): Cyc.one(4), (1, 1): minus}, 4)
+    for d in range(7):
+        _assert_closed_form(pres, one, d, y, raw_calls)
+    assert operator_matrix(pres, one, 2, y)[1] == {}
+
+
+def _other_cases():
+    """(presentation, grouplike, skew, degree) the closed form must not take."""
+    z3, one3 = zeta(3), Cyc.one(3)
+    plane = quantum_plane(z3)
+    x2 = eta_from_entries(2, {(0, 1): one3}, 3)
+    q = zeta(5)
+    weyl = example_weyl_nonfiltered(q, zeta(5, 2))
+    m2 = m2_family(q, 3).instance()
+    dual = dual_action(plane_a(3, 4))
+    return [
+        pytest.param(plane, GrouplikeAction((1, 0), [one3, one3]), x2, 3, id="permuting"),
+        pytest.param(
+            plane, GrouplikeAction.diagonal([Cyc.rational(2, 3), one3]), x2, 3, id="scalar-2"
+        ),
+        pytest.param(
+            dual.pres, dual.attached_grouplike(0), dual.skews[0], 2, id="exterior"
+        ),
+        pytest.param(m2.pres, m2.attached_grouplike(0), m2.skews[0], 2, id="M2"),
+        pytest.param(weyl.pres, weyl.attached_grouplike(0), weyl.skews[0], 1, id="weyl"),
+    ]
+
+
+@pytest.mark.parametrize("pres,g,x,d", _other_cases())
+def test_other_cases_keep_the_raw_actions(pres, g, x, d, raw_calls):
+    operator_matrix(pres, g, d)
+    operator_matrix(pres, g, d, x)
+    assert raw_calls["grouplike"] > 0 and raw_calls["skew"] > 0
+
+
+def test_attached_grouplikes_are_built_once(monkeypatch):
+    inst = plane_a(3, 4)
+    first = inst.attached_grouplike(0)
+    monkeypatch.setattr(ActionInstance, "group_elem_action", None)
+    assert inst.attached_grouplike(0) is first

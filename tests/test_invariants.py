@@ -8,6 +8,7 @@ from qhact.hopf import (
     TaftSpec,
     eta_from_entries,
     operator_matrix,
+    root_exponents,
     taft_instance,
 )
 from qhact.invariants import (
@@ -106,7 +107,7 @@ def test_other_groups_take_the_stacked_path(g, stacked_calls):
     z = zeta(3)
     eta = eta_from_entries(2, {(0, 1): Cyc.one(3)}, 3)
     inst = taft_instance(quantum_plane(z), TaftSpec(3, 3, z), g, eta)
-    assert invariants._weights(inst.gen_actions, inst.level) is None
+    assert root_exponents(inst.level, inst.gen_actions) is None
     for d in range(1, 5):
         fixed_space(inst, d)
         assert stacked_calls == [d + 1]
