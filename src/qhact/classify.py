@@ -22,6 +22,18 @@ Q(zeta_L) is 0, and only then is the candidate skipped.  Every other
 candidate goes to the exact solver, which reads the same tables exactly and
 decides every reported family.
 
+The system is block diagonal.  The relations of k_p[u_1..u_t] and O_q(M_N)
+are homogeneous for a grading (Z^t, or rows and columns Z^N x Z^N; K. Brown
+and K. Goodearl, Lectures on Algebraic Quantum Groups, 2002, I.1), and the
+unit eta at (a, k) moves degree by deg u_a - deg u_k, so two unknowns share
+an equation only when their shifts match.  _SkewRows finds the blocks from
+its table, not from the grading: positions that share a row are joined by
+union-find.  The certificate and the exact solver both work one block at a
+time, and a block of one position with a one-term row needs neither: that
+entry is a nonzero constant times a product of g's scalars, so the column
+is never 0.  A diagonal candidate whose support is empty at every lambda has
+only x = 0 and is dropped before the preservation memo.
+
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
 exactly for zeta, reporting any free scalars that must vanish.  Maximum
@@ -33,7 +45,8 @@ member's skew matrix entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from collections import Counter
+from itertools import permutations, product, zip_longest
 from math import gcd
 
 from . import linalg
@@ -131,38 +144,53 @@ def solve_skew_space(
 
     Unknowns are the entries of eta.  Equations: the degree-one identity
     g x = lam x g, and the vanishing of x on every defining relation, as
-    _SkewRows.system builds them from the tables of (pres, g.perm, level).
-    A diagonal g restricts the unknowns to the positions that identity
-    allows unless `unpruned` is set; otherwise every position is an unknown
-    and the identity enters as rows.  Returns (positions, basis) where
-    positions orders the unknowns and basis is a list of SkewAction kernel
-    vectors (empty when only x = 0).
+    _SkewRows.rows builds them, block by block, from the tables of
+    (pres, g.perm, level).  A diagonal g restricts the unknowns to the
+    positions that identity allows unless `unpruned` is set; otherwise every
+    position is an unknown and the identity enters as rows.  Each present
+    block that is not sure is eliminated on its own.  The RREF of a block
+    diagonal matrix is the union of its blocks' RREFs, so ordering the
+    blocks' kernel vectors by free column gives the basis of the whole
+    system.  Returns (positions, basis) where positions orders the unknowns
+    and basis is a list of SkewAction kernel vectors (empty when only
+    x = 0).
     """
     t = pres.ngens
     level = level or lcm_all([pres.level, lam.L] + [s.L for s in g.scalars])
     lam = lam.lift(level)
     alpha = g.lift(level).scalars
+    lam_alpha = [lam * a for a in alpha]
     one = Cyc.one(level)
+    chars = {(): one}
 
     def chi(prefix):
-        c = one
-        for k in prefix:
-            c = c * alpha[k]
+        c = chars.get(prefix)
+        if c is None:
+            c = chars[prefix] = chi(prefix[:-1]) * alpha[prefix[-1]]
         return c
 
     tables = _SkewRows.of(pres, g.perm, level)
     pruned = g.is_diagonal() and not unpruned
-    positions, rows = tables.system(alpha, [lam * a for a in alpha], chi, tables.exact, pruned)
-    if not positions:
-        return [], []
-    # the sparse contract: entries that cancel are not stored
-    rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows.values()]
-    kernel = linalg.nullspace([row for row in rows if row], len(positions), level)
-    basis = []
-    for vec in kernel:
-        entries = {positions[c]: v for c, v in vec.items()}
-        basis.append(eta_from_entries(t, entries, level))
-    return positions, basis
+    if pruned:
+        positions = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
+    else:
+        positions = list(tables.positions)
+    found = []
+    for block, cols in tables.present(positions):
+        if block.sure:
+            continue
+        # the sparse contract: entries that cancel are not stored
+        rows = []
+        for _, row in tables.rows(block, cols, alpha, lam_alpha, chi, False, pruned):
+            row = {c: v for c, v in row.items() if not v.is_zero()}
+            if row:
+                rows.append(row)
+        order = list(cols)
+        for vec in linalg.nullspace(rows, len(order), level):
+            # the free column is the last: a pivot row is 0 left of its lead
+            found.append((order[max(vec)], {order[c]: v for c, v in vec.items()}))
+    found.sort(key=lambda fv: fv[0])
+    return positions, [eta_from_entries(t, entries, level) for _, entries in found]
 
 
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
@@ -229,25 +257,49 @@ class _PreservationMemo:
     preserves_relations once per key.  g . r = zeta^E(w0) sum_w c_w
     zeta^(E(w) - E(w0)) nf(perm w), with E(w) the exponent sum of the word
     w, so the verdict depends on g only through perm and the differences
-    E(w) - E(w0) mod L within each relation."""
+    E(w) - E(w0) mod L within each relation.  E(w) - E(w0) is the dot
+    product of exps with the letter counts of w minus those of w0; a word
+    whose counts match w0's, as in every relation of a quantum affine
+    space, adds nothing to the key."""
 
     def __init__(self, pres, L):
         self.pres = pres
         self.L = L
-        self.words = [tuple(rel) for rel in pres.relations()]
+        self.diffs = []
+        for rel in pres.relations():
+            words = list(rel)
+            for w in words[1:]:
+                d = Counter(w)
+                d.subtract(words[0])
+                d = tuple((x, n) for x, n in d.items() if n)
+                if d:
+                    self.diffs.append(d)
         self.verdicts = {}
 
     def __call__(self, perm, exps):
         L = self.L
-        diffs = []
-        for words in self.words:
-            sums = [sum(map(exps.__getitem__, w)) for w in words]
-            diffs.append(tuple((e - sums[0]) % L for e in sums[1:]))
-        key = (perm, tuple(diffs))
+        key = (perm, tuple(sum(n * exps[x] for x, n in d) % L for d in self.diffs))
         ok = self.verdicts.get(key)
         if ok is None:
             ok = self.verdicts[key] = preserves_relations(self.pres, _grouplike(perm, exps, L), L)
         return ok
+
+
+class _Block:
+    """One block of the skew system: its positions, in the order of the
+    unknowns, and its rows as (row, [(position, prefix, coefficient)]),
+    exactly (exact) and mod p (fp; None when p divides a denominator, and
+    then the block certifies nothing).  identity holds the rows of
+    g x = lam x g as (row, pos1, pos2, i, c): alpha[i] at pos1 minus
+    lam alpha[c] at pos2.  sure marks a single position with a one-term row:
+    that entry is a nonzero coefficient times a character, never 0."""
+
+    __slots__ = ("positions", "exact", "fp", "identity", "sure")
+
+    def __init__(self, positions):
+        self.positions = positions
+        self.exact, self.fp, self.identity = [], [], []
+        self.sure = False
 
 
 class _SkewRows:
@@ -259,10 +311,20 @@ class _SkewRows:
     c_w chi_g(prefix) nf(perm(prefix) a suffix).  Only chi_g(prefix), the
     product of g's scalars over the prefix, depends on g, so the normal forms
     are tabled once: exact[(a, k)] lists (prefix, [(row, coefficient)]), one
-    row per (relation, normal word) as labels[row] names it, and fp is the
-    same table mod p (fp_root(L)).  fp is None when p divides a
-    coefficient's denominator: that table certifies nothing.  The terms of
-    one position are grouped by prefix, so each character is taken once."""
+    row per (relation, normal word) as labels[row] names it.
+
+    The system splits into blocks.  Positions that share a row, and for a
+    permuting g the two positions of each row of g x = lam x g, lie in one
+    block (union-find over the table), so the matrix is block diagonal and
+    its kernel is the sum of the blocks' kernels.  On k_p[u_1..u_t] and
+    O_q(M_N) the relations are homogeneous for a grading in which the unit
+    eta (a, k) moves degree by deg u_a - deg u_k, so a block never mixes
+    shifts: O_q(M_3) at L = 3 has 49 blocks, 36 of them single positions.
+    A single position with a one-term row has an entry c chi_g(prefix) with
+    c != 0 there, for every g, so its column is never 0: the block has full
+    rank whenever it is present, and neither field is asked.  blocks holds
+    the _Block of each class, block_of[(a, k)] its index, and each block
+    keeps its rows by row, mod p as well (fp_root(L)), for rows below."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
@@ -270,6 +332,8 @@ class _SkewRows:
         self.p, omega = fp_root(L)
         self.powers = [pow(omega, e, self.p) for e in range(L)]
         self.diagonal = perm == tuple(range(t))
+        self.positions = [(a, k) for a in range(t) for k in range(t)]
+        self.everywhere = dict.fromkeys(range(L), self.positions)
         merged: dict[tuple, dict] = {}
         rows: dict[tuple, int] = {}
         for ridx, rel in enumerate(pres.relations()):
@@ -290,15 +354,56 @@ class _SkewRows:
                 if not v.is_zero():
                     by_prefix.setdefault(prefix, []).append((row, v.lift(L)))
             self.exact[pos] = list(by_prefix.items())
-        self.fp = {}
+        self._split(omega)
+
+    def _split(self, omega):
+        """The blocks: union-find over the positions, joining the positions
+        of each row of the table and of each row of g x = lam x g."""
+        t, perm, L, p = self.t, self.perm, self.L, self.p
+        inv = [0] * t
+        for k in range(t):
+            inv[perm[k]] = k
+        identity = [(r * t + c, (inv[r], c), (r, perm[c]), inv[r], c) for r in range(t) for c in range(t)]
+        by_row: dict[int, list] = {}
         for pos, by_prefix in self.exact.items():
-            self.fp[pos] = [
-                (prefix, [(row, fp_image(v, self.p, omega, L)) for row, v in terms])
-                for prefix, terms in by_prefix
+            for prefix, terms in by_prefix:
+                for row, v in terms:
+                    by_row.setdefault(row, []).append((pos, prefix, v))
+        links = [(pos1, pos2) for _, pos1, pos2, _, _ in identity]
+        links += [(terms[0][0], pos) for terms in by_row.values() for pos, _, _ in terms[1:]]
+        root = {pos: pos for pos in self.positions}
+
+        def find(pos):
+            while root[pos] != pos:
+                root[pos] = pos = root[root[pos]]
+            return pos
+
+        for pos1, pos2 in links:
+            root[find(pos1)] = find(pos2)
+        classes: dict[tuple, list] = {}
+        for pos in self.positions:
+            classes.setdefault(find(pos), []).append(pos)
+        self.blocks = [_Block(positions) for positions in classes.values()]
+        self.block_of = {pos: b for b, block in enumerate(self.blocks) for pos in block.positions}
+        for row, terms in by_row.items():
+            self.blocks[self.block_of[terms[0][0]]].exact.append((row, terms))
+        for ident in identity:
+            self.blocks[self.block_of[ident[1]]].identity.append(ident)
+        for block in self.blocks:
+            # deal the rows out by first position, so the first rows of a
+            # block span its positions and rank_mod stops early
+            dealt: dict[tuple, list] = {}
+            for item in block.exact:
+                dealt.setdefault(item[1][0][0], []).append(item)
+            block.exact = [item for turn in zip_longest(*dealt.values()) for item in turn if item]
+            block.sure = len(block.positions) == 1 and any(len(terms) == 1 for _, terms in block.exact)
+            block.fp = [
+                (row, [(pos, prefix, fp_image(v, p, omega, L)) for pos, prefix, v in terms])
+                for row, terms in block.exact
             ]
-            if any(v is None for _, terms in self.fp[pos] for _, v in terms):
-                self.fp = None
-                break
+        if any(v is None for block in self.blocks for _, terms in block.fp for _, _, v in terms):
+            for block in self.blocks:
+                block.fp = None
 
     @classmethod
     def of(cls, pres, perm, L):
@@ -308,56 +413,81 @@ class _SkewRows:
             tables = pres._skew_tables[perm, L] = cls(pres, perm, L)
         return tables
 
-    def system(self, alpha, lam_alpha, chi, table, pruned):
-        """(positions, rows) of the skew system of the grouplike u_k ->
-        alpha[k] u_perm[k] at lam, with lam_alpha[k] = lam alpha[k] and
-        chi(prefix) the product of alpha over the prefix, all in the field of
-        table (exact or fp).  A pruned diagonal keeps the positions (a, k)
-        with alpha[a] = lam alpha[k], the support g x = lam x g allows;
-        otherwise every position is an unknown and that identity enters
-        entrywise as rows.  rows maps a row id to {column: entry}: the
-        relation rows have the ids of labels, the identity's rows the ids
-        from len(labels) on.  Entries may vanish."""
-        t = self.t
-        rows: dict[int, dict] = {}
-        if pruned:
-            positions = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
-        else:
-            positions = [(a, k) for a in range(t) for k in range(t)]
-            perm, base = self.perm, len(self.labels)
-            inv = [0] * t
-            for k in range(t):
-                inv[perm[k]] = k
-            for r in range(t):
-                for c in range(t):
-                    col1, col2 = inv[r] * t + c, r * t + perm[c]
-                    if col1 == col2:
-                        rows[base + r * t + c] = {col1: alpha[inv[r]] - lam_alpha[c]}
-                    else:
-                        rows[base + r * t + c] = {col1: alpha[inv[r]], col2: -lam_alpha[c]}
-        for col, pos in enumerate(positions):
-            for prefix, terms in table.get(pos, ()):
-                x = chi(prefix)
-                for row, c in terms:
-                    entries = rows.setdefault(row, {})
-                    entries[col] = c * x if col not in entries else entries[col] + c * x
-        return positions, rows
+    def present(self, positions):
+        """The blocks that hold some of positions, each as (block, {position:
+        column}) with the columns in the order of positions."""
+        out: dict[int, dict] = {}
+        for pos in positions:
+            cols = out.setdefault(self.block_of[pos], {})
+            cols[pos] = len(cols)
+        return [(self.blocks[b], cols) for b, cols in out.items()]
 
-    def zero_kernel(self, exps, ell):
-        """True when the system of (perm, exps) at lam = zeta_L^ell has full
-        column rank mod p.  A maximal minor that is nonzero mod p is nonzero
-        over Q(zeta_L), so the exact kernel is 0.  False certifies nothing."""
+    def rows(self, block, cols, alpha, lam_alpha, chi, fp, pruned):
+        """The rows of one block of the skew system of the grouplike u_k ->
+        alpha[k] u_perm[k] at lam, as (row, {column: entry}) over the
+        unknowns cols ({position: column}), built one at a time.
+        lam_alpha[k] = lam alpha[k] and chi(prefix) is the product of alpha
+        over the prefix, all in the field of the table: fp, or exact.  A
+        pruned diagonal keeps the positions (a, k) with alpha[a] =
+        lam alpha[k], the support g x = lam x g allows; otherwise every
+        position is an unknown and that identity enters entrywise as rows,
+        whose ids run from len(labels) on.  Entries may vanish."""
+        if not pruned:
+            base = len(self.labels)
+            for row, pos1, pos2, i, c in block.identity:
+                if pos1 == pos2:
+                    yield base + row, {cols[pos1]: alpha[i] - lam_alpha[c]}
+                else:
+                    yield base + row, {cols[pos1]: alpha[i], cols[pos2]: -lam_alpha[c]}
+        for row, terms in block.fp if fp else block.exact:
+            entries = {}
+            for pos, prefix, c in terms:
+                col = cols.get(pos)
+                if col is not None:
+                    v = c * chi(prefix)
+                    entries[col] = v if col not in entries else entries[col] + v
+            if entries:
+                yield row, entries
+
+    def support(self, exps):
+        """The unknowns of the grouplike u_k -> zeta_L^exps[k] u_perm[k] at
+        each lam = zeta_L^ell, as {ell mod L: positions}: for a diagonal g
+        the positions (a, k) with exps[a] - exps[k] = ell (mod L), an ell
+        with none left out; otherwise every position at every ell."""
+        L = self.L
+        if not self.diagonal:
+            return self.everywhere
+        out: dict[int, list] = {}
+        for a, ea in enumerate(exps):
+            for k, ek in enumerate(exps):
+                out.setdefault((ea - ek) % L, []).append((a, k))
+        return out
+
+    def zero_kernel(self, exps, ell, positions):
+        """True when the system of (perm, exps) at lam = zeta_L^ell, with
+        the unknowns positions (support(exps) at ell), has full column rank
+        block by block: each present block is sure or has full column rank
+        mod p.  A maximal minor that is nonzero mod p is nonzero over
+        Q(zeta_L), so the exact kernel is 0.  False certifies nothing."""
+        todo = [(block, cols) for block, cols in self.present(positions) if not block.sure]
+        if not todo:
+            return True
         L, pw = self.L, self.powers
-        alpha = [pw[e] for e in exps]
-        lam_alpha = [pw[(ell + e) % L] for e in exps]
+        alpha = lam_alpha = None  # the identity's rows enter for a permuting g only
+        if not self.diagonal:
+            alpha = [pw[e] for e in exps]
+            lam_alpha = [pw[(ell + e) % L] for e in exps]
 
         def chi(prefix):
             return pw[sum(map(exps.__getitem__, prefix)) % L]
 
-        positions, rows = self.system(alpha, lam_alpha, chi, self.fp or {}, self.diagonal)
-        if self.fp is None or not positions:
-            return not positions
-        return linalg.rank_mod(list(rows.values()), len(positions), self.p) == len(positions)
+        for block, cols in todo:
+            if block.fp is None:
+                return False
+            rows = self.rows(block, cols, alpha, lam_alpha, chi, True, self.diagonal)
+            if linalg.rank_mod((r for _, r in rows), len(cols), self.p) < len(cols):
+                return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -396,19 +526,21 @@ def _affine_tag(fam):
 def _sweep(pres, lams, cands, level, keep):
     """Families over every lambda and every relation-preserving grouplike
     candidate (perm, exps) at this level: the skew solutions x with
-    keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A candidate
-    whose system _SkewRows certifies to have kernel 0 is skipped; every
-    other one goes to solve_skew_space."""
+    keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A diagonal
+    candidate with no unknowns at any lambda has only x = 0 and is dropped
+    first.  A candidate whose system _SkewRows certifies to have kernel 0 is
+    skipped; every other one goes to solve_skew_space."""
     preserves = _PreservationMemo(pres, level)
-    zeta_L = root_of_unity(level, 1)
-    ells = [as_q_power(lam, zeta_L) for lam in lams]  # lam = zeta_L^ell, or None
+    ells = [root_powers(level)(lam) for lam in lams]  # lam = zeta_L^ell, or None
     found = []
     for perm, exps in cands:
-        if not preserves(perm, exps):
-            continue
         tables = _SkewRows.of(pres, perm, level)
-        for lam, ell in zip(lams, ells):
-            if ell is not None and tables.zero_kernel(exps, ell):
+        support = tables.support(exps)
+        live = [(lam, ell) for lam, ell in zip(lams, ells) if ell is None or ell % level in support]
+        if not live or not preserves(perm, exps):
+            continue
+        for lam, ell in live:
+            if ell is not None and tables.zero_kernel(exps, ell, support[ell % level]):
                 continue
             g = _grouplike(perm, exps, level)
             _, basis = solve_skew_space(pres, g, lam, level)
@@ -525,7 +657,7 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     branches = [False, True] if include_tau else [False]
     cands = [c for tau in branches for c in _rank_one_candidates(N, L, tau=tau)]
     # ord(lam) divides L, so lam is a power of zeta_L whatever level it was written at
-    lam = root_of_unity(L, as_q_power(lam, root_of_unity(L, 1)) % L)
+    lam = root_of_unity(L, root_powers(L)(lam) % L)
     found = _sweep(pres, [lam], cands, L, _gamma_zero(pres, m, L))
     for fam in found:
         fam.tag = match_matrix_family(N, q, fam)

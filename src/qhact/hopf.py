@@ -32,7 +32,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .cyclotomic import (
@@ -286,12 +286,33 @@ class GrouplikeAction:
         return out
 
     def order(self, cap=10_000):
-        cur = self
-        for e in range(1, cap + 1):
-            if cur.is_identity():
-                return e
-            cur = cur.compose(self)
-        raise InputError("grouplike order exceeds cap")
+        """The least e >= 1 with g^e = 1: the lcm, over the cycles C of perm,
+        of |C| ord(prod_{k in C} scalars[k]), as g^|C| scales each u_k, k in
+        C, by that product.  An order is M / gcd(e, M) for a product
+        zeta_M^e, M = unit_level(L); a product that is no root of unity has
+        no order.  InputError when there is none or it exceeds cap."""
+        level = lcm_all(s.L for s in self.scalars)
+        M, logs = unit_level(level), _root_logs(level)
+        order, seen = 1, set()
+        for start in range(len(self.perm)):
+            if start in seen:
+                continue
+            cycle = [start]
+            while self.perm[cycle[-1]] != start:
+                cycle.append(self.perm[cycle[-1]])
+            seen.update(cycle)
+            exps = [logs.get(self.scalars[k].lift(level).sort_key()) for k in cycle]
+            if None in exps:  # the product may be a root of unity all the same
+                prod = Cyc.one(level)
+                for k in cycle:
+                    prod = prod * self.scalars[k]
+                exps = [logs.get(prod.lift(level).sort_key())]
+                if None in exps:
+                    raise InputError("grouplike order exceeds cap")
+            order = lcm(order, len(cycle) * (M // gcd(sum(exps), M)))
+        if order > cap:
+            raise InputError("grouplike order exceeds cap")
+        return order
 
     def matrix(self, level=None):
         """Sparse column-major matrix: column k is scalars[k] at row perm[k]."""

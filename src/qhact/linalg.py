@@ -153,23 +153,24 @@ def rank_mod(rows, ncols, p):
     vanish mod p are dropped here, so the rows may hold them."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        if len(pivots) == ncols:
-            break
         r = {j: v % p for j, v in row.items() if v % p}
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(r[lead], -1, p)
-                pivots[lead] = {j: v * inv % p for j, v in r.items()}
+                pivots[lead] = r
                 break
-            c = r[lead]
+            # r <- a r - c piv clears the lead without an inverse
+            a, c = piv[lead], r[lead]
+            r = {j: v * a % p for j, v in r.items()}
             for j, v in piv.items():
                 nv = (r.get(j, 0) - c * v) % p
                 if nv:
                     r[j] = nv
                 else:
                     r.pop(j, None)
+        if len(pivots) == ncols:
+            break
     return len(pivots)
 
 

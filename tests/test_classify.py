@@ -184,24 +184,20 @@ def test_matrix_max_rank_component_tags():
 
 
 def test_skew_support_examples():
-    # the same support rule mod p, as zero_kernel applies it to exponents of
-    # fp_root(L): (a, k) stays when alpha_a = lam alpha_k
-    def fp_support(pres, exps, ell, L):
-        tables = _SkewRows.of(pres, tuple(range(len(exps))), L)
-        pw = tables.powers
-        alpha = [pw[e] for e in exps]
-        lam_alpha = [pw[(ell + e) % L] for e in exps]
-        return tables.system(alpha, lam_alpha, None, {}, True)[0]
+    # the same support rule on exponents, as zero_kernel and the sweep apply
+    # it: (a, k) stays when alpha_a = lam alpha_k, i.e. e_a - e_k = ell mod L
+    def support(pres, exps, ell, L):
+        return _SkewRows.of(pres, tuple(range(len(exps))), L).support(exps).get(ell % L, [])
 
     plane = quantum_plane(zeta(5))
     # mu = w, lam = w^2, lam^-1 mu = w^4
-    assert fp_support(plane, [1, 4], 2, 5) == [(0, 1)]
+    assert support(plane, [1, 4], 2, 5) == [(0, 1)]
     # the x = 0 kernel is not certified where the exact kernel is nonzero
-    assert not _SkewRows.of(plane, (0, 1), 5).zero_kernel([1, 4], 2)
-    assert fp_support(plane, [0, 1], 0, 5) == [(0, 0), (1, 1)]
+    assert not _SkewRows.of(plane, (0, 1), 5).zero_kernel([1, 4], 2, [(0, 1)])
+    assert support(plane, [0, 1], 0, 5) == [(0, 0), (1, 1)]
     # at level 40: zeta_8 = w^5, alpha = zeta_8^3 = w^15
     affine = quantum_affine(generic_affine_p(3, 5))
-    assert fp_support(affine, [15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
+    assert support(affine, [15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
 
 
 def test_solve_skew_space_positions():
@@ -347,12 +343,19 @@ def _prefilter_grid(name):
         L = 5
         cands = list(_monomial_candidates(3, L, permutations(range(3))))
         return quantum_affine(generic_affine_p(3, 5)), L, primitive_lambdas(L, 5), cands
+    if name == "m3-ord3":
+        L = 3
+        cands = list(_rank_one_candidates(3, L))
+        return quantum_matrix(3, zeta(3), level=L), L, primitive_lambdas(L, 3), cands
     L = 5
     cands = [c for tau in (False, True) for c in _rank_one_candidates(2, L, tau=tau)]
     return quantum_matrix(2, zeta(5), level=L), L, primitive_lambdas(L, 5), cands
 
 
-@pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
+GRIDS = ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau", "m3-ord3"]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
 def test_sweep_prefilter_is_sound(grid):
     """On every candidate of the grid and every lambda, the sweep's
     preservation memo gives the verdict of preserves_relations, and a zero
@@ -375,8 +378,9 @@ def test_sweep_prefilter_is_sound(grid):
         assert memo(perm, exps) == preserves_relations(pres, g, L), (perm, exps)
         if perm not in tables:
             tables[perm] = _SkewRows(pres, perm, L)
+        support = tables[perm].support(exps)
         for lam, ell in zip(lams, ells):
-            if tables[perm].zero_kernel(exps, ell):
+            if tables[perm].zero_kernel(exps, ell, support.get(ell % L, [])):
                 certified += 1
                 assert solve_skew_space(pres, g, lam, L)[1] == [], (perm, exps, lam)
             else:
@@ -386,11 +390,11 @@ def test_sweep_prefilter_is_sound(grid):
 
 
 @pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
-def test_skew_rows_match_act_skew_raw(grid, monkeypatch):
+def test_skew_rows_match_act_skew_raw(grid):
     """On every candidate of the grid, the relation rows that
-    solve_skew_space takes from the tables are, at every unit eta, the
-    act_skew_raw image of that unit eta on each relation."""
-    from qhact import classify
+    _SkewRows.rows builds, block by block over every position, are at every
+    unit eta the act_skew_raw image of that unit eta on each relation; the
+    blocks partition the positions, and a sure block's column is nonzero."""
     from qhact.classify import _grouplike, _SkewRows
     from qhact.hopf import act_skew_raw, eta_from_entries
 
@@ -398,30 +402,220 @@ def test_skew_rows_match_act_skew_raw(grid, monkeypatch):
     t = pres.ngens
     one = Cyc.one(L)
     rels = [{w: c.lift(L) for w, c in rel.items()} for rel in pres.relations()]
-    built = []
-    real = _SkewRows.system
-
-    def recording(self, *args):
-        out = real(self, *args)
-        built.append((self, out))
-        return out
-
-    monkeypatch.setattr(_SkewRows, "system", recording)
-    monkeypatch.setattr(classify.linalg, "nullspace", lambda rows, ncols, level=1: [])
     for perm, exps in cands:
         g = _grouplike(perm, exps, L)
-        built.clear()
-        solve_skew_space(pres, g, lams[0], L, unpruned=True)
-        ((tables, (positions, rows)),) = built
-        assert positions == [(a, k) for a in range(t) for k in range(t)]
-        for col, (a, k) in enumerate(positions):
+        tables = _SkewRows.of(pres, perm, L)
+        alpha = g.scalars
+        lam_alpha = [lams[0] * a for a in alpha]
+
+        def chi(prefix):
+            c = one
+            for k in prefix:
+                c = c * alpha[k]
+            return c
+
+        present = tables.present(tables.positions)
+        assert sorted(pos for _, cols in present for pos in cols) == tables.positions
+        got = {}
+        for block, cols in present:
+            order = list(cols)
+            for row, entries in tables.rows(block, cols, alpha, lam_alpha, chi, False, False):
+                for col, v in entries.items():
+                    if row < len(tables.labels) and not v.is_zero():
+                        ridx, word = tables.labels[row]
+                        got.setdefault(order[col], {}).setdefault(ridx, {})[word] = v
+            if block.sure:
+                assert got.get(order[0]), (perm, exps, order)
+        for a, k in tables.positions:
             x = eta_from_entries(t, {(a, k): one}, L)
-            got = {}
-            for row, entries in rows.items():
-                v = entries.get(col)
-                if row < len(tables.labels) and v is not None and not v.is_zero():
-                    ridx, word = tables.labels[row]
-                    got.setdefault(ridx, {})[word] = v
             for ridx, rel in enumerate(rels):
                 want = act_skew_raw(pres, g, x, rel).terms
-                assert got.get(ridx, {}) == want, (perm, exps, (a, k), ridx)
+                assert got.get((a, k), {}).get(ridx, {}) == want, (perm, exps, (a, k), ridx)
+
+
+def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
+    """The skew system as one matrix, the way solve_skew_space built it
+    before the blocks, kept as the oracle: rows over positions from the
+    position-major table, each coefficient mapped by image into the field of
+    alpha, lam_alpha and chi, and the rows of g x = lam x g unless pruned."""
+    t = tables.t
+    rows = {}
+    if not pruned:
+        perm, base = tables.perm, len(tables.labels)
+        inv = [0] * t
+        for k in range(t):
+            inv[perm[k]] = k
+        for r in range(t):
+            for c in range(t):
+                col1, col2 = inv[r] * t + c, r * t + perm[c]
+                if col1 == col2:
+                    rows[base + r * t + c] = {col1: alpha[inv[r]] - lam_alpha[c]}
+                else:
+                    rows[base + r * t + c] = {col1: alpha[inv[r]], col2: -lam_alpha[c]}
+    for col, pos in enumerate(positions):
+        for prefix, terms in tables.exact.get(pos, ()):
+            x = chi(prefix)
+            for row, c in terms:
+                entries = rows.setdefault(row, {})
+                v = image(c) * x
+                entries[col] = v if col not in entries else entries[col] + v
+    return list(rows.values())
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_blocks_match_the_whole_system(grid):
+    """On every candidate of the grid and every lambda, the block
+    certificate gives the verdict of rank_mod on the whole system; on every
+    uncertified candidate the block-wise exact solver returns the positions
+    and basis, in order, of nullspace on the whole system, pruned and
+    unpruned; and an empty diagonal support leaves only x = 0."""
+    from qhact.classify import _grouplike
+    from qhact.cyclotomic import fp_image, root_powers
+    from qhact.hopf import eta_from_entries
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    t = pres.ngens
+    one = Cyc.one(L)
+    tables = {}
+    uncertified = empty = 0
+    for perm, exps in cands:
+        tb = tables.get(perm) or tables.setdefault(perm, _SkewRows(pres, perm, L))
+        assert all(block.fp is not None for block in tb.blocks)
+        p, pw = tb.p, tb.powers
+        g = _grouplike(perm, exps, L)
+        alpha = g.scalars
+        support = tb.support(exps)
+
+        def chi(prefix):
+            c = one
+            for k in prefix:
+                c = c * alpha[k]
+            return c
+
+        for lam in lams:
+            ell = root_powers(L)(lam)
+            positions = support.get(ell % L, [])
+            verdict = tb.zero_kernel(exps, ell, positions)
+            fp_alpha = [pw[e] for e in exps]
+            fp_lam_alpha = [pw[(ell + e) % L] for e in exps]
+            if tb.diagonal:
+                assert positions == [
+                    (a, k) for a in range(t) for k in range(t) if fp_alpha[a] == fp_lam_alpha[k]
+                ]
+            rows = _whole_system(
+                tb,
+                positions,
+                fp_alpha,
+                fp_lam_alpha,
+                lambda prefix: pw[sum(exps[k] for k in prefix) % L],
+                lambda v: fp_image(v, p, pw[1], L),
+                tb.diagonal,
+            )
+            n = len(positions)
+            assert verdict == (linalg.rank_mod(rows, n, p) == n), (perm, exps, ell)
+            if not positions:
+                empty += 1
+                assert solve_skew_space(pres, g, lam, L) == ([], [])
+            if verdict:
+                continue
+            uncertified += 1
+            lam_alpha = [lam * a for a in alpha]
+            for unpruned in (False, True):
+                pruned = tb.diagonal and not unpruned
+                cols = tb.positions
+                if pruned:
+                    cols = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
+                rows = _whole_system(tb, cols, alpha, lam_alpha, chi, lambda v: v, pruned)
+                rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
+                kernel = linalg.nullspace([row for row in rows if row], len(cols), L)
+                want = [eta_from_entries(t, {cols[c]: v for c, v in vec.items()}, L) for vec in kernel]
+                got_cols, got = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                assert got_cols == cols
+                assert [x.eta for x in got] == [x.eta for x in want], (perm, exps, ell, unpruned)
+    assert uncertified > 0
+    assert empty > 0 or not all(tb.diagonal for tb in tables.values())
+
+
+def test_skew_blocks_of_quantum_matrices():
+    """The blocks of O_q(M_N) follow its row and column grading: a unit eta
+    (a, k) moves the degree by deg u_a - deg u_k."""
+
+    def sizes(N, L, perm=None):
+        pres = quantum_matrix(N, zeta(L), level=L)
+        tables = _SkewRows(pres, perm or tuple(range(N * N)), L)
+        return tables, sorted(len(block.positions) for block in tables.blocks)
+
+    tables, got = sizes(3, 3)
+    assert len(got) == 49 and got == [1] * 36 + [3] * 12 + [9]
+    # every single position is sure, and the nine are the diagonal (a, a)
+    assert all(block.sure for block in tables.blocks if len(block.positions) == 1)
+    (diagonal,) = [block for block in tables.blocks if len(block.positions) == 9]
+    assert diagonal.positions == [(a, a) for a in range(9)]
+    assert sizes(2, 7)[1] == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+    tau = tuple((k % 2) * 2 + k // 2 for k in range(4))
+    assert sizes(2, 7, tau)[1] == [1, 1, 4, 4, 6]
+
+
+def _order_by_powers(g, cap=10_000):
+    """The order of g by composing it with itself, kept as the oracle; None
+    past cap."""
+    cur = g
+    for e in range(1, cap + 1):
+        if cur.is_identity():
+            return e
+        cur = cur.compose(g)
+    return None
+
+
+def _order_or_none(g, cap=10_000):
+    try:
+        return g.order(cap)
+    except InputError:
+        return None
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_order_closed_form_matches_powers_on_grids(grid):
+    from qhact.classify import _grouplike
+
+    _, L, _, cands = _prefilter_grid(grid)
+    for perm, exps in cands:
+        g = _grouplike(perm, exps, L)
+        assert g.order() == _order_by_powers(g), (perm, exps)
+
+
+def test_order_closed_form_matches_powers():
+    import random
+    from fractions import Fraction
+
+    from qhact.cyclotomic import root_of_unity
+
+    half, two = Cyc.rational(Fraction(1, 2)), Cyc.rational(2)
+    rng = random.Random(13)
+    for _ in range(150):
+        t = rng.randint(1, 5)
+        perm = list(range(t))
+        rng.shuffle(perm)
+        scalars = []
+        for _ in range(t):
+            L = rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 10, 12])
+            scalars.append(root_of_unity(L, rng.randrange(L)))
+        if rng.random() < 0.2:
+            # a scalar that is no root of unity, balanced or not on its cycle
+            k = rng.randrange(t)
+            scalars[k] = scalars[k] * two
+            if rng.random() < 0.5 and perm[k] != k:
+                scalars[perm[k]] = scalars[perm[k]] * half
+        g = GrouplikeAction(perm, scalars)
+        assert _order_or_none(g, 720) == _order_by_powers(g, 720), g
+    # 2 and 1/2 on one 2-cycle: not roots of unity, but g^2 = 1
+    assert GrouplikeAction((1, 0), (two, half)).order() == 2
+    with pytest.raises(InputError):
+        GrouplikeAction((1, 0), (two, Cyc.rational(Fraction(1, 3)))).order()
+    with pytest.raises(InputError):
+        GrouplikeAction.diagonal([two, zeta(5), zeta(5, 2)]).order()
+    # the cap keeps its meaning: 7 * 11 * 13 = 1001
+    g = GrouplikeAction.diagonal([zeta(7), zeta(11), zeta(13)])
+    assert g.order() == 1001 == _order_by_powers(g)
+    with pytest.raises(InputError):
+        g.order(cap=1000)
