@@ -323,8 +323,8 @@ class _SkewRows:
     A single position with a one-term row has an entry c chi_g(prefix) with
     c != 0 there, for every g, so its column is never 0: the block has full
     rank whenever it is present, and neither field is asked.  blocks holds
-    the _Block of each class, block_of[(a, k)] its index, and each block
-    keeps its rows by row, mod p as well (fp_root(L)), for rows below."""
+    the _Block of each class and block_of[(a, k)] its index; each block
+    keeps its rows row by row, exactly and mod p (fp_root(L)), for rows()."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
