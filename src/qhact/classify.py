@@ -71,6 +71,7 @@ from .hopf import (
     TaftSpec,
     act_grouplike_raw,
     eta_from_entries,
+    operator_matrix,
     taft_instance,
     verify_module_algebra,
 )
@@ -80,6 +81,7 @@ from .ncalg import (
     first_weyl,
     nf_word,
     quantum_affine,
+    quantized_weyl,
     quantum_matrix,
     quantum_plane,
 )
@@ -195,11 +197,12 @@ def solve_skew_space(
 
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
     """gamma with X^m = gamma (G^m - I), or None when no scalar works."""
-    X = x.matrix(level)
+    g = g.lift(level)
+    X = operator_matrix(pres, g, 1, x)
     Xm = linalg.s_pow(X, m, level)
     if linalg.s_is_zero(Xm):
         return Cyc.zero(level)
-    D = linalg.s_sub(g.power(m).matrix(level), linalg.s_identity(len(X), level))
+    D = linalg.s_sub(operator_matrix(pres, g.power(m), 1), linalg.s_identity(len(X), level))
     return _scalar_ratio(Xm, D)
 
 
@@ -659,8 +662,11 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     # ord(lam) divides L, so lam is a power of zeta_L whatever level it was written at
     lam = root_of_unity(L, root_powers(L)(lam) % L)
     found = _sweep(pres, [lam], cands, L, _gamma_zero(pres, m, L))
+    templates = all_matrix_families(N, q) if found else []
     for fam in found:
-        fam.tag = match_matrix_family(N, q, fam)
+        tags = (c.tag for c in templates if c.lam == fam.lam and c.g == fam.g
+                and spans_equal(fam.basis, c.basis, N * N))
+        fam.tag = next(tags, "unclassified")
     return found
 
 
@@ -961,17 +967,6 @@ def all_matrix_families(N, q):
     return out
 
 
-def match_matrix_family(N, q, fam: ParamAction):
-    """Tag a found matrix family against the printed templates."""
-    t = N * N
-    for cand in all_matrix_families(N, q):
-        if cand.lam != fam.lam or not (cand.g == fam.g):
-            continue
-        if spans_equal(fam.basis, cand.basis, t):
-            return cand.tag
-    return "unclassified"
-
-
 # ---------------------------------------------------------------------------
 # pair compatibility
 
@@ -1024,10 +1019,10 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     level = lcm_all(
         [ai.g.scalars[0].L, aj.g.scalars[0].L, ai.lam.L, aj.lam.L]
     )
-    Gi = ai.g.lift(level).matrix(level)
-    Gj = aj.g.lift(level).matrix(level)
-    parts_i = [(lab, part.matrix(level)) for lab, part in ai.parts]
-    parts_j = [(lab, part.matrix(level)) for lab, part in aj.parts]
+    pres, gi, gj = ai.pres, ai.g.lift(level), aj.g.lift(level)
+    Gi, Gj = operator_matrix(pres, gi, 1), operator_matrix(pres, gj, 1)
+    parts_i = [(lab, operator_matrix(pres, gi, 1, part)) for lab, part in ai.parts]
+    parts_j = [(lab, operator_matrix(pres, gj, 1, part)) for lab, part in aj.parts]
 
     # candidate zeta per part, from the grouplike equations
     zeta_j, dead = {}, set()
@@ -1326,8 +1321,6 @@ def example_weyl_nonfiltered(lam, p12) -> ActionInstance:
     level = lcm(lam.L, p12.L)
     lam, p12 = lam.lift(level), p12.lift(level)
     one = Cyc.one(level)
-    from .ncalg import quantized_weyl
-
     pres = quantized_weyl([[one, p12], [p12.inv(), one]], [lam, lam], level=level)
     a2 = p12
     a1 = lam * a2

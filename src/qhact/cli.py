@@ -29,6 +29,7 @@ from .classify import (
 )
 from .cyclotomic import Cyc, InputError, QPowers, as_int, lcm, zeta
 from .hopf import (
+    GrouplikeAction,
     inner_faithfulness,
     instance_from_json,
     instance_to_json,
@@ -47,7 +48,6 @@ from .invariants import (
     trace_series_product,
 )
 from .ncalg import quantum_matrix
-from .suite import CRITERIA, run_suite
 
 
 def parse_scalar(value, q=None, field="scalar"):
@@ -270,8 +270,6 @@ def cmd_invariants(job, opts):
             results[check] = commutativity_check(inst, D)
             ok = ok and results[check]
         elif check == "reflection":
-            from .hopf import GrouplikeAction
-
             flag, xi = is_reflection(GrouplikeAction.diagonal([mu, mu**m]))
             expected = reflection_expected(mu, m)
             results[check] = {"is_reflection": flag, "expected": expected}
@@ -336,6 +334,8 @@ def cmd_qdet(job, opts):
 
 
 def cmd_suite(job, opts):
+    from .suite import CRITERIA, run_suite
+
     job = job or {}
     criteria = _int_list(job, "criteria") if "criteria" in job else None
     if criteria and not set(criteria) <= set(CRITERIA):
@@ -343,7 +343,7 @@ def cmd_suite(job, opts):
     ord_q = _require_int(job, "ord_q") if "ord_q" in job else None
     workers = opts.workers or 1
     if workers > 1:
-        results = _run_suite_parallel(criteria, ord_q, workers)
+        results = _run_suite_parallel(sorted(criteria or CRITERIA), ord_q, workers)
     else:
         results = run_suite(criteria, ord_q=ord_q)
     ok = all(r["status"] != "fail" for r in results)
@@ -351,21 +351,21 @@ def cmd_suite(job, opts):
 
 
 def _suite_worker(args):
+    from .suite import run_suite
+
     cid, ord_q = args
-    from .suite import run_suite as rs
-
-    return rs([cid], ord_q=ord_q)[0]
+    return run_suite([cid], ord_q=ord_q)[0]
 
 
-def _run_suite_parallel(criteria, ord_q, workers):
-    selected = sorted(criteria) if criteria else sorted(CRITERIA)
+def _run_suite_parallel(selected, ord_q, workers):
+    jobs = [(cid, ord_q) for cid in selected]
     try:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_suite_worker, [(cid, ord_q) for cid in selected]))
+            results = list(pool.map(_suite_worker, jobs))
     except OSError:
-        results = run_suite(selected, ord_q=ord_q)
+        results = [_suite_worker(job) for job in jobs]
     return sorted(results, key=lambda r: r["id"])
 
 

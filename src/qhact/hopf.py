@@ -18,8 +18,10 @@ so only that identity, for only those pairs, is re-checked on degrees
 
 Every matrix of a grouplike or a skew primitive on a graded piece A_d comes
 from one builder, `operator_matrix`: column w is the normal form of the
-operator applied to the word w.  Verification, fixed spaces, trace series
-and the Molien check all use it; degree one is indexed by the letters, so
+operator applied to the word w.  Verification, fixed spaces, trace series,
+the Molien check and the compatibility and power-scalar equations of the
+searches all use it.  Degree one is indexed by the letters, whose images
+are already normal, so it is read directly off perm, scalars and eta, and
 it serves the ungraded Weyl family too.  On a quantum affine space with a
 diagonal grouplike, all of whose scalars are roots of unity, a normal word
 is an exponent vector and each column has a closed form (`_affine_columns`);
@@ -51,6 +53,8 @@ from .ncalg import (
     koszul_dual,
     normalize,
     poly_to_json,
+    presentation_from_json,
+    presentation_to_json,
 )
 
 
@@ -93,9 +97,6 @@ class AbelianGroup:
     def add(self, a, b):
         return tuple((x + y) % d for x, y, d in zip(a, b, self.orders))
 
-    def element_order(self, exps):
-        return lcm_all(d // gcd(d, e) for e, d in zip(exps, self.orders))
-
     def char_level(self):
         return lcm_all(self.orders)
 
@@ -110,8 +111,6 @@ class Character:
             raise InputError("character exponent tuple has wrong length")
 
     def eval(self, elem, level=None):
-        from .cyclotomic import root_of_unity
-
         L = level or self.group.char_level()
         out = Cyc.one(L)
         for d, f, e in zip(self.group.orders, self.exps, elem):
@@ -314,11 +313,6 @@ class GrouplikeAction:
             raise InputError("grouplike order exceeds cap")
         return order
 
-    def matrix(self, level=None):
-        """Sparse column-major matrix: column k is scalars[k] at row perm[k]."""
-        level = level or lcm_all(s.L for s in self.scalars)
-        return [{p: s.lift(level)} for p, s in zip(self.perm, self.scalars)]
-
     def lift(self, level):
         return GrouplikeAction(self.perm, tuple(s.lift(level) for s in self.scalars))
 
@@ -360,16 +354,6 @@ class SkewAction:
             for k, e in enumerate(row)
             if not e.is_zero()
         }
-
-    def matrix(self, level=None):
-        """Sparse column-major matrix: column k holds the nonzero eta[a][k]."""
-        level = level or lcm_all(
-            [1] + [e.L for row in self.eta for e in row if not e.is_zero()]
-        )
-        return [
-            {a: row[k].lift(level) for a, row in enumerate(self.eta) if not row[k].is_zero()}
-            for k in range(len(self.eta))
-        ]
 
     def transpose(self):
         return SkewAction(tuple(zip(*self.eta)))
@@ -647,19 +631,28 @@ def _affine_columns(pres, words, index, level, exps, x):
 def operator_matrix(pres, g: GrouplikeAction, d, x: SkewAction | None = None, words=None):
     """Sparse column-major matrix on the normal words of length d of the
     grouplike g, or, when x is given, of the skew primitive x with attached
-    grouplike g.  Degree one is the letters, so it needs no grading.  words,
-    a sub-list of those normal words, keeps only their columns; the rows
-    always index all of them.  Entries are at the lcm of the levels of
-    pres, g and x wherever the closed form applies."""
-    basis = [(k,) for k in range(pres.ngens)] if d == 1 else pres.basis(d)
+    grouplike g.  words, a sub-list of those normal words, keeps only their
+    columns; the rows always index all of them.  Degree one is the letters,
+    whose images are already normal, so it needs no grading and is read off
+    perm, scalars and eta.  Entries are at the lcm of the levels of pres, g
+    and x there and wherever the closed form applies."""
+    level = lcm_all(
+        [pres.level]
+        + [s.L for s in g.scalars]
+        + ([] if x is None else [e.L for row in x.eta for e in row])
+    )
+    if d == 1:
+        letters = range(pres.ngens) if words is None else [k for (k,) in words]
+        if x is None:
+            return [{g.perm[k]: g.scalars[k].lift(level)} for k in letters]
+        return [
+            {a: row[k].lift(level) for a, row in enumerate(x.eta) if not row[k].is_zero()}
+            for k in letters
+        ]
+    basis = pres.basis(d)
     index = {w: i for i, w in enumerate(basis)}
     words = basis if words is None else words
     if pres.family == AFFINE:
-        level = lcm_all(
-            [pres.level]
-            + [s.L for s in g.scalars]
-            + ([] if x is None else [e.L for row in x.eta for e in row])
-        )
         exps = root_exponents(level, [g], pres)
         if exps is not None:
             return _affine_columns(pres, words, index, level, exps, x)
@@ -865,8 +858,6 @@ def dual_action(inst: ActionInstance) -> ActionInstance:
 
 
 def instance_to_json(inst: ActionInstance):
-    from .ncalg import presentation_to_json
-
     qls = inst.qls
     if qls.group.rank == 1 and qls.theta == 1 and qls.gs[0] == (1,):
         hopf = {
@@ -903,8 +894,6 @@ def _int_tuple(values, field):
 
 
 def instance_from_json(obj) -> ActionInstance:
-    from .ncalg import presentation_from_json
-
     try:
         pres = presentation_from_json(obj["presentation"])
         hopf = obj["hopf"]

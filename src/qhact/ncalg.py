@@ -1,12 +1,17 @@
 """Finitely presented quantum algebras with canonical-form rewriting.
 
-Four families are supported, each with a fixed normal-word order and a
-confluent straightening rule set read directly off the defining relations:
+Four families are supported, each with a fixed normal-word order:
 
 * quantum affine space  k_p[u_1..u_t]      (normal: non-decreasing indices)
 * quantum exterior algebra on u_i*          (normal: strictly increasing)
 * single-parameter quantum matrix algebra   (normal: row-major non-decreasing)
 * multiparameter quantized Weyl algebra     (normal: v_1^a u_1^b v_2^... )
+
+Each family's confluent straightening rules are derived from its defining
+relations (Bergman's diamond lemma).  Each relation has exactly one
+length-two word ba with b >= a, its leading word, and the rule rewrites ba
+as the relation solved for ba.  The rules are built the first time a
+normal form needs them.
 
 Elements are NCPoly values: finite maps from normal words to Cyc scalars.
 Degree-two ideal membership is decided by normal form = 0; confluence_check
@@ -16,6 +21,7 @@ overlap both ways.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -107,7 +113,8 @@ def p_scale(a: NCPoly, c) -> NCPoly:
 
 
 class Presentation:
-    """One of the four supported families, with straightening rules attached."""
+    """One of the four supported families.  Its straightening rules are
+    derived from relations() the first time a normal form needs them."""
 
     def __init__(self, family, *, t=None, N=None, p=None, q=None, gammas=None, level=None):
         self.family = family
@@ -164,65 +171,31 @@ class Presentation:
         else:
             raise InputError(f"unknown family {family!r}")
         self._one = Cyc.one(self.level)
-        self._rules = self._build_rules()
         self._nf_cache: dict[tuple, dict] = {}
         self._pow_tables: dict[tuple, tuple] = {}
         self._skew_tables: dict[tuple, object] = {}
         self._p_exponents: dict[int, list] = {}
 
-    # construction of the rule table ------------------------------------
+    # the rule table ---------------------------------------------------------
 
-    def _build_rules(self):
-        rules = {}
-        one = self._one
-        if self.family == AFFINE:
-            for a in range(self.t):
-                for b in range(a):
-                    rules[(a, b)] = ((self.p[a][b], (b, a)),)
-        elif self.family == EXTERIOR:
-            for a in range(self.t):
-                rules[(a, a)] = ()
-                for b in range(a):
-                    rules[(a, b)] = ((-self.p[b][a], (b, a)),)
-        elif self.family == MATRIX:
-            N, q = self.N, self.q
-            qinv = q.inv()
-            corr = q - qinv
-            for k1 in range(N * N):
-                for k2 in range(k1):
-                    c, d = divmod(k1, N)
-                    a, b = divmod(k2, N)
-                    if a == c or b == d:
-                        rules[(k1, k2)] = ((qinv, (k2, k1)),)
-                    elif d < b:
-                        rules[(k1, k2)] = ((one, (k2, k1)),)
-                    else:
-                        rules[(k1, k2)] = (
-                            (one, (k2, k1)),
-                            (-corr, (a * N + d, c * N + b)),
-                        )
-        else:
-            t, p, gam = self.t, self.p, self.gammas
-            for xj in range(2 * t):
-                for yi in range(xj):
-                    j, xu = divmod(xj, 2)
-                    i, yu = divmod(yi, 2)
-                    if xu and not yu and i == j:
-                        # u_j v_j -> 1 + gamma_j v_j u_j + sum (gamma_l - 1) v_l u_l
-                        parts = [(one, ()), (gam[j], (yi, xj))]
-                        for l in range(j):
-                            c = gam[l] - one
-                            if not c.is_zero():
-                                parts.append((c, (2 * l, 2 * l + 1)))
-                        rules[(xj, yi)] = tuple(parts)
-                    elif xu and not yu:
-                        rules[(xj, yi)] = ((gam[i] * p[i][j], (yi, xj)),)
-                    elif xu and yu:
-                        rules[(xj, yi)] = ((gam[i].inv() * p[j][i], (yi, xj)),)
-                    elif not xu and yu:
-                        rules[(xj, yi)] = ((p[i][j], (yi, xj)),)
-                    else:
-                        rules[(xj, yi)] = ((p[j][i], (yi, xj)),)
+    @cached_property
+    def _rules(self):
+        """The straightening rules, read off relations() on first use.  Each
+        relation has one length-two word ba with b >= a; its rule sends ba to
+        minus the rest of the relation over the coefficient c of ba.  Each
+        distinct quotient -v / c is computed once and shared by the rules."""
+        rules, quotients = {}, {}
+        for rel in self.relations():
+            lead = next(w for w in rel if len(w) == 2 and w[0] >= w[1])
+            c = rel[lead]
+            terms = []
+            for w, v in rel.items():
+                if w != lead:
+                    key = (v.sort_key(), c.sort_key())
+                    if key not in quotients:
+                        quotients[key] = -(v / c)
+                    terms.append((quotients[key], w))
+            rules[lead] = tuple(terms)
         return rules
 
     # basic structure ------------------------------------------------------

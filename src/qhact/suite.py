@@ -44,6 +44,7 @@ from .hopf import (
     dual_action,
     eta_from_entries,
     inner_faithfulness,
+    operator_matrix,
     taft_instance,
     verify_module_algebra,
 )
@@ -382,7 +383,8 @@ def criterion_6():
     if not rep.ok:
         return _result(6, name, False, "gamma != 0 cycle instance fails verification")
     # the power identity must genuinely bite: X^3 is nonzero
-    X3 = linalg.s_pow(inst.skews[0].matrix(inst.level), 3, inst.level)
+    X = operator_matrix(inst.pres, inst.attached_grouplike(0), 1, inst.skews[0])
+    X3 = linalg.s_pow(X, 3, inst.level)
     if linalg.s_is_zero(X3):
         return _result(6, name, False, "cycle skew matrix is unexpectedly nilpotent")
     return _result(

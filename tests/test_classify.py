@@ -22,6 +22,7 @@ from qhact.classify import (
 )
 from qhact.hopf import (
     GrouplikeAction,
+    operator_matrix,
     verify_module_algebra,
 )
 from qhact import linalg
@@ -107,7 +108,8 @@ def test_found_affine_structure():
             for (a, k) in sup:
                 assert (k, a) not in sup
             L = fam.g.scalars[0].L
-            assert linalg.s_is_zero(linalg.s_pow(member.matrix(L), 3, L))
+            X = operator_matrix(fam.pres, fam.g, 1, member)
+            assert linalg.s_is_zero(linalg.s_pow(X, 3, L))
 
 
 def test_compat_symmetry():

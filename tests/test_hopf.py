@@ -217,17 +217,10 @@ def test_operator_matrix():
     inst = plane_a(3, 4)
     pres = inst.pres
     g, x = inst.gen_actions[0], inst.skews[0]
-    g1 = operator_matrix(pres, g, 1)
-    G = g.matrix(inst.level)
-    for j, col in enumerate(g1):
-        for i, v in col.items():
-            assert v == G[j][i]
-    assert g1 == G
-    # x^2 at degree 1 is the matrix square
+    # x^2 at degree 1 is the square of the letter images
     X1 = operator_matrix(pres, g, 1, x)
     x2 = linalg.s_mul(X1, X1)
-    X = x.matrix(inst.level)
-    XX = linalg.s_mul(X, X)
+    XX = linalg.s_mul(_oracle_matrix(pres, g, 1, x), _oracle_matrix(pres, g, 1, x))
     assert all(
         XX[j].get(i, Cyc.zero(inst.level)) == x2[j].get(i, Cyc.zero(inst.level))
         for i in range(2)
@@ -241,15 +234,29 @@ def test_operator_matrix():
     assert linalg.s_is_zero(linalg.s_sub(gx, linalg.s_scale(xg, lam)))
 
 
-def test_operator_matrix_degree_one_is_the_generator_matrices():
+def test_operator_matrix_degree_one_is_the_generator_matrices(raw_calls):
+    # degree one is read off perm, scalars and eta, with no act_*_raw call,
+    # and equals the letter-by-letter images, at the instance's level
     weyl = example_weyl_nonfiltered(zeta(5), zeta(5, 2))
     assert not weyl.pres.is_graded()
-    for inst in (plane_a(3, 4), m2_family(zeta(5), 3).instance(), weyl):
-        for j, g in enumerate(inst.gen_actions):
-            assert operator_matrix(inst.pres, g, 1) == g.matrix(inst.level), j
+    instances = (
+        plane_a(3, 4),
+        example_affine_sharp(quantum_affine(generic_affine_p(3, 5))),
+        dual_action(plane_a(3, 4)),
+        m2_family(zeta(5), 3).instance(),
+        example_m2_rank3(zeta(5)),
+        weyl,
+    )
+    for inst in instances:
+        pres = inst.pres
+        mats = [(g, None, operator_matrix(pres, g, 1)) for g in inst.gen_actions]
         for i, x in enumerate(inst.skews):
-            X = operator_matrix(inst.pres, inst.attached_grouplike(i), 1, x)
-            assert X == x.matrix(inst.level), i
+            g = inst.attached_grouplike(i)
+            mats.append((g, x, operator_matrix(pres, g, 1, x)))
+        assert raw_calls == {"grouplike": 0, "skew": 0}, pres
+        for g, x, mat in mats:
+            assert mat == _oracle_matrix(pres, g, 1, x), (pres, x)
+            assert all(v.L == inst.level and not v.is_zero() for col in mat for v in col.values())
 
 
 def test_operator_matrix_words_keeps_those_columns():
@@ -764,9 +771,12 @@ def _other_cases():
 
 @pytest.mark.parametrize("pres,g,x,d", _other_cases())
 def test_other_cases_keep_the_raw_actions(pres, g, x, d, raw_calls):
-    operator_matrix(pres, g, d)
-    operator_matrix(pres, g, d, x)
-    assert raw_calls["grouplike"] > 0 and raw_calls["skew"] > 0
+    G, X = operator_matrix(pres, g, d), operator_matrix(pres, g, d, x)
+    if d == 1:  # the letter images are read directly
+        assert raw_calls == {"grouplike": 0, "skew": 0}
+    else:
+        assert raw_calls["grouplike"] > 0 and raw_calls["skew"] > 0
+    assert G == _oracle_matrix(pres, g, d) and X == _oracle_matrix(pres, g, d, x)
 
 
 def test_attached_grouplikes_are_built_once(monkeypatch):

@@ -139,9 +139,9 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
     from math import gcd
 
     from qhact import classify
-    from qhact.classify import generic_affine_p, solve_skew_space
+    from qhact.classify import generic_affine_p, m2_family, solve_skew_space
     from qhact.cyclotomic import root_of_unity
-    from qhact.hopf import GrouplikeAction
+    from qhact.hopf import GrouplikeAction, operator_matrix
     from qhact.ncalg import quantum_affine, quantum_plane
 
     # entries that cancel are dropped
@@ -151,12 +151,14 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
     assert linalg.s_sub(A, [{0: one}, {1: one}]) == [{1: one}, {0: -one}]
     assert linalg.s_scale(A, C(0)) == [{}, {}]
 
-    rows_in = []
+    rows_in, solved = [], []
     real = classify.linalg.nullspace
 
     def recording(rows, ncols, level=1):
         rows_in.extend(rows)
-        return real(rows, ncols, level)
+        vecs = real(rows, ncols, level)
+        solved.append((len(rows), ncols, len(vecs)))
+        return vecs
 
     monkeypatch.setattr(classify.linalg, "nullspace", recording)
     systems = members = 0
@@ -169,8 +171,8 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
         lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
         for exps in product(range(L), repeat=t):
             g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
-            G = g.matrix(L)
-            _assert_no_zeros(G, "GrouplikeAction.matrix")
+            G = operator_matrix(pres, g, 1)
+            _assert_no_zeros(G, "operator_matrix of g")
             for lam in lams:
                 for unpruned in (False, True):
                     rows_in.clear()
@@ -179,8 +181,8 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                     systems += bool(rows_in)
                 members += len(basis)
                 for x in basis:
-                    X = x.matrix(L)
-                    _assert_no_zeros(X, "SkewAction.matrix")
+                    X = operator_matrix(pres, g, 1, x)
+                    _assert_no_zeros(X, "operator_matrix of x")
                     GX, XG = linalg.s_mul(G, X), linalg.s_mul(X, G)
                     for what, M in (
                         ("s_mul", GX),
@@ -194,6 +196,15 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                     ):
                         _assert_no_zeros(M, what)
     assert systems > 0 and members > 0
+    # a block of several positions with a nonzero kernel: the grouplike of
+    # O_q(M_2) row 1 at lambda = q^2, whose delta spans (0,1) and (2,3)
+    fam = m2_family(zeta(5), 1)
+    rows_in.clear()
+    solved.clear()
+    _, basis = solve_skew_space(fam.pres, fam.g, fam.lam, 5)
+    _assert_no_zeros(rows_in, "solve_skew_space rows")
+    assert any(nrows > 0 and ncols > 1 and nvecs > 0 for nrows, ncols, nvecs in solved), solved
+    assert [x.support() for x in basis] == [{(0, 1), (2, 3)}]
 
 
 def test_rank_mod():

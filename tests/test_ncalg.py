@@ -149,6 +149,71 @@ def test_every_relation_normalizes_to_zero():
             assert normalize(pres, rel).is_zero(), (pres, rel)
 
 
+def _rule_terms(pres):
+    return {key: [(w, c) for c, w in terms] for key, terms in pres._rules.items()}
+
+
+def test_weyl_rules_are_derived_from_the_relations():
+    # generators (v1, u1, v2, u2, v3, u3); p12 = z, p13 = z^2, p23 = z^4 and
+    # gamma = (1, z^2, z^3), so (gamma_1 - 1) v1 u1 = 0 drops out of the
+    # rules of u2 v2 and u3 v3
+    z, one = zeta(5), Cyc.one(5)
+    p = [[one, z, z**2], [z**4, one, z**4], [z**3, z, one]]
+    pres = quantized_weyl(p, [one, z**2, z**3])
+    assert "_rules" not in vars(pres)  # built on first use
+    assert _rule_terms(pres) == {
+        # v_j v_i -> p_ji v_i v_j
+        (2, 0): [((0, 2), z**4)],
+        (4, 0): [((0, 4), z**3)],
+        (4, 2): [((2, 4), z)],
+        # u_j u_i -> (gamma_i p_ij)^-1 u_i u_j
+        (3, 1): [((1, 3), z**4)],
+        (5, 1): [((1, 5), z**3)],
+        (5, 3): [((3, 5), z**4)],
+        # v_j u_i -> p_ij u_i v_j
+        (2, 1): [((1, 2), z)],
+        (4, 1): [((1, 4), z**2)],
+        (4, 3): [((3, 4), z**4)],
+        # u_j v_i -> gamma_i p_ij v_i u_j
+        (3, 0): [((0, 3), z)],
+        (5, 0): [((0, 5), z**2)],
+        (5, 2): [((2, 5), z)],
+        # u_j v_j -> 1 + gamma_j v_j u_j + sum_{l<j} (gamma_l - 1) v_l u_l
+        (1, 0): [((), one), ((0, 1), one)],
+        (3, 2): [((), one), ((2, 3), z**2)],
+        (5, 4): [((), one), ((4, 5), z**3), ((2, 3), z**2 - one)],
+    }
+    assert all(c.L == 5 for terms in pres._rules.values() for c, _ in terms)
+
+
+def test_matrix_rules_are_derived_from_the_relations():
+    # O_q(M_3), Y_ij at flat index 3(i-1) + (j-1): for i < l and j < m,
+    # Y_lm Y_ij -> Y_ij Y_lm - (q - q^-1) Y_im Y_lj; every other pair
+    # commutes up to q^-1 (same row or column) or 1
+    q = zeta(5)
+    one, corr = Cyc.one(5), q - q.inv()
+    pres = quantum_matrix(3, q)
+    rules = _rule_terms(pres)
+    three = {key: terms for key, terms in rules.items() if len(terms) == 2}
+    assert three == {
+        (4, 0): [((0, 4), one), ((1, 3), -corr)],
+        (5, 0): [((0, 5), one), ((2, 3), -corr)],
+        (5, 1): [((1, 5), one), ((2, 4), -corr)],
+        (7, 0): [((0, 7), one), ((1, 6), -corr)],
+        (8, 0): [((0, 8), one), ((2, 6), -corr)],
+        (8, 1): [((1, 8), one), ((2, 7), -corr)],
+        (7, 3): [((3, 7), one), ((4, 6), -corr)],
+        (8, 3): [((3, 8), one), ((5, 6), -corr)],
+        (8, 4): [((4, 8), one), ((5, 7), -corr)],
+    }
+    assert set(rules) == {(b, a) for b in range(9) for a in range(b)}
+    for (b, a), terms in rules.items():
+        if (b, a) in three:
+            continue
+        (l, m), (i, j) = divmod(b, 3), divmod(a, 3)
+        assert terms == [((a, b), q.inv() if i == l or j == m else one)], (b, a)
+
+
 # -- bases and Hilbert series ---------------------------------------------------
 
 
