@@ -59,7 +59,6 @@ from .cyclotomic import (
     lcm,
     lcm_all,
     root_of_unity,
-    root_powers,
 )
 from .hopf import (
     AbelianGroup,
@@ -534,7 +533,8 @@ def _sweep(pres, lams, cands, level, keep):
     first.  A candidate whose system _SkewRows certifies to have kernel 0 is
     skipped; every other one goes to solve_skew_space."""
     preserves = _PreservationMemo(pres, level)
-    ells = [root_powers(level)(lam) for lam in lams]  # lam = zeta_L^ell, or None
+    z = root_of_unity(level, 1)
+    ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell, or None
     found = []
     for perm, exps in cands:
         tables = _SkewRows.of(pres, perm, level)
@@ -660,7 +660,7 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     branches = [False, True] if include_tau else [False]
     cands = [c for tau in branches for c in _rank_one_candidates(N, L, tau=tau)]
     # ord(lam) divides L, so lam is a power of zeta_L whatever level it was written at
-    lam = root_of_unity(L, root_powers(L)(lam) % L)
+    lam = root_of_unity(L, as_q_power(lam, root_of_unity(L, 1)) % L)
     found = _sweep(pres, [lam], cands, L, _gamma_zero(pres, m, L))
     templates = all_matrix_families(N, q) if found else []
     for fam in found:
@@ -1140,16 +1140,24 @@ def max_rank(actions: list[ParamAction], q=None) -> MaxRankResult:
                 return None
         return kills
 
+    # Kills only grow with the clique, so no superset of an invalid clique is
+    # valid, and a branch that cannot beat the best size is never pushed;
+    # the surviving branches are visited in the same order, so the same
+    # witness comes out.
     best = (0, (), None)
     cliques = [((), list(range(n)))]
     while cliques:
         clique, cands = cliques.pop()
         kills = valid(clique)
-        if kills is not None and len(clique) > best[0]:
+        if kills is None:
+            continue
+        if len(clique) > best[0]:
             best = (len(clique), clique, kills)
         for idx, v in enumerate(cands):
+            rest = cands[idx + 1 :]
+            if len(clique) + 1 + len(rest) <= best[0]:
+                break
             if all(compat[tuple(sorted((v, u)))].compatible for u in clique):
-                rest = [u for u in cands[idx + 1 :]]
                 cliques.append((clique + (v,), rest))
 
     theta, clique, kills = best
@@ -1198,7 +1206,7 @@ def assemble_bosonization(actions, clique, kills, zeta_table) -> ActionInstance:
         exps = []
         for i in range(theta):
             val = act.lam.lift(level) if i == j else zeta(i, j)
-            e = root_powers(orders[i])(val)
+            e = as_q_power(val, root_of_unity(orders[i], 1))
             if e is None:
                 raise InputError("zeta value does not lie in the factor's roots of unity")
             exps.append(e % orders[i])

@@ -27,7 +27,7 @@ from .classify import (
     max_rank,
     plane_instance,
 )
-from .cyclotomic import Cyc, InputError, QPowers, as_int, lcm, zeta
+from .cyclotomic import Cyc, InputError, as_int, as_q_power, lcm, zeta
 from .hopf import (
     GrouplikeAction,
     inner_faithfulness,
@@ -115,28 +115,28 @@ def _checks(job, default):
     return checks
 
 
-def _scalar_json(c, powers=None):
-    """c.to_json(), plus its exponent as a power of q when powers (a
-    QPowers of q, built once per report) finds one."""
+def _scalar_json(c, q=None):
+    """c.to_json(), plus its exponent as a power of q when q is given and
+    as_q_power finds one."""
     obj = c.to_json()
-    if powers is not None:
-        e = powers(c)
+    if q is not None:
+        e = as_q_power(c, q)
         if e is not None:
             obj["as_q_power"] = e
     return obj
 
 
-def _family_json(fam, powers=None):
+def _family_json(fam, q=None):
     return {
         "tag": fam.tag,
-        "lambda": _scalar_json(fam.lam, powers),
+        "lambda": _scalar_json(fam.lam, q),
         "grouplike": {
             "perm": list(fam.g.perm),
-            "alpha": [_scalar_json(s, powers) for s in fam.g.scalars],
+            "alpha": [_scalar_json(s, q) for s in fam.g.scalars],
         },
         "dimension": fam.dim,
         "basis": [
-            [[_scalar_json(e, powers) for e in row] for row in x.eta] for x in fam.basis
+            [[_scalar_json(e, q) for e in row] for row in x.eta] for x in fam.basis
         ],
     }
 
@@ -174,11 +174,11 @@ def cmd_search(job, opts):
         if not isinstance(tau, bool):
             raise InputError(f"job field tau: expected true or false, got {tau!r}")
         fams = enumerate_taft_matrix(N, q, lam, grid=grid, include_tau=tau)
-        powers = QPowers(q)
+        ref = q
     elif target in ("plane", "weyl"):
         k, m = _require_int(job, "k", 2), _require_int(job, "m", 3)
         fams = enumerate_taft_qplane(k, m, grid=grid, algebra=target)
-        powers = None
+        ref = None
     elif target == "affine":
         m = _require_int(job, "m")
         if "p" in job:
@@ -189,13 +189,13 @@ def cmd_search(job, opts):
         else:
             p = generic_affine_p(_require_int(job, "t"), _require_int(job, "order", 3))
         fams = enumerate_taft_affine(p, m, grid=grid)
-        powers = None
+        ref = None
     else:
         raise InputError(f"unknown search target {target!r}")
     out = {
         "target": target,
         "count": len(fams),
-        "families": [_family_json(f, powers) for f in fams],
+        "families": [_family_json(f, ref) for f in fams],
     }
     return out, 0
 
@@ -248,9 +248,8 @@ def cmd_maxrank(job, opts):
         out["witness"] = instance_to_json(res.witness)
         out["witness_verifies"] = rep.ok
         qls = res.witness.qls
-        powers = QPowers(ref) if ref is not None else None
         out["character_table"] = [
-            [_scalar_json(chi.eval(g, res.witness.level), powers) for g in qls.gs]
+            [_scalar_json(chi.eval(g, res.witness.level), ref) for g in qls.gs]
             for chi in qls.chis
         ]
     return out, 0

@@ -16,6 +16,12 @@ x^k mod Phi_L (one recurrence, `_power_row`).  Inverses use the Galois
 norm: the product P of the conjugates sigma_j(a), j a unit mod L other
 than 1, satisfies a * P = N(a), a rational, so 1/a = P / N(a) (H. Cohen,
 A Course in Computational Algebraic Number Theory, GTM 138).
+
+The roots of unity of Q(zeta_L) are mu_M, M = unit_level(L); `root_table(L)`
+holds zeta_M^e, e < M, and the log that inverts it, built on first use.
+Every question of which power of zeta a value is reads it: `root_log`,
+`Cyc.mult_order`, `as_q_power`, the inverse of a root of unity, and the
+exponents of `hopf`'s closed-form operators and `ncalg`'s rewriting.
 """
 
 from __future__ import annotations
@@ -268,12 +274,16 @@ class Cyc:
     __rmul__ = __mul__
 
     def inv(self):
-        """num/den inverts to den * P / (num * P), where P is the product of
-        the conjugates sigma_j(num), j a unit mod L other than 1: num * P is
-        the rational norm of num, an integer."""
+        """A root of unity zeta_M^e inverts to zeta_M^-e, read from the root
+        table.  Any other num/den inverts to den * P / (num * P), where P is
+        the product of the conjugates sigma_j(num), j a unit mod L other
+        than 1: num * P is the rational norm of num, an integer."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         L, num = self.L, self.num
+        e = root_log(self, L)
+        if e is not None:
+            return root_table(L)[0][-e % unit_level(L)]
         deg, _, rows = _ctx(L)
         if self.is_rational():
             return Cyc(L, [self.den] + [0] * (deg - 1), num[0])
@@ -325,21 +335,13 @@ class Cyc:
     # orders -------------------------------------------------------------------
 
     def mult_order(self):
-        """Multiplicative order, or None when not a root of unity.
-
-        Roots of unity in Q(zeta_L) are exactly mu_M, M = unit_level(L), so
-        membership is one power test.
-        """
-        if self.is_zero():
+        """Multiplicative order, or None when not a root of unity: M / gcd(e, M)
+        for self = zeta_M^e, M = unit_level(L), read from the root table."""
+        e = root_log(self, self.L)
+        if e is None:
             return None
         M = unit_level(self.L)
-        if self**M != 1:
-            return None
-        order = M
-        for p in _prime_factors(M):
-            while order % p == 0 and self ** (order // p) == 1:
-                order //= p
-        return order
+        return M // gcd(e, M)
 
     # io -------------------------------------------------------------------
 
@@ -426,39 +428,46 @@ def unit_level(L: int) -> int:
     return L if L % 2 == 0 else 2 * L
 
 
-class QPowers:
-    """value -> exponent e with value = q^e, minimal |e| (positive on ties),
-    or None.  ord(q) and the powers q^e are computed once; the powers are
-    lifted once per level they are compared at."""
+@lru_cache(maxsize=None)
+def root_table(L: int):
+    """(powers, logs): the roots of unity of Q(zeta_L), mu_M with
+    M = unit_level(L), written at level L.  powers[e] = zeta_M^e for
+    0 <= e < M, and logs maps the numerator tuple of zeta_M^e to e.  For
+    odd L, zeta_2L = -zeta_L^((L+1)/2)."""
+    z = root_of_unity(L, 1) if L % 2 == 0 else -root_of_unity(L, (L + 1) // 2)
+    powers = [Cyc.one(L)]
+    while len(powers) < unit_level(L):
+        powers.append(powers[-1] * z)
+    return tuple(powers), {tuple(p.num): e for e, p in enumerate(powers)}
 
-    def __init__(self, q: Cyc):
-        self.q = q
-        self.n = q.mult_order()
-        self._tables = {}
 
-    def __call__(self, value: Cyc):
-        if self.n is None:
-            return None
-        M = lcm(value.L, self.q.L)
-        table = self._tables.get(M)
-        if table is None:
-            table = self._tables[M] = {}
-            cur = Cyc.one(self.q.L)
-            for e in range(self.n):
-                table[cur.lift(M).sort_key()] = e - self.n if e > self.n - e else e
-                cur = cur * self.q
-        return table.get(value.lift(M).sort_key())
+def root_log(value: Cyc, L: int):
+    """e with value = zeta_M^e, 0 <= e < M = unit_level(L), or None when
+    value is no root of unity or its level does not divide L.  The exponent
+    is read from the table of value's own level and scaled up to L, as
+    unit_level(value.L) divides M, so value is never lifted."""
+    if L % value.L or value.den != 1:
+        return None
+    e = root_table(value.L)[1].get(tuple(value.num))
+    return None if e is None else e * (unit_level(L) // unit_level(value.L))
 
 
 def as_q_power(value: Cyc, q: Cyc):
-    """Exponent e with value = q^e, minimal |e| (positive on ties), or None."""
-    return QPowers(q)(value)
-
-
-@lru_cache(maxsize=None)
-def root_powers(M: int) -> QPowers:
-    """QPowers of zeta_M, built once per M: the discrete log in mu_M."""
-    return QPowers(zeta(M))
+    """Exponent e with value = q^e, minimal |e| (positive on ties), or None.
+    With a = log q and b = log value in mu_M, M = unit_level of the lcm of
+    their levels, e solves e a = b (mod M); q has order n = M / gcd(a, M),
+    and the solution is unique mod n when gcd(a, M) divides b."""
+    L = lcm(value.L, q.L)
+    a, b = root_log(q, L), root_log(value, L)
+    if a is None or b is None:
+        return None
+    M = unit_level(L)
+    g = gcd(a, M)
+    if b % g:
+        return None
+    n = M // g
+    e = b // g * pow(a // g, -1, n) % n
+    return e - n if e > n - e else e
 
 
 # reduction mod a prime of degree one -------------------------------------------

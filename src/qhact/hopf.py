@@ -26,6 +26,9 @@ it serves the ungraded Weyl family too.  On a quantum affine space with a
 diagonal grouplike, all of whose scalars are roots of unity, a normal word
 is an exponent vector and each column has a closed form (`_affine_columns`);
 every other case applies `act_grouplike_raw` or `act_skew_raw` to the word.
+Those exponents, and the orders of grouplikes, are read from the one table
+of roots of unity per level that `cyclotomic` keeps (`root_log`,
+`root_table`, `Cyc.mult_order`); this module keeps none of its own.
 """
 
 from __future__ import annotations
@@ -34,16 +37,18 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .cyclotomic import (
     Cyc,
     InputError,
     as_int,
+    as_q_power,
     lcm_all,
+    root_log,
     root_of_unity,
-    root_powers,
+    root_table,
     unit_level,
 )
 from .ncalg import (
@@ -224,7 +229,7 @@ class TaftSpec:
             object.__setattr__(self, "gamma", Cyc.zero(self.gamma.L))
 
     def to_qls(self):
-        e = root_powers(self.n)(self.lam)
+        e = as_q_power(self.lam, root_of_unity(self.n, 1))
         if e is None:
             raise InputError("lambda does not lie in the n-th roots of unity")
         group = AbelianGroup((self.n,))
@@ -287,28 +292,19 @@ class GrouplikeAction:
     def order(self, cap=10_000):
         """The least e >= 1 with g^e = 1: the lcm, over the cycles C of perm,
         of |C| ord(prod_{k in C} scalars[k]), as g^|C| scales each u_k, k in
-        C, by that product.  An order is M / gcd(e, M) for a product
-        zeta_M^e, M = unit_level(L); a product that is no root of unity has
-        no order.  InputError when there is none or it exceeds cap."""
-        level = lcm_all(s.L for s in self.scalars)
-        M, logs = unit_level(level), _root_logs(level)
+        C, by that product.  InputError when a product is no root of unity
+        or the order exceeds cap."""
         order, seen = 1, set()
         for start in range(len(self.perm)):
-            if start in seen:
-                continue
-            cycle = [start]
-            while self.perm[cycle[-1]] != start:
-                cycle.append(self.perm[cycle[-1]])
-            seen.update(cycle)
-            exps = [logs.get(self.scalars[k].lift(level).sort_key()) for k in cycle]
-            if None in exps:  # the product may be a root of unity all the same
-                prod = Cyc.one(level)
-                for k in cycle:
-                    prod = prod * self.scalars[k]
-                exps = [logs.get(prod.lift(level).sort_key())]
-                if None in exps:
+            size, prod, k = 0, 1, start
+            while k not in seen:
+                seen.add(k)
+                size, prod, k = size + 1, self.scalars[k] * prod, self.perm[k]
+            if size:
+                n = prod.mult_order()
+                if n is None:
                     raise InputError("grouplike order exceeds cap")
-            order = lcm(order, len(cycle) * (M // gcd(sum(exps), M)))
+                order = lcm(order, size * n)
         if order > cap:
             raise InputError("grouplike order exceeds cap")
         return order
@@ -523,10 +519,9 @@ def root_exponents(level, grouplikes, pres=None):
     whose p are roots of unity."""
     if pres is not None and pres.family != AFFINE:
         return None
-    logs = _root_logs(level)
 
     def exps(values):
-        out = [logs.get(v.lift(level).sort_key()) if level % v.L == 0 else None for v in values]
+        out = [root_log(v, level) for v in values]
         return None if None in out else out
 
     alphas = [exps(g.scalars) if g.is_diagonal() else None for g in grouplikes]
@@ -541,29 +536,9 @@ def root_exponents(level, grouplikes, pres=None):
 
 
 @lru_cache(maxsize=None)
-def _root_table(L):
-    """zeta_M^e written at level L, for e in 0..M-1 and M = unit_level(L)."""
-    if L % 2 == 0:
-        return tuple(root_of_unity(L, e) for e in range(L))
-    half = (L + 1) // 2  # zeta_2L = -zeta_L^half
-    return tuple(
-        -root_of_unity(L, e * half) if e % 2 else root_of_unity(L, e * half)
-        for e in range(2 * L)
-    )
-
-
-@lru_cache(maxsize=None)
-def _root_logs(L):
-    """The discrete log in mu_M, M = unit_level(L), of values written at
-    level L: sort key of zeta_M^e -> e.  Unlike root_powers(M), it lifts
-    nothing to level M = 2L when L is odd."""
-    return {z.sort_key(): e for e, z in enumerate(_root_table(L))}
-
-
-@lru_cache(maxsize=None)
 def _geometric(L, delta, n):
     """S(delta, n) = sum_{j<n} zeta_M^(j delta) at level L, M = unit_level(L)."""
-    powers = _root_table(L)
+    powers = root_table(L)[0]
     out = Cyc.zero(L)
     for j in range(n):
         out = out + powers[j * delta % len(powers)]
@@ -585,7 +560,7 @@ def _affine_columns(pres, words, index, level, exps, x):
              c = sum_{l<k} alpha_l e_l + pi_ak (e_k - 1) + sum_{k<l<a} pi_al e_l;
       a = k: delta = alpha_k, c = sum_{l<k} alpha_l e_l."""
     M, (alpha,), pi = exps
-    powers = _root_table(level)
+    powers = root_table(level)[0]
     t = pres.ngens
     if x is None:
         return [{index[w]: powers[sum(alpha[k] for k in w) % M]} for w in words]

@@ -17,6 +17,7 @@ dimensions are counts of them.  Any other group takes the stacked path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import linalg
 from .cyclotomic import Cyc, InputError, lcm_all
@@ -41,10 +42,12 @@ def _stacked_kernel(n, level, grouplikes=(), skews=()):
 
 def _trivial_words(words, weights):
     """The words every generator fixes: with weights = root_exponents(level,
-    gens), a diagonal g sends the word w to zeta_M^(sum of its exponents
-    over the letters of w) times w."""
+    gens), a diagonal g = diag(zeta_M^alpha) sends the word w with letter
+    counts c to zeta_M^(sum_k alpha_k c_k) times w."""
     M, exps, _ = weights
-    return [w for w in words if all(sum(e[k] for k in w) % M == 0 for e in exps)]
+    for e in exps:
+        words = [w for w in words if sum(map(mul, e, map(w.count, range(len(e))))) % M == 0]
+    return words
 
 
 def _skew_matrices(inst: ActionInstance, d, words=None):

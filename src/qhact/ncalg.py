@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
-from .cyclotomic import Cyc, InputError, as_int, lcm_all
+from .cyclotomic import Cyc, InputError, as_int, lcm_all, root_log, root_table
 
 AFFINE = "quantum_affine"
 EXTERIOR = "quantum_exterior"
@@ -172,7 +172,6 @@ class Presentation:
             raise InputError(f"unknown family {family!r}")
         self._one = Cyc.one(self.level)
         self._nf_cache: dict[tuple, dict] = {}
-        self._pow_tables: dict[tuple, tuple] = {}
         self._skew_tables: dict[tuple, object] = {}
         self._p_exponents: dict[int, list] = {}
 
@@ -376,14 +375,14 @@ def _nf_affine(pres, word):
 
 
 def _pair_power(pres, pair, n):
-    """c^n for the factor c of the rule of pair, read from a table of the
-    powers of c built on first use when it is a root of unity."""
+    """c^n for the factor c of the rule of pair: one lookup in the root
+    table when c is a root of unity."""
     base = pres._rules[pair][0][0]
-    table = pres._pow_tables.get(pair)
-    if table is None:
-        order = base.mult_order() or 0
-        table = pres._pow_tables[pair] = tuple(base**e for e in range(order))
-    return table[n % len(table)] if table else base**n
+    e = root_log(base, base.L)
+    if e is None:
+        return base**n
+    powers = root_table(base.L)[0]
+    return powers[e * n % len(powers)]
 
 
 def _nf_generic(pres, word):

@@ -472,7 +472,7 @@ def test_blocks_match_the_whole_system(grid):
     and basis, in order, of nullspace on the whole system, pruned and
     unpruned; and an empty diagonal support leaves only x = 0."""
     from qhact.classify import _grouplike
-    from qhact.cyclotomic import fp_image, root_powers
+    from qhact.cyclotomic import as_q_power, fp_image
     from qhact.hopf import eta_from_entries
 
     pres, L, lams, cands = _prefilter_grid(grid)
@@ -495,7 +495,7 @@ def test_blocks_match_the_whole_system(grid):
             return c
 
         for lam in lams:
-            ell = root_powers(L)(lam)
+            ell = as_q_power(lam, zeta(L))
             positions = support.get(ell % L, [])
             verdict = tb.zero_kernel(exps, ell, positions)
             fp_alpha = [pw[e] for e in exps]

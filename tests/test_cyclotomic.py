@@ -173,20 +173,37 @@ def test_level_validation():
 
 def test_q_powers_match_the_power_loop():
     # minimal |e|, positive on ties, looked up across levels
-    from qhact.cyclotomic import QPowers, as_q_power
+    from qhact.cyclotomic import as_q_power
 
     for q in (zeta(5), zeta(6), zeta(7, 3)):
         n = q.mult_order()
-        powers = QPowers(q)
         for e in range(n):
             want = e - n if e > n - e else e
             value = q**e
-            assert powers(value) == want
-            assert powers(value.lift(value.L * 4)) == want
             assert as_q_power(value, q) == want
-        assert powers(Cyc.rational(2)) is None
-        assert powers(zeta(4)) is None
-    assert QPowers(Cyc.rational(2))(Cyc.one()) is None
+            assert as_q_power(value.lift(value.L * 4), q) == want
+        assert as_q_power(Cyc.rational(2), q) is None
+        assert as_q_power(zeta(4), q) is None
+    assert as_q_power(Cyc.one(), Cyc.rational(2)) is None
+
+
+def test_roots_of_unity_table_matches_powering():
+    # every level's table is zeta_M^e by powering, root_log inverts it, and
+    # the inverse read from the table is the inverse
+    from qhact.cyclotomic import root_log, root_table, unit_level
+
+    for L in range(1, 41):
+        M = unit_level(L)
+        powers, logs = root_table(L)
+        z = zeta(M)
+        assert len(powers) == len(logs) == M
+        for e, value in enumerate(powers):
+            assert value.L == L and value == z**e
+            assert root_log(value, L) == e
+            assert value * value.inv() == 1
+    assert root_log(zeta(3), 5) is None
+    assert root_log(zeta(5) + 1, 5) is None
+    assert root_log(zeta(3), 6) == 2  # zeta_3 = zeta_6^2, read off level 3
 
 
 def test_fp_image_is_a_ring_map():
