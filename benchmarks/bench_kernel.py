@@ -1,8 +1,10 @@
 """Benchmark the compiled cyclotomic kernel against the pure-Python twin.
 
-Micro benchmarks time conv_reduce directly on both implementations;
-the end-to-end benchmark reruns a representative engine workload in a
-subprocess with QHACT_PURE=1 and compares wall-clock times.
+Micro benchmarks time conv_reduce directly on both implementations, and
+Cyc.__mul__ (on the kernel in use) for each class of operands: a factor
++-1, two roots of unity, and two general values.  The end-to-end benchmark
+reruns a representative engine workload in a subprocess with QHACT_PURE=1
+and compares wall-clock times.
 
 Run:  python3 benchmarks/bench_kernel.py [--end-to-end]
 """
@@ -15,7 +17,7 @@ import sys
 import time
 
 from qhact import _cycore_py
-from qhact.cyclotomic import _ctx
+from qhact.cyclotomic import Cyc, _ctx, zeta
 
 try:
     from qhact import _cycore
@@ -38,6 +40,40 @@ def bench_conv(impl, level, reps, seed=1234):
         a, b = vecs[r % 64]
         impl.conv_reduce(a, b, rows, deg)
     return time.perf_counter() - start
+
+
+def mul_operands(level, seed=1234):
+    """64 operand pairs per class at one level: (+-1, x), (root, root) and
+    (general, general), x and general values with small random integer
+    coefficients over a small denominator."""
+    rng = random.Random(seed)
+    deg = _ctx(level)[0]
+
+    def general():
+        return Cyc(level, [rng.randrange(-9, 10) for _ in range(deg)], rng.randrange(1, 6))
+
+    def root():
+        return zeta(level, rng.randrange(level)) * rng.choice((1, -1))
+
+    units = (Cyc.one(level), -Cyc.one(level))
+    return {
+        "+-1 * x": [(rng.choice(units), general()) for _ in range(64)],
+        "root * root": [(root(), root()) for _ in range(64)],
+        "general": [(general(), general()) for _ in range(64)],
+    }
+
+
+def bench_mul(pairs, reps):
+    """Microseconds per Cyc.__mul__ call over the pairs, best of 3 rounds."""
+    best = None
+    for _ in range(3):
+        start = time.perf_counter()
+        for r in range(reps):
+            a, b = pairs[r % 64]
+            a * b
+        t = (time.perf_counter() - start) / reps * 1e6
+        best = t if best is None else min(best, t)
+    return best
 
 
 WORKLOAD = """
@@ -74,6 +110,11 @@ def main():
             )
         else:
             print(f"{level:>6} {deg:>4} {t_py:>9.3f}s {'n/a':>10} {'n/a':>8}")
+
+    print(f"\nCyc.__mul__, us per call:\n{'level':>6} {'class':>12} {'us':>8}", flush=True)
+    for level in (5, 12, 35):
+        for name, pairs in mul_operands(level).items():
+            print(f"{level:>6} {name:>12} {bench_mul(pairs, args.reps):>8.2f}", flush=True)
 
     if args.end_to_end:
         print("\nend-to-end (matrix search + fixed-ring dims):", flush=True)

@@ -22,6 +22,17 @@ holds zeta_M^e, e < M, and the log that inverts it, built on first use.
 Every question of which power of zeta a value is reads it: `root_log`,
 `Cyc.mult_order`, `as_q_power`, the inverse of a root of unity, and the
 exponents of `hopf`'s closed-form operators and `ncalg`'s rewriting.
+
+Most engine scalars are +-1 or roots of unity, so two cheap paths come
+before the integer vectors.  A value caches its exponent e (value =
+zeta_M^e) in the slot `_exp`, or -1 once it is known to be no root of
+unity; -2 means not looked up yet.  Table entries, `root_of_unity`,
+products and negations of rooted values, the inverse of a root and `lift`
+carry it, and `root_log` fills it on its first table lookup, so a product
+of two rooted values is the table entry zeta_M^(e1 + e2).  A factor +-1
+returns the other operand, or its negation, at the lcm level, as the
+product would.  The slot is a cache: equality, `sort_key`, pickling and
+JSON ignore it.
 """
 
 from __future__ import annotations
@@ -46,6 +57,11 @@ def as_int(value, field):
 
 class DivisionByZero(ZeroDivisionError):
     """Inverse of the zero scalar was requested."""
+
+
+# Cyc._exp before root_log has looked the value up, and once it has found
+# no root of unity; any other value is the exponent.
+_UNKNOWN, _NOT_ROOT = -2, -1
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +190,7 @@ class Cyc:
     lifted to the lcm level first.
     """
 
-    __slots__ = ("L", "num", "den")
+    __slots__ = ("L", "num", "den", "_exp")
 
     def __init__(self, L, num, den=1, _norm=True):
         deg, _, _ = _ctx(L)
@@ -188,12 +204,13 @@ class Cyc:
         self.L = L
         self.num = num
         self.den = den
+        self._exp = _UNKNOWN
 
     # construction -----------------------------------------------------
 
     @staticmethod
     def rational(value, level=1):
-        fr = Fraction(value)
+        fr = value if type(value) is int else Fraction(value)
         deg, _, _ = _ctx(level)
         num = [0] * deg
         num[0] = fr.numerator
@@ -231,7 +248,10 @@ class Cyc:
             raise InputError(f"level {self.L} does not divide target level {M}")
         if M == self.L:
             return self
-        return Cyc(M, _substitute(self.num, M, M // self.L), self.den)
+        out = Cyc(M, _substitute(self.num, M, M // self.L), self.den)
+        e = self._exp
+        out._exp = e * (unit_level(M) // unit_level(self.L)) if e >= 0 else e
+        return out
 
     def _pair(self, other):
         if not isinstance(other, Cyc):
@@ -251,7 +271,13 @@ class Cyc:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.L, [-x for x in self.num], self.den, _norm=False)
+        out = Cyc(self.L, [-x for x in self.num], self.den, _norm=False)
+        e = self._exp
+        if e >= 0:
+            M = unit_level(self.L)
+            e = (e + M // 2) % M
+        out._exp = e
+        return out
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -263,6 +289,16 @@ class Cyc:
 
     def __mul__(self, other):
         a, b = self._pair(other)
+        ea, eb = a._exp, b._exp
+        if ea >= 0 and eb >= 0:
+            powers = root_table(a.L)[0]
+            return powers[(ea + eb) % len(powers)]
+        n = a.num
+        if a.den == 1 and (n[0] == 1 or n[0] == -1) and n.count(0) == len(n) - 1:
+            return b if n[0] == 1 else -b
+        n = b.num
+        if b.den == 1 and (n[0] == 1 or n[0] == -1) and n.count(0) == len(n) - 1:
+            return a if n[0] == 1 else -a
         if a.is_rational():
             return Cyc(b.L, K.scale(b.num, a.num[0]), a.den * b.den)
         if b.is_rational():
@@ -336,7 +372,8 @@ class Cyc:
 
     def mult_order(self):
         """Multiplicative order, or None when not a root of unity: M / gcd(e, M)
-        for self = zeta_M^e, M = unit_level(L), read from the root table."""
+        for self = zeta_M^e, M = unit_level(L), read off the exponent slot or
+        the root table."""
         e = root_log(self, self.L)
         if e is None:
             return None
@@ -346,34 +383,35 @@ class Cyc:
     # io -------------------------------------------------------------------
 
     def to_json(self):
-        coeffs = []
-        for n in self.num:
-            fr = Fraction(n, self.den)
-            coeffs.append(
-                str(fr.numerator)
-                if fr.denominator == 1
-                else f"{fr.numerator}/{fr.denominator}"
-            )
+        """Each coefficient n/den in lowest terms, as "n" or "n/d"."""
+        den = self.den
+        if den == 1:
+            coeffs = [str(n) for n in self.num]
+        else:
+            coeffs = []
+            for n in self.num:
+                g = gcd(n, den)
+                coeffs.append(str(n // g) if g == den else f"{n // g}/{den // g}")
         return {"level": self.L, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj):
         """A {"level": L, "coeffs": [...]} object.  Each coefficient is a JSON
-        integer or a string such as "3/5"; a float is refused, not rounded."""
+        integer or a string such as "3/5"; a float is refused, not rounded.
+        A string without "/" is read by int first; whatever int refuses
+        goes to Fraction, which takes every string int takes, at the same
+        value, and also "3.0" or "1e3"."""
         try:
             L = as_int(obj["level"], "level")
             if not isinstance(obj["coeffs"], list):
                 raise InputError(f"job field coeffs: expected a list, got {obj['coeffs']!r}")
-            fracs = [
-                Fraction(c if isinstance(c, str) else as_int(c, f"coeffs[{i}]"))
-                for i, c in enumerate(obj["coeffs"])
-            ]
+            fracs = [_parse_coeff(c, i) for i, c in enumerate(obj["coeffs"])]
         except InputError:
             raise
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad scalar object: {obj!r}") from exc
         den = lcm_all(f.denominator for f in fracs)
-        return Cyc(L, [int(f * den) for f in fracs], den)
+        return Cyc(L, [f.numerator * (den // f.denominator) for f in fracs], den)
 
     def __repr__(self):
         if self.is_rational():
@@ -387,6 +425,18 @@ class Cyc:
 
 def _rebuild_cyc(L, num, den):
     return Cyc(L, list(num), den, _norm=False)
+
+
+def _parse_coeff(c, i):
+    """One from_json coefficient: an int or a Fraction."""
+    if not isinstance(c, str):
+        return as_int(c, f"coeffs[{i}]")
+    if "/" not in c:
+        try:
+            return int(c)
+        except ValueError:
+            pass
+    return Fraction(c)
 
 
 @lru_cache(maxsize=None)
@@ -408,10 +458,12 @@ def _prime_factors(n):
 
 
 def root_of_unity(L: int, k: int) -> Cyc:
-    """zeta_L^k reduced mod Phi_L, at level L."""
+    """zeta_L^k reduced mod Phi_L, at level L: zeta_M^(k M / L)."""
     if L < 1:
         raise InputError(f"level must be >= 1, got {L}")
-    return Cyc(L, list(_power_row(L, k)))
+    out = Cyc(L, _power_row(L, k), 1, _norm=False)
+    out._exp = k % L * (unit_level(L) // L)
+    return out
 
 
 def zeta(L: int, k: int = 1) -> Cyc:
@@ -432,24 +484,36 @@ def unit_level(L: int) -> int:
 def root_table(L: int):
     """(powers, logs): the roots of unity of Q(zeta_L), mu_M with
     M = unit_level(L), written at level L.  powers[e] = zeta_M^e for
-    0 <= e < M, and logs maps the numerator tuple of zeta_M^e to e.  For
-    odd L, zeta_2L = -zeta_L^((L+1)/2)."""
-    z = root_of_unity(L, 1) if L % 2 == 0 else -root_of_unity(L, (L + 1) // 2)
-    powers = [Cyc.one(L)]
-    while len(powers) < unit_level(L):
-        powers.append(powers[-1] * z)
+    0 <= e < M, each carrying its exponent, and logs maps the numerator
+    tuple of zeta_M^e to e.  For odd L, zeta_2L = -zeta_L^((L+1)/2), so
+    zeta_2L^e = (-1)^e zeta_L^(e(L+1)/2): every entry is a sign times a row
+    of the power table, and no product is taken."""
+    M = unit_level(L)
+    h = 1 if M == L else (L + 1) // 2
+    powers = []
+    for e in range(M):
+        row = _power_row(L, e * h)
+        p = Cyc(L, [-x for x in row] if e % 2 and M != L else row, 1, _norm=False)
+        p._exp = e
+        powers.append(p)
     return tuple(powers), {tuple(p.num): e for e, p in enumerate(powers)}
 
 
 def root_log(value: Cyc, L: int):
     """e with value = zeta_M^e, 0 <= e < M = unit_level(L), or None when
     value is no root of unity or its level does not divide L.  The exponent
-    is read from the table of value's own level and scaled up to L, as
-    unit_level(value.L) divides M, so value is never lifted."""
-    if L % value.L or value.den != 1:
+    is value's slot, filled from the table of value's own level on the first
+    lookup, scaled up to L, as unit_level(value.L) divides M, so value is
+    never lifted."""
+    if L % value.L:
         return None
-    e = root_table(value.L)[1].get(tuple(value.num))
-    return None if e is None else e * (unit_level(L) // unit_level(value.L))
+    e = value._exp
+    if e == _UNKNOWN:
+        e = _NOT_ROOT
+        if value.den == 1:
+            e = root_table(value.L)[1].get(tuple(value.num), _NOT_ROOT)
+        value._exp = e
+    return None if e < 0 else e * (unit_level(L) // unit_level(value.L))
 
 
 def as_q_power(value: Cyc, q: Cyc):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -229,3 +230,106 @@ def test_fp_image_is_a_ring_map():
     p, omega = fp_root(5)
     assert fp_image(Cyc.rational(Fraction(1, p), 5), p, omega, 5) is None
     assert fp_image(zeta(3), p, omega, 5) is None
+
+
+# the fast paths: +-1 products, exponent slots, integer I/O ----------------
+
+
+def _old_to_json(value):
+    # every coefficient through a Fraction, as the writer did before
+    coeffs = []
+    for n in value.num:
+        fr = Fraction(n, value.den)
+        coeffs.append(
+            str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+        )
+    return {"level": value.L, "coeffs": coeffs}
+
+
+def _old_from_json(obj):
+    # every string coefficient through Fraction, as the reader did before
+    fracs = [Fraction(c) for c in obj["coeffs"]]
+    den = lcm(*(f.denominator for f in fracs))
+    return Cyc(obj["level"], [int(f * den) for f in fracs], den)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3.0", " 3 ", "+3", "-0", "03", "1_000", "٣", "1e3", "3/5", " 3/5",
+     "0x10", "", "-", "1__0", "\x1c3", "-7", "12345678901234567890"],
+)
+def test_from_json_accepts_and_refuses_what_fraction_does(text):
+    obj = {"level": 1, "coeffs": [text]}
+    try:
+        want = _old_from_json(obj)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InputError) as err:
+            Cyc.from_json(obj)
+        assert str(err.value) == f"bad scalar object: {obj!r}"
+        return
+    got = Cyc.from_json(obj)
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+    assert all(type(n) is int for n in got.num)
+
+
+def test_to_json_matches_the_fraction_writer():
+    rng = random.Random(11)
+    for L in (1, 4, 5, 12):
+        deg = _ctx(L)[0]
+        for den in (1, 1, 2, 6, 35):
+            for _ in range(20):
+                value = Cyc(L, [rng.randint(-40, 40) for _ in range(deg)], den)
+                assert value.to_json() == _old_to_json(value)
+                assert Cyc.from_json(value.to_json()) == value
+
+
+def test_unit_products_keep_the_lcm_level():
+    # 1 * x returns x and -1 * x its negation, lifted to the lcm level as
+    # the general product would be
+    for one, x in [
+        (Cyc.one(10), zeta(5)),
+        (Cyc.one(), zeta(5)),
+        (Cyc.one(3), Cyc.rational(Fraction(2, 7), 4)),
+        (root_of_unity(4, 2), zeta(6) + 1),
+        (Cyc.rational(-1, 15), zeta(5, 2) * 3),
+    ]:
+        M = lcm(one.L, x.L)
+        want = x.lift(M) if one == 1 else -x.lift(M)
+        for got in (one * x, x * one):
+            assert got.L == M
+            assert got == want and got.to_json() == want.to_json()
+    assert (Cyc.one(10) * zeta(5)).L == 10
+    assert (zeta(5) * Cyc.one(10)).to_json() == zeta(5).lift(10).to_json()
+
+
+def test_root_products_read_the_table():
+    # every pair of table entries: the product is the conv_reduce product
+    # and carries (e1 + e2) mod M; lifted, inverted and pickled entries
+    # equal the values the integer paths give
+    import pickle
+
+    from qhact.cyclotomic import root_log, root_table, unit_level
+
+    for L in range(1, 41):
+        M = unit_level(L)
+        powers = root_table(L)[0]
+        deg, _, rows = _ctx(L)
+        for e1, a in enumerate(powers):
+            assert a._exp == e1
+            for e2, b in enumerate(powers):
+                c = a * b
+                assert c._exp == (e1 + e2) % M
+                assert c.den == 1 and c.num == _cycore_py.conv_reduce(a.num, b.num, rows, deg)
+            fresh = Cyc(L, a.num)  # the same value with an empty slot
+            assert fresh._exp == -2
+            assert a.inv() == fresh.inv() and (a.inv() * a) == 1
+            assert a.inv()._exp == -e1 % M
+            up = a.lift(3 * L)
+            assert up == Cyc(L, a.num).lift(3 * L)
+            assert up._exp == root_log(fresh, 3 * L) == e1 * unit_level(3 * L) // M
+            assert (-a)._exp == (e1 + M // 2) % M and -a == Cyc(L, [-x for x in a.num])
+            back = pickle.loads(pickle.dumps(a))
+            assert back == a and back.to_json() == a.to_json() and back._exp == -2
+    assert (zeta(5) + 1)._exp == -2
+    assert (zeta(5) + 1).mult_order() is None
+    assert root_of_unity(12, -5)._exp == 7 and root_of_unity(9, 4)._exp == 8

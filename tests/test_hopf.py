@@ -784,3 +784,75 @@ def test_attached_grouplikes_are_built_once(monkeypatch):
     first = inst.attached_grouplike(0)
     monkeypatch.setattr(ActionInstance, "group_elem_action", None)
     assert inst.attached_grouplike(0) is first
+
+
+def _census_sweeps():
+    # the presentations and candidate grouplikes of the census plane, Weyl
+    # and affine searches: (k, m) in 3..6, and t = 3 at orders 5 and 7
+    # under every Galois conjugate of the generic p; and every diagonal
+    # grouplike of O_q(M_2) at ord 5, whose relation x11 x22 - x22 x11 -
+    # (q - q^-1) x12 x21 has words of different letters
+    from itertools import permutations
+
+    from qhact.classify import _diag_candidates, _monomial_candidates
+    from qhact.ncalg import first_weyl
+
+    for k in range(3, 7):
+        for m in range(3, 7):
+            L = lcm(k, m)
+            cands = list(_diag_candidates(2, L)) + list(_monomial_candidates(2, L, [(1, 0)]))
+            mu = zeta(L, L // k)
+            yield quantum_plane(mu), cands, L
+            yield first_weyl(mu), cands, L
+    for order in (5, 7):
+        p = generic_affine_p(3, order)
+        cands = list(_monomial_candidates(3, order, permutations(range(3))))
+        for a in range(1, order):
+            # on roots of unity the Galois conjugate zeta -> zeta^a is v -> v^a
+            yield quantum_affine([[v**a for v in row] for row in p]), cands, order
+    yield quantum_matrix(2, zeta(5)), list(_diag_candidates(4, 5)), 5
+
+
+def test_fixed_relations_never_claims_a_moved_relation():
+    # a relation fixed_relations calls fixed is one act_grouplike_raw sends
+    # to 0, and the preservation memo, which skips the check for the same
+    # reason, agrees with preserves_relations on every candidate
+    from qhact.classify import _grouplike, _PreservationMemo, preserves_relations
+
+    claimed = 0
+    for pres, cands, L in _census_sweeps():
+        rels = [{w: c.lift(L) for w, c in rel.items()} for rel in pres.relations()]
+        memo = _PreservationMemo(pres, L)
+        for perm, exps in cands:
+            g = _grouplike(perm, exps, L)
+            for rel, fixed in zip(rels, hopf.fixed_relations(g, rels)):
+                if fixed:
+                    claimed += 1
+                    assert act_grouplike_raw(pres, g, rel).is_zero(), (pres.family, perm, exps)
+            if len(rels) == 1 or g.is_diagonal():
+                assert memo(perm, exps) == preserves_relations(pres, g, L)
+    assert claimed > 1000
+
+
+def test_fixed_relations_keep_the_failure_witnesses(monkeypatch):
+    # a diagonal g that moves one relation of O_q(M_2) and fixes the others,
+    # and a Weyl grouplike off alpha_u alpha_v = 1: the violations are the
+    # ones act_grouplike_raw alone reports
+    q = zeta(5)
+    pres = quantum_matrix(2, q)
+    g = GrouplikeAction.diagonal([q**-4, q**-2, q**-1, Cyc.one(5)])
+    eta = eta_from_entries(4, {(3, 0): Cyc.one(5)}, 5)
+    moved = taft_instance(pres, TaftSpec(5, 5, q**4), g, eta)
+    weyl = example_weyl_nonfiltered(zeta(5), zeta(5, 2))
+    a = weyl.gen_actions[0].scalars
+    off = GrouplikeAction.diagonal([a[0], a[1] * zeta(5).lift(a[1].L), a[2], a[3]])
+    weyl = taft_instance(weyl.pres, TaftSpec(10, 5, weyl.lam(0)), off, weyl.skews[0])
+    for inst in (moved, weyl):
+        rels = inst.pres.relations()
+        assert not all(hopf.fixed_relations(inst.gen_actions[0], rels))
+        got = verify_module_algebra(inst).violations
+        monkeypatch.setattr(hopf, "fixed_relations", lambda g, rels: [False] * len(rels))
+        want = verify_module_algebra(inst).violations
+        monkeypatch.undo()
+        assert got == want
+        assert any(v["axiom"] == "grouplike-preserves-relation" for v in got)
