@@ -36,7 +36,10 @@ only x = 0 and is dropped before the preservation memo.
 
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
-exactly for zeta, reporting any free scalars that must vanish.  Maximum
+exactly for zeta, reporting any free scalars that must vanish.  These and
+the power scalar gamma of x^m = gamma (g^m - 1) are solved by the routine
+verification checks them with, `linalg.s_ratio`, and whether a grouplike
+preserves the relations is `hopf.moved_relations`'s test.  Maximum
 rank is a clique search over the compatibility graph, where a clique is
 rejected if the union of its forced-zero constraints silences some
 member's skew matrix entirely.
@@ -68,9 +71,10 @@ from .hopf import (
     QLSData,
     SkewAction,
     TaftSpec,
-    act_grouplike_raw,
     eta_from_entries,
+    moved_relations,
     operator_matrix,
+    power_ratio,
     taft_instance,
     verify_module_algebra,
 )
@@ -114,15 +118,7 @@ def primitive_lambdas(L, m):
 
 def span_canonical(skews, t):
     """Canonical form of the span of skew matrices, as RREF row data."""
-    rows = []
-    for x in skews:
-        row = {}
-        for a in range(t):
-            for k in range(t):
-                e = x.eta[a][k]
-                if not e.is_zero():
-                    row[a * t + k] = e
-        rows.append(row)
+    rows = [{a * t + k: e for k, col in enumerate(x.arrows) for a, e in col} for x in skews]
     pivots = linalg.rref(rows)
     return tuple(
         (piv, tuple((c, v.sort_key()) for c, v in sorted(pivots[piv].items())))
@@ -195,21 +191,15 @@ def solve_skew_space(
 
 
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
-    """gamma with X^m = gamma (G^m - I), or None when no scalar works."""
+    """gamma with X^m = gamma (G^m - I), 0 when any scalar works, or None
+    when none does (hopf.power_ratio)."""
     g = g.lift(level)
-    X = operator_matrix(pres, g, 1, x)
-    Xm = linalg.s_pow(X, m, level)
-    if linalg.s_is_zero(Xm):
-        return Cyc.zero(level)
-    D = linalg.s_sub(operator_matrix(pres, g.power(m), 1), linalg.s_identity(len(X), level))
-    return _scalar_ratio(Xm, D)
+    gamma = power_ratio(pres, g, operator_matrix(pres, g, 1, x), m, level)
+    return Cyc.zero(level) if gamma is linalg.ANY else gamma
 
 
-def preserves_relations(pres, g: GrouplikeAction, level):
-    for rel in pres.relations():
-        if not act_grouplike_raw(pres, g, {w: c.lift(level) for w, c in rel.items()}).is_zero():
-            return False
-    return True
+def preserves_relations(pres, g: GrouplikeAction):
+    return next(moved_relations(pres, g, pres.relations()), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +252,10 @@ class _PreservationMemo:
     E(w) - E(w0) mod L within each relation.  E(w) - E(w0) is the dot
     product of exps with the letter counts of w minus those of w0; a word
     whose counts match w0's, as in every relation of a quantum affine
-    space, adds nothing to the key.  A diagonal g whose key is all 0 gives
-    every word of a relation one exponent sum, so it preserves the
-    relations without a check (`hopf.fixed_relations`); on the first Weyl
-    algebra that is alpha_u alpha_v = 1."""
+    space, adds nothing to the key.  A relation whose part of the key is 0
+    under a diagonal g, on the first Weyl algebra alpha_u alpha_v = 1, is
+    one that preserves_relations, through `hopf.moved_relations`, settles
+    without a normal form."""
 
     def __init__(self, pres, L):
         self.pres = pres
@@ -284,11 +274,9 @@ class _PreservationMemo:
     def __call__(self, perm, exps):
         L = self.L
         key = (perm, tuple(sum(n * exps[x] for x, n in d) % L for d in self.diffs))
-        if not any(key[1]) and perm == tuple(range(len(perm))):
-            return True
         ok = self.verdicts.get(key)
         if ok is None:
-            ok = self.verdicts[key] = preserves_relations(self.pres, _grouplike(perm, exps, L), L)
+            ok = self.verdicts[key] = preserves_relations(self.pres, _grouplike(perm, exps, L))
         return ok
 
 
@@ -739,10 +727,9 @@ class ParamAction:
         acc = [[Cyc.zero(level) for _ in range(t)] for _ in range(t)]
         for label, part in self.parts:
             c = Cyc.one(level) if coeffs is None else coeffs.get(label, Cyc.zero(level))
-            for a in range(t):
-                for k in range(t):
-                    if not part.eta[a][k].is_zero():
-                        acc[a][k] = acc[a][k] + c * part.eta[a][k]
+            for k, col in enumerate(part.arrows):
+                for a, e in col:
+                    acc[a][k] = acc[a][k] + c * e
         return SkewAction(acc)
 
     def instance(self, coeffs=None, n=None):
@@ -997,21 +984,6 @@ class CompatResult:
         return obj
 
 
-def _scalar_ratio(P, Q):
-    """r with P = r Q for sparse matrices of the same support, or None."""
-    r = None
-    for cp, cq in zip(P, Q):
-        if cp.keys() != cq.keys():
-            return None
-        for i, v in cp.items():
-            cand = v / cq[i]
-            if r is None:
-                r = cand
-            elif r != cand:
-                return None
-    return r
-
-
 def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     """Solve x_i x_j = zeta x_j x_i, g_i x_j = zeta x_j g_i, g_j x_i = zeta^{-1} x_i g_j.
 
@@ -1029,43 +1001,22 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     parts_i = [(lab, operator_matrix(pres, gi, 1, part)) for lab, part in ai.parts]
     parts_j = [(lab, operator_matrix(pres, gj, 1, part)) for lab, part in aj.parts]
 
-    # candidate zeta per part, from the grouplike equations
-    zeta_j, dead = {}, set()
-    for lab, B in parts_j:
-        r = _scalar_ratio(linalg.s_mul(Gi, B), linalg.s_mul(B, Gi))
-        if r is None:
-            dead.add(("j", lab))
-        else:
-            zeta_j[lab] = r
-    zeta_i = {}
-    for lab, B in parts_i:
-        r = _scalar_ratio(linalg.s_mul(Gj, B), linalg.s_mul(B, Gj))
-        if r is None:
-            dead.add(("i", lab))
-        else:
-            zeta_i[lab] = r.inv()
+    # zeta per part from g_j x_i = zeta^-1 x_i g_j and g_i x_j = zeta x_j g_i,
+    # and per part pair from x_i x_j = zeta x_j x_i, each read through
+    # linalg.s_ratio: ANY is no constraint and None a conflict
+    def ratio_of(A, B):
+        return linalg.s_ratio(linalg.s_mul(A, B), linalg.s_mul(B, A))
 
-    # product conditions per part pair: None (no constraint), Cyc, or "conflict"
-    prod_req = {}
-    for lab_i, Bi in parts_i:
-        if ("i", lab_i) in dead:
-            continue
-        for lab_j, Bj in parts_j:
-            if ("j", lab_j) in dead:
-                continue
-            P = linalg.s_mul(Bi, Bj)
-            Q = linalg.s_mul(Bj, Bi)
-            pz, qz = linalg.s_is_zero(P), linalg.s_is_zero(Q)
-            if pz and qz:
-                prod_req[(lab_i, lab_j)] = None
-            elif pz or qz:
-                prod_req[(lab_i, lab_j)] = "conflict"
-            else:
-                r = _scalar_ratio(P, Q)
-                prod_req[(lab_i, lab_j)] = r if r is not None else "conflict"
-
+    ratio = {("i", lab): ratio_of(B, Gj) for lab, B in parts_i}
+    ratio.update((("j", lab), ratio_of(Gi, B)) for lab, B in parts_j)
+    dead = {key for key, r in ratio.items() if r is None}
     labels_i = [lab for lab, _ in parts_i if ("i", lab) not in dead]
     labels_j = [lab for lab, _ in parts_j if ("j", lab) not in dead]
+    prod_req = {
+        (lab_i, lab_j): ratio_of(Bi, Bj)
+        for lab_i, Bi in parts_i if lab_i in labels_i
+        for lab_j, Bj in parts_j if lab_j in labels_j
+    }
 
     def subsets(labels):
         out = []
@@ -1077,20 +1028,13 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     if labels_i and labels_j:
         for Si in subsets(labels_i):
             for Sj in subsets(labels_j):
-                vals = [zeta_i[lab] for lab in Si] + [zeta_j[lab] for lab in Sj]
-                zeta = vals[0]
-                if any(v != zeta for v in vals[1:]):
+                vals = [ratio["i", lab] for lab in Si] + [ratio["j", lab] for lab in Sj]
+                vals = [v for v in vals if v is not linalg.ANY]
+                if not vals or any(v != vals[0] for v in vals[1:]):
                     continue
-                ok = True
-                for li in Si:
-                    for lj in Sj:
-                        req = prod_req[(li, lj)]
-                        if req == "conflict" or (req is not None and req != zeta):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                zeta = vals[0]
+                if not all(prod_req[li, lj] is linalg.ANY or prod_req[li, lj] == zeta
+                           for li in Si for lj in Sj):
                     continue
                 forced = set(dead)
                 forced.update(("i", lab) for lab in labels_i if lab not in Si)
@@ -1100,8 +1044,8 @@ def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
     required = None
     if q is not None:
         cands = []
-        for v in list(zeta_i.values()) + list(zeta_j.values()):
-            if all(v != c for c in cands):
+        for v in ratio.values():
+            if v is not None and v is not linalg.ANY and all(v != c for c in cands):
                 cands.append(v)
         if len(cands) >= 2:
             e = as_q_power(cands[0] / cands[1], q)
@@ -1358,9 +1302,4 @@ def respects_filtration(inst: ActionInstance) -> bool:
         for k in range(t):
             if weights[g.perm[k]] > weights[k]:
                 return False
-    for x in inst.skews:
-        for k in range(t):
-            for a in range(t):
-                if not x.eta[a][k].is_zero() and weights[a] > weights[k]:
-                    return False
-    return True
+    return not any(weights[a] > weights[k] for x in inst.skews for a, k in x.support())

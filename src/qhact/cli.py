@@ -340,9 +340,8 @@ def cmd_suite(job, opts):
     if criteria and not set(criteria) <= set(CRITERIA):
         raise InputError(f"criteria: unknown ids {sorted(set(criteria) - set(CRITERIA))}")
     ord_q = _require_int(job, "ord_q") if "ord_q" in job else None
-    workers = opts.workers or 1
-    if workers > 1:
-        results = _run_suite_parallel(sorted(criteria or CRITERIA), ord_q, workers)
+    if opts.workers > 1:
+        results = _run_suite_parallel(sorted(criteria or CRITERIA), ord_q, opts.workers)
     else:
         results = run_suite(criteria, ord_q=ord_q)
     ok = all(r["status"] != "fail" for r in results)
@@ -416,6 +415,10 @@ def main(argv=None):
     parser.add_argument("--degree-bound", type=int, dest="degree_bound")
     parser.add_argument("--level", type=int, help="ambient level override")
     opts = parser.parse_args(argv)
+    if opts.workers < 1:
+        print(json.dumps({"error": f"--workers must be at least 1, got {opts.workers}"}),
+              file=sys.stderr)
+        return 2
 
     job = None
     if opts.job:

@@ -9,15 +9,19 @@ x . (ab) = (g . a)(x . b) + (x . a) b.
 Generalized Taft algebras are the rank-one case over a cyclic group and
 get a thin spec type of their own.  Verification checks that every
 grouplike preserves the defining relations, every x_i kills them, and the
-operator identities of the Hopf relations hold on degree one.  A diagonal
-grouplike that gives every word of a relation one exponent sum only
-rescales it, so it preserves that relation without a normal form
-(`fixed_relations`).  Each of
-those identities reads D = 0 for a twisted derivation D, which vanishes on
-the whole algebra once it vanishes on the degree-one generators.  The one
-exception is x_i x_j - chi_j(g_i) x_j x_i when chi_i(g_j) chi_j(g_i) != 1,
-so only that identity, for only those pairs, is re-checked on degrees
-2..d_check (`verify_module_algebra` gives the argument).
+operator identities of the Hopf relations hold on degree one.  Whether g
+preserves the relations has one test, `moved_relations`, shared with the
+searches: a diagonal grouplike that gives every word of a relation one
+exponent sum only rescales it (`fixed_relations`), and only the other
+relations are normalized.  Every operator identity P = c Q is read through
+one routine, `linalg.s_ratio`: verification checks the c it returns against
+the known chi value or gamma_i, and the searches solve for it
+(`power_ratio` builds both sides of x^m = gamma (g^m - 1) for both).  Each
+of those identities reads D = 0 for a twisted derivation D, which vanishes
+on the whole algebra once it vanishes on the degree-one generators.  The
+one exception is x_i x_j - chi_j(g_i) x_j x_i when chi_i(g_j) chi_j(g_i)
+!= 1, so only that identity, for only those pairs, is re-checked on
+degrees 2..d_check (`verify_module_algebra` gives the argument).
 
 Every matrix of a grouplike or a skew primitive on a graded piece A_d comes
 from one builder, `operator_matrix`: column w is the normal form of the
@@ -332,9 +336,11 @@ class GrouplikeAction:
 
 
 class SkewAction:
-    """Linear operator of a skew primitive: x . u_k = sum_a eta[a][k] u_a."""
+    """Linear operator of a skew primitive: x . u_k = sum_a eta[a][k] u_a.
+    arrows[k] lists the pairs (a, eta[a][k]) with eta[a][k] != 0, a
+    ascending; eta stays dense, as its zero entries carry levels too."""
 
-    __slots__ = ("eta",)
+    __slots__ = ("eta", "arrows")
 
     def __init__(self, eta):
         eta = tuple(tuple(row) for row in eta)
@@ -342,17 +348,16 @@ class SkewAction:
         if any(len(row) != t for row in eta):
             raise InputError("eta must be square")
         self.eta = eta
+        self.arrows = tuple(
+            tuple((a, row[k]) for a, row in enumerate(eta) if not row[k].is_zero())
+            for k in range(t)
+        )
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.eta for e in row)
+        return not any(self.arrows)
 
     def support(self):
-        return {
-            (a, k)
-            for a, row in enumerate(self.eta)
-            for k, e in enumerate(row)
-            if not e.is_zero()
-        }
+        return {(a, k) for k, col in enumerate(self.arrows) for a, _ in col}
 
     def transpose(self):
         return SkewAction(tuple(zip(*self.eta)))
@@ -489,15 +494,12 @@ def act_grouplike_raw(pres, g, raw_terms) -> NCPoly:
 def act_skew_raw(pres, g_att: GrouplikeAction, x: SkewAction, raw_terms) -> NCPoly:
     """Twisted Leibniz rule x.(a_1...a_d) = sum_pos (g.a_1)...(g.a_{pos-1}) (x.a_pos) a_{pos+1}...a_d."""
     out_terms = []
-    eta = x.eta
+    arrows = x.arrows
     for word, coeff in raw_terms.items():
         prefix_coeff = coeff
         prefix = []
         for pos, k in enumerate(word):
-            for a in range(len(eta)):
-                e = eta[a][k]
-                if e.is_zero():
-                    continue
+            for a, e in arrows[k]:
                 out_terms.append(
                     (tuple(prefix) + (a,) + word[pos + 1 :], prefix_coeff * e)
                 )
@@ -551,6 +553,17 @@ def fixed_relations(g: GrouplikeAction, rels):
     return [len({sum(alpha[k] for k in w) % M for w in rel}) <= 1 for rel in rels]
 
 
+def moved_relations(pres, g: GrouplikeAction, rels):
+    """(index, g . r) for each relation r of rels that g does not preserve,
+    g . r != 0 in A; the relations fixed_relations proves fixed get no
+    normal form.  The one relation test of verification and the searches."""
+    for ridx, (rel, fixed) in enumerate(zip(rels, fixed_relations(g, rels))):
+        if not fixed:
+            img = act_grouplike_raw(pres, g, rel)
+            if not img.is_zero():
+                yield ridx, img
+
+
 @lru_cache(maxsize=None)
 def _geometric(L, delta, n):
     """S(delta, n) = sum_{j<n} zeta_M^(j delta) at level L, M = unit_level(L)."""
@@ -581,11 +594,10 @@ def _affine_columns(pres, words, index, level, exps, x):
     if x is None:
         return [{index[w]: powers[sum(alpha[k] for k in w) % M]} for w in words]
     arrows = []
-    for a, row in enumerate(x.eta):
-        for k, eta_ak in enumerate(row):
-            if not eta_ak.is_zero():
-                delta = alpha[k] + (pi[k][a] if a < k else -pi[a][k] if a > k else 0)
-                arrows.append((a, k, eta_ak, delta % M))
+    for k, col in enumerate(x.arrows):
+        for a, eta_ak in col:
+            delta = alpha[k] + (pi[k][a] if a < k else -pi[a][k] if a > k else 0)
+            arrows.append((a, k, eta_ak, delta % M))
     cols = []
     for w in words:
         e = [0] * t
@@ -636,10 +648,7 @@ def operator_matrix(pres, g: GrouplikeAction, d, x: SkewAction | None = None, wo
         letters = range(pres.ngens) if words is None else [k for (k,) in words]
         if x is None:
             return [{g.perm[k]: g.scalars[k].lift(level)} for k in letters]
-        return [
-            {a: row[k].lift(level) for a, row in enumerate(x.eta) if not row[k].is_zero()}
-            for k in letters
-        ]
+        return [{a: e.lift(level) for a, e in x.arrows[k]} for k in letters]
     basis = pres.basis(d)
     index = {w: i for i, w in enumerate(basis)}
     words = basis if words is None else words
@@ -661,10 +670,13 @@ def operator_matrix(pres, g: GrouplikeAction, d, x: SkewAction | None = None, wo
 # verification ----------------------------------------------------------------------------
 
 
-def _chi_commutes(A, B, c):
-    """Whether the operator identity A B = c B A holds."""
-    return linalg.s_is_zero(
-        linalg.s_sub(linalg.s_mul(A, B), linalg.s_scale(linalg.s_mul(B, A), c))
+def power_ratio(pres, g: GrouplikeAction, X, m, level):
+    """linalg.s_ratio(X^m, G^m - 1) on degree one, G the matrix of g and X
+    that of a skew primitive attached to g: the gamma of
+    x^m = gamma (g^m - 1), ANY or None as s_ratio gives them."""
+    Gm = linalg.s_pow(operator_matrix(pres, g, 1), m, level)
+    return linalg.s_ratio(
+        linalg.s_pow(X, m, level), linalg.s_sub(Gm, linalg.s_identity(len(X), level))
     )
 
 
@@ -704,17 +716,20 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
     def fail(axiom, context, witness=None):
         violations.append({"axiom": axiom, "context": context, "witness": witness})
 
+    def holds(ratio, c):
+        # P = c Q, given ratio = s_ratio(P, Q)
+        return ratio is linalg.ANY or ratio == c
+
+    def commutes(A, B, c):
+        return holds(linalg.s_ratio(linalg.s_mul(A, B), linalg.s_mul(B, A)), c)
+
     rels = [{w: c.lift(level) for w, c in rel.items()} for rel in pres.relations()]
 
     # (a) grouplikes act by automorphisms
     for j, g in enumerate(gens):
-        for ridx, (rel, fixed) in enumerate(zip(rels, fixed_relations(g, rels))):
-            if fixed:
-                continue
-            img = act_grouplike_raw(pres, g, rel)
-            if not img.is_zero():
-                context = {"grouplike": j, "relation": ridx}
-                fail("grouplike-preserves-relation", context, poly_to_json(pres, img))
+        for ridx, img in moved_relations(pres, g, rels):
+            context = {"grouplike": j, "relation": ridx}
+            fail("grouplike-preserves-relation", context, poly_to_json(pres, img))
 
     # (b) skew primitives kill the relations
     for i in range(qls.theta):
@@ -744,17 +759,15 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
     for i, X in enumerate(x_mats):
         for j, G in enumerate(g_mats):
             generator = tuple(int(k == j) for k in range(len(gens)))
-            if not _chi_commutes(G, X, inst.chi_value(i, generator)):
+            if not commutes(G, X, inst.chi_value(i, generator)):
                 fail("grouplike-skew-commutation", {"grouplike": j, "skew": i})
     pairs = [(i, j) for i in range(theta) for j in range(theta) if i != j]
     for i, j in pairs:
-        if not _chi_commutes(x_mats[i], x_mats[j], inst.chi_value(j, gs[i])):
+        if not commutes(x_mats[i], x_mats[j], inst.chi_value(j, gs[i])):
             fail("skew-skew-commutation", {"pair": [i, j]})
     for i, X in enumerate(x_mats):
         m_i = qls.m(i)
-        gm = operator_matrix(pres, inst.attached_grouplike(i).power(m_i), 1)
-        rhs = linalg.s_scale(linalg.s_sub(gm, linalg.s_identity(len(X), level)), inst.gammas[i])
-        if not linalg.s_is_zero(linalg.s_sub(linalg.s_pow(X, m_i, level), rhs)):
+        if not holds(power_ratio(pres, inst.attached_grouplike(i), X, m_i, level), inst.gammas[i]):
             fail("skew-power-identity", {"skew": i, "m": m_i})
 
     # degrees 2..d_check: the chi-commutation of the pairs that are not
@@ -771,7 +784,7 @@ def verify_module_algebra(inst: ActionInstance, d_check: int = 3) -> Report:
             for i in involved
         }
         for i, j in open_pairs:
-            if not _chi_commutes(mats[i], mats[j], inst.chi_value(j, gs[i])):
+            if not commutes(mats[i], mats[j], inst.chi_value(j, gs[i])):
                 fail("relation-operator-nonzero-high-degree", {"degree": d, "pair": [i, j]})
     return Report(not violations, violations)
 
@@ -882,7 +895,9 @@ def instance_to_json(inst: ActionInstance):
     }
 
 
-def _int_tuple(values, field):
+def _int_tuple(values, field, length=None):
+    if length is not None and len(values) != length:
+        raise InputError(f"{field}: expected {length} entries, got {len(values)}")
     return tuple(as_int(v, f"{field}[{i}]") for i, v in enumerate(values))
 
 
@@ -911,12 +926,16 @@ def instance_from_json(obj) -> ActionInstance:
             )
         elif kind == "bosonization":
             group = AbelianGroup(_int_tuple(hopf["group"], "hopf.group"))
-            gs = [_int_tuple(g, f"hopf.g[{i}]") for i, g in enumerate(hopf["g"])]
+            rank = group.rank
+            gs = [_int_tuple(g, f"hopf.g[{i}]", rank) for i, g in enumerate(hopf["g"])]
             chis = [
-                Character(group, _int_tuple(c, f"hopf.chi[{i}]"))
+                Character(group, _int_tuple(c, f"hopf.chi[{i}]", rank))
                 for i, c in enumerate(hopf["chi"])
             ]
-            gammas = [Cyc.from_json(g) for g in hopf.get("gamma", [])] or None
+            gammas = hopf.get("gamma", [])
+            if not isinstance(gammas, list) or len(gammas) not in (0, len(skews)):
+                raise InputError(f"hopf.gamma: expected a list of {len(skews)} scalars, one per skew")
+            gammas = [Cyc.from_json(g) for g in gammas] or None
         else:
             raise InputError(f"unknown hopf type {kind!r}")
     except InputError:

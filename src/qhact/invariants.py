@@ -197,11 +197,13 @@ def molien_check(pres: Presentation, gens, D):
     is prod_k (1 - scalars[k] t)^{-1} and the fixed dimensions count the
     trivial-weight words; otherwise both come from the degree-d matrices.
     """
-    group = group_closure(gens)
-    level = group[0].scalars[0].L
+    level = lcm_all(s.L for g in gens for s in g.scalars)
     gens = [g.lift(level) for g in gens]
-    weights = root_exponents(level, gens) if pres.family == AFFINE else None
-    if weights is None:
+    # read before the closure, so the generators' scalars carry their
+    # exponents and the products that close the group are root-table lookups
+    weights = root_exponents(level, gens)
+    group = group_closure(gens)
+    if weights is None or pres.family != AFFINE:
         traces = (trace_series_direct(pres, g, D) for g in group)
         dims = [
             len(_stacked_kernel(len(pres.basis(d)), level,

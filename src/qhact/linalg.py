@@ -6,6 +6,9 @@ takes sparse rows, {column: Cyc} dicts.  A sparse matrix or row never stores
 a zero entry: every helper here drops the entries that cancel, and `rref`
 relies on it, since `min(row)` must pick a nonzero lead.
 
+Every operator identity P = c Q of the engine, checked for a known c or
+solved for an unknown one, is read through `s_ratio`.
+
 Kernels are computed by exact row reduction; ranks and dimensions are
 exact integers by construction.  `rank_mod` is the one routine over F_p: it
 takes rows of integers, reduces them mod p itself, and serves the search's
@@ -84,6 +87,36 @@ def s_scale(A, c):
 
 def s_is_zero(A):
     return all(not col for col in A)
+
+
+class _Any:
+    __slots__ = ()
+
+    def __repr__(self):
+        return "ANY"
+
+
+# s_ratio's answer when P = Q = 0: every scalar works
+ANY = _Any()
+
+
+def s_ratio(P, Q):
+    """The scalar c with P = c Q, for sparse column-major matrices of one
+    shape: ANY when P = Q = 0, None when no scalar works.  c is read off the
+    first stored entry of Q, the one division; every other entry is checked
+    with a product."""
+    j = next((j for j, col in enumerate(Q) if col), None)
+    if j is None:
+        return ANY if s_is_zero(P) else None
+    i, q = next(iter(Q[j].items()))
+    p = P[j].get(i)
+    if p is None:
+        return Cyc.zero(q.L) if s_is_zero(P) else None
+    c = p / q
+    for cp, cq in zip(P, Q):
+        if cp.keys() != cq.keys() or any(v != c * cq[k] for k, v in cp.items()):
+            return None
+    return c
 
 
 def s_trace(A, level=1):

@@ -230,9 +230,9 @@ INT_FIELD_JOBS = [
 ]
 
 
-def _assert_input_error(capsys, tmp_path, command, payload, field):
+def _assert_input_error(capsys, tmp_path, command, payload, field, *extra):
     job = write_job(tmp_path, "job.json", payload)
-    code, _, err = run_cli(capsys, command, "--job", job, "--json")
+    code, _, err = run_cli(capsys, command, "--job", job, "--json", *extra)
     assert code == 2, err
     assert "Traceback" not in err
     # the field as a word: "m" must not match inside "must"
@@ -529,6 +529,40 @@ def test_unknown_family_is_named(tmp_path, capsys, p):
     code, _, err = run_cli(capsys, "verify", "--job", job, "--json")
     assert code == 2, err
     assert "unknown family 'bogus'" in json.loads(err)["error"]
+
+
+def _resize(values, n):
+    return (values * n)[:n] if n > len(values) else values[:n]
+
+
+# a group element or gamma list of the wrong size names its field; each of
+# these once passed, failed a check, or crashed verify
+MISSIZED_HOPF_CASES = [
+    pytest.param("g", 4, "hopf.g", id="g-entry-too-long"),
+    pytest.param("g", 2, "hopf.g", id="g-entry-too-short"),
+    pytest.param("chi", 4, "hopf.chi", id="chi-entry-too-long"),
+    pytest.param("gamma", 6, "hopf.gamma", id="six-gammas-for-three-skews"),
+    pytest.param("gamma", 1, "hopf.gamma", id="one-gamma-for-three-skews"),
+    pytest.param("gamma", None, "hopf.gamma", id="gamma-object"),
+]
+
+
+@pytest.mark.parametrize("key,size,field", MISSIZED_HOPF_CASES)
+def test_missized_hopf_field_is_input_error(tmp_path, capsys, key, size, field):
+    obj = _m2_rank3_json()
+    hopf = obj["hopf"]
+    if key == "gamma":
+        hopf["gamma"] = {"level": 5, "coeffs": [0, 0, 0, 0]} if size is None else _resize(
+            hopf["gamma"], size)
+    else:
+        hopf[key][0] = _resize(hopf[key][0], size)
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_input_error(tmp_path, capsys, workers):
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": _m2_rank3_json()}, "workers",
+                        "--workers", workers)
 
 
 def test_faithfulness_refuses_a_group_too_large_to_enumerate(tmp_path, capsys):

@@ -830,7 +830,7 @@ def test_fixed_relations_never_claims_a_moved_relation():
                     claimed += 1
                     assert act_grouplike_raw(pres, g, rel).is_zero(), (pres.family, perm, exps)
             if len(rels) == 1 or g.is_diagonal():
-                assert memo(perm, exps) == preserves_relations(pres, g, L)
+                assert memo(perm, exps) == preserves_relations(pres, g)
     assert claimed > 1000
 
 

@@ -126,6 +126,71 @@ def test_rref_and_nullspace_random_cyclotomic_systems():
                     assert acc.is_zero()
 
 
+def test_s_ratio_needs_equal_supports():
+    one, two = Cyc.one(5), Cyc.rational(2, 5)
+    assert linalg.s_ratio([{0: two}, {1: two}], [{0: one}, {1: one}]) == 2
+    assert linalg.s_ratio([{0: two}, {}], [{0: one}, {1: one}]) is None
+    assert linalg.s_ratio([{0: two}, {1: two}], [{0: one}, {}]) is None
+    assert linalg.s_ratio([{0: two}, {1: one}], [{0: one}, {1: one}]) is None
+    # P = Q = 0 holds for every scalar, and P = 0 != Q only for 0
+    assert linalg.s_ratio([{}, {}], [{}, {}]) is linalg.ANY
+    assert linalg.s_ratio([{}, {}], [{}, {1: two}]) == 0
+
+
+def test_s_ratio_matches_subtract_and_scale():
+    # s_ratio(P, Q) is ANY or c exactly when P - c Q = 0.  A c that works is
+    # P_e / Q_e at every stored entry e of Q, so trying the c read off Q's
+    # last entry, s_ratio's own answer, 0 and a random scalar decides it
+    rng = random.Random(17)
+    kinds = {"multiple": 0, "perturbed": 0, "disjoint": 0, "random": 0, "zero": 0}
+    for L in (3, 5, 12):
+        deg = len(zeta(L).num)
+
+        def scalar():
+            # a root of unity or, mostly, a cyclotomic integer that is none
+            if rng.random() < 0.4:
+                return zeta(L, rng.randrange(L))
+            return Cyc(L, [rng.randrange(-3, 4) for _ in range(deg)])
+
+        def sparse(n, density, skip=None):
+            # columns may come out empty; skip[j] lists rows column j leaves out
+            cols = [
+                {i: scalar() for i in range(n) if rng.random() < density
+                 and (skip is None or i not in skip[j])}
+                for j in range(n)
+            ]
+            return [{i: v for i, v in col.items() if not v.is_zero()} for col in cols]
+
+        for _ in range(60):
+            n = rng.randrange(1, 5)
+            Q = sparse(n, rng.choice((0.0, 0.3, 0.7)))
+            kind = rng.choice(list(kinds))
+            kinds[kind] += 1
+            P = linalg.s_scale(Q, scalar())
+            if kind == "perturbed" and not linalg.s_is_zero(Q):
+                j = rng.choice([j for j, col in enumerate(Q) if col])
+                P[j] = linalg.s_sub([P[j]], [{rng.choice(list(Q[j])): scalar()}])[0]
+            elif kind == "disjoint":
+                P = sparse(n, 0.6, skip=Q)
+            elif kind == "random":
+                P = sparse(n, 0.5)
+            elif kind == "zero":
+                P = [{} for _ in range(n)]
+            r = linalg.s_ratio(P, Q)
+            tries = [Cyc.zero(L), scalar()] + ([r] if isinstance(r, Cyc) else [])
+            for j, col in enumerate(Q):
+                if col:
+                    i, q = list(col.items())[-1]
+                    last = P[j].get(i, Cyc.zero(L)) / q
+            if not linalg.s_is_zero(Q):
+                tries.append(last)
+            for c in tries:
+                holds = linalg.s_is_zero(linalg.s_sub(P, linalg.s_scale(Q, c)))
+                assert (r is linalg.ANY or r == c) == holds, (P, Q, c, r)
+            assert (r is linalg.ANY) == (linalg.s_is_zero(P) and linalg.s_is_zero(Q))
+    assert min(kinds.values()) > 10
+
+
 def _assert_no_zeros(dicts, what):
     for k, d in enumerate(dicts):
         for i, v in d.items():
