@@ -29,10 +29,20 @@ unit eta at (a, k) moves degree by deg u_a - deg u_k, so two unknowns share
 an equation only when their shifts match.  _SkewRows finds the blocks from
 its table, not from the grading: positions that share a row are joined by
 union-find.  The certificate and the exact solver both work one block at a
-time, and a block of one position with a one-term row needs neither: that
-entry is a nonzero constant times a product of g's scalars, so the column
-is never 0.  A diagonal candidate whose support is empty at every lambda has
-only x = 0 and is dropped before the preservation memo.
+time, and each block is presolved once, when the tables are built: a row
+whose one remaining position has a single term c chi_g(prefix), c != 0,
+forces that position to 0, so it is removed, and so on (singleton-row
+presolve).  A block that this empties has full column rank for every g and
+is never checked.  For a diagonal g a block's rows mod p depend on g only
+through the exponents of chi_g at its prefixes, so its verdict is kept
+under those exponents and its present positions.
+
+The sweep finds a diagonal candidate's unknowns at each lambda by a bucket
+join on the exponents, drops a candidate with none at any lambda (only
+x = 0 is left), then asks the preservation memo, and only then reads the
+tables of its permutation: a permutation that never preserves the
+relations builds none.  The power scalar of a kept x is 0 as soon as
+x^m = 0 on degree one.
 
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
@@ -144,8 +154,9 @@ def solve_skew_space(
     _SkewRows.rows builds them, block by block, from the tables of
     (pres, g.perm, level).  A diagonal g restricts the unknowns to the
     positions that identity allows unless `unpruned` is set; otherwise every
-    position is an unknown and the identity enters as rows.  Each present
-    block that is not sure is eliminated on its own.  The RREF of a block
+    position is an unknown and the identity enters as rows.  A block that
+    peels has kernel 0 and is skipped; each other present block is
+    eliminated on its own.  The RREF of a block
     diagonal matrix is the union of its blocks' RREFs, so ordering the
     blocks' kernel vectors by free column gives the basis of the whole
     system.  Returns (positions, basis) where positions orders the unknowns
@@ -172,13 +183,12 @@ def solve_skew_space(
         positions = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
     else:
         positions = list(tables.positions)
+    chis = [chi(prefix) for prefix in tables.prefixes]
     found = []
     for block, cols in tables.present(positions):
-        if block.sure:
-            continue
         # the sparse contract: entries that cancel are not stored
         rows = []
-        for _, row in tables.rows(block, cols, alpha, lam_alpha, chi, False, pruned):
+        for _, row in tables.rows(block, cols, alpha, lam_alpha, chis, False, pruned):
             row = {c: v for c, v in row.items() if not v.is_zero()}
             if row:
                 rows.append(row)
@@ -191,11 +201,13 @@ def solve_skew_space(
 
 
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
-    """gamma with X^m = gamma (G^m - I), 0 when any scalar works, or None
-    when none does (hopf.power_ratio)."""
+    """gamma with X^m = gamma (G^m - I), or None when none does: 0 once
+    X^m = 0, where 0 always works, and hopf.power_ratio otherwise."""
     g = g.lift(level)
-    gamma = power_ratio(pres, g, operator_matrix(pres, g, 1, x), m, level)
-    return Cyc.zero(level) if gamma is linalg.ANY else gamma
+    X = operator_matrix(pres, g, 1, x)
+    if linalg.s_is_zero(linalg.s_pow(X, m, level)):
+        return Cyc.zero(level)
+    return power_ratio(pres, g, X, m, level)
 
 
 def preserves_relations(pres, g: GrouplikeAction):
@@ -282,19 +294,45 @@ class _PreservationMemo:
 
 class _Block:
     """One block of the skew system: its positions, in the order of the
-    unknowns, and its rows as (row, [(position, prefix, coefficient)]),
-    exactly (exact) and mod p (fp; None when p divides a denominator, and
-    then the block certifies nothing).  identity holds the rows of
-    g x = lam x g as (row, pos1, pos2, i, c): alpha[i] at pos1 minus
-    lam alpha[c] at pos2.  sure marks a single position with a one-term row:
-    that entry is a nonzero coefficient times a character, never 0."""
+    unknowns, and its rows as (row, [(position, j, coefficient)]), j the
+    index of the prefix in the table's prefixes, exactly (exact) and mod p
+    (fp; None when p divides a denominator, and then the block certifies
+    nothing); prefixes lists the indices j its rows use, once each.
+    identity holds the rows of g x = lam x g as (row, pos1, pos2, i, c):
+    alpha[i] at pos1 minus lam alpha[c] at pos2.  peels marks a block that
+    singleton-row presolve empties: it has full column rank for every g and
+    every set of present positions, so neither field is asked.  keyed marks
+    a block whose verdicts zero_kernel keeps."""
 
-    __slots__ = ("positions", "exact", "fp", "identity", "sure")
+    __slots__ = ("positions", "prefixes", "exact", "fp", "identity", "peels", "keyed")
 
     def __init__(self, positions):
         self.positions = positions
-        self.exact, self.fp, self.identity = [], [], []
-        self.sure = False
+        self.prefixes, self.exact, self.fp, self.identity = [], [], [], []
+        self.peels = self.keyed = False
+
+
+def _peels(block):
+    """Whether singleton-row presolve (E. D. Andersen and K. D. Andersen,
+    "Presolving in linear programming", Math. Programming 71, 1995) removes
+    every position of the block.  A row whose only remaining position has a
+    single (prefix, coefficient) term has there the entry c chi_g(prefix),
+    c != 0 exactly, so that position is 0 in every kernel vector; remove it
+    and repeat.  Leaving out absent positions or adding the identity rows
+    only shrinks the kernel, so the verdict holds for every g and every set
+    of present positions."""
+    rows = [Counter(pos for pos, _, _ in terms) for _, terms in block.exact]
+    left = set(block.positions)
+    while left:
+        forced = set()
+        for counts in rows:
+            remaining = [pos for pos in counts if pos in left]
+            if len(remaining) == 1 and counts[remaining[0]] == 1:
+                forced.add(remaining[0])
+        if not forced:
+            return False
+        left -= forced
+    return True
 
 
 class _SkewRows:
@@ -315,11 +353,25 @@ class _SkewRows:
     O_q(M_N) the relations are homogeneous for a grading in which the unit
     eta (a, k) moves degree by deg u_a - deg u_k, so a block never mixes
     shifts: O_q(M_3) at L = 3 has 49 blocks, 36 of them single positions.
-    A single position with a one-term row has an entry c chi_g(prefix) with
-    c != 0 there, for every g, so its column is never 0: the block has full
-    rank whenever it is present, and neither field is asked.  blocks holds
-    the _Block of each class and block_of[(a, k)] its index; each block
-    keeps its rows row by row, exactly and mod p (fp_root(L)), for rows()."""
+    A block that singleton-row presolve empties (_peels) has full column
+    rank whatever g and the present positions are, and is never checked:
+    the 36 singles of O_q(M_3), and 18 of the 19 blocks with the transpose.
+    blocks holds the _Block of each class, and unpeeled[(a, k)] the index of
+    the block of (a, k) when that block does not peel; each block keeps its
+    rows row by row, exactly and mod p (fp_root(L)), for rows(), with the
+    prefixes they read chi_g at listed once for the table in prefixes.
+
+    For a diagonal g the F_p rows of a block over its present columns are
+    sums of c omega^E(prefix), E the exponent sum of g's scalars over the
+    prefix, so zero_kernel keeps each verdict in verdicts under (block, its
+    present positions in column order, E(prefix) mod L for each of the
+    block's prefixes): _PreservationMemo's rule, applied to the rank.  It
+    keeps them only for a keyed block, one that lacks some one-letter
+    prefix (k,).  A block with all of them reads every exponent of g, and
+    its present positions at two lambdas are disjoint, so one sweep never
+    meets its key twice: every non-peeling block of O_q(M_3) and O_q(M_4),
+    where no key would repeat.  The single positions of k_p[u_1..u_t],
+    which read t - 1 letters, are keyed."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
@@ -328,7 +380,7 @@ class _SkewRows:
         self.powers = [pow(omega, e, self.p) for e in range(L)]
         self.diagonal = perm == tuple(range(t))
         self.positions = [(a, k) for a in range(t) for k in range(t)]
-        self.everywhere = dict.fromkeys(range(L), self.positions)
+        self.verdicts = {}
         merged: dict[tuple, dict] = {}
         rows: dict[tuple, int] = {}
         for ridx, rel in enumerate(pres.relations()):
@@ -353,7 +405,8 @@ class _SkewRows:
 
     def _split(self, omega):
         """The blocks: union-find over the positions, joining the positions
-        of each row of the table and of each row of g x = lam x g."""
+        of each row of the table and of each row of g x = lam x g; then each
+        block's rows in both fields, its prefixes, and whether it peels."""
         t, perm, L, p = self.t, self.perm, self.L, self.p
         inv = [0] * t
         for k in range(t):
@@ -379,26 +432,36 @@ class _SkewRows:
         for pos in self.positions:
             classes.setdefault(find(pos), []).append(pos)
         self.blocks = [_Block(positions) for positions in classes.values()]
-        self.block_of = {pos: b for b, block in enumerate(self.blocks) for pos in block.positions}
+        block_of = {pos: b for b, block in enumerate(self.blocks) for pos in block.positions}
         for row, terms in by_row.items():
-            self.blocks[self.block_of[terms[0][0]]].exact.append((row, terms))
+            self.blocks[block_of[terms[0][0]]].exact.append((row, terms))
         for ident in identity:
-            self.blocks[self.block_of[ident[1]]].identity.append(ident)
+            self.blocks[block_of[ident[1]]].identity.append(ident)
+        index: dict[tuple, int] = {}
         for block in self.blocks:
             # deal the rows out by first position, so the first rows of a
             # block span its positions and rank_mod stops early
             dealt: dict[tuple, list] = {}
             for item in block.exact:
                 dealt.setdefault(item[1][0][0], []).append(item)
-            block.exact = [item for turn in zip_longest(*dealt.values()) for item in turn if item]
-            block.sure = len(block.positions) == 1 and any(len(terms) == 1 for _, terms in block.exact)
+            read = {prefix for _, terms in block.exact for _, prefix, _ in terms}
+            block.keyed = any((k,) not in read for k in range(t))
+            block.exact = [
+                (row, [(pos, index.setdefault(prefix, len(index)), v) for pos, prefix, v in terms])
+                for turn in zip_longest(*dealt.values())
+                for row, terms in filter(None, turn)
+            ]
+            block.prefixes = sorted({j for _, terms in block.exact for _, j, _ in terms})
+            block.peels = _peels(block)
             block.fp = [
-                (row, [(pos, prefix, fp_image(v, p, omega, L)) for pos, prefix, v in terms])
+                (row, [(pos, j, fp_image(v, p, omega, L)) for pos, j, v in terms])
                 for row, terms in block.exact
             ]
         if any(v is None for block in self.blocks for _, terms in block.fp for _, _, v in terms):
             for block in self.blocks:
                 block.fp = None
+        self.prefixes = list(index)
+        self.unpeeled = {pos: b for pos, b in block_of.items() if not self.blocks[b].peels}
 
     @classmethod
     def of(cls, pres, perm, L):
@@ -409,21 +472,25 @@ class _SkewRows:
         return tables
 
     def present(self, positions):
-        """The blocks that hold some of positions, each as (block, {position:
-        column}) with the columns in the order of positions."""
+        """The blocks that hold some of positions and do not peel, each as
+        (block, {position: column}) with the columns in the order of
+        positions."""
         out: dict[int, dict] = {}
+        unpeeled = self.unpeeled
         for pos in positions:
-            cols = out.setdefault(self.block_of[pos], {})
-            cols[pos] = len(cols)
+            b = unpeeled.get(pos)
+            if b is not None:
+                cols = out.setdefault(b, {})
+                cols[pos] = len(cols)
         return [(self.blocks[b], cols) for b, cols in out.items()]
 
-    def rows(self, block, cols, alpha, lam_alpha, chi, fp, pruned):
+    def rows(self, block, cols, alpha, lam_alpha, chis, fp, pruned):
         """The rows of one block of the skew system of the grouplike u_k ->
         alpha[k] u_perm[k] at lam, as (row, {column: entry}) over the
         unknowns cols ({position: column}), built one at a time.
-        lam_alpha[k] = lam alpha[k] and chi(prefix) is the product of alpha
-        over the prefix, all in the field of the table: fp, or exact.  A
-        pruned diagonal keeps the positions (a, k) with alpha[a] =
+        lam_alpha[k] = lam alpha[k] and chis[j] is the product of alpha
+        over prefixes[j], all in the field of the table: fp, or exact.
+        A pruned diagonal keeps the positions (a, k) with alpha[a] =
         lam alpha[k], the support g x = lam x g allows; otherwise every
         position is an unknown and that identity enters entrywise as rows,
         whose ids run from len(labels) on.  Entries may vanish."""
@@ -436,53 +503,65 @@ class _SkewRows:
                     yield base + row, {cols[pos1]: alpha[i], cols[pos2]: -lam_alpha[c]}
         for row, terms in block.fp if fp else block.exact:
             entries = {}
-            for pos, prefix, c in terms:
+            for pos, j, c in terms:
                 col = cols.get(pos)
                 if col is not None:
-                    v = c * chi(prefix)
+                    v = c * chis[j]
                     entries[col] = v if col not in entries else entries[col] + v
             if entries:
                 yield row, entries
 
-    def support(self, exps):
-        """The unknowns of the grouplike u_k -> zeta_L^exps[k] u_perm[k] at
-        each lam = zeta_L^ell, as {ell mod L: positions}: for a diagonal g
-        the positions (a, k) with exps[a] - exps[k] = ell (mod L), an ell
-        with none left out; otherwise every position at every ell."""
-        L = self.L
-        if not self.diagonal:
-            return self.everywhere
-        out: dict[int, list] = {}
-        for a, ea in enumerate(exps):
-            for k, ek in enumerate(exps):
-                out.setdefault((ea - ek) % L, []).append((a, k))
-        return out
-
     def zero_kernel(self, exps, ell, positions):
         """True when the system of (perm, exps) at lam = zeta_L^ell, with
-        the unknowns positions (support(exps) at ell), has full column rank
-        block by block: each present block is sure or has full column rank
-        mod p.  A maximal minor that is nonzero mod p is nonzero over
-        Q(zeta_L), so the exact kernel is 0.  False certifies nothing."""
-        todo = [(block, cols) for block, cols in self.present(positions) if not block.sure]
+        the unknowns positions (every position for a permuting g, and for a
+        diagonal one those of _diagonal_support), has full column rank block
+        by block: each present block peels or has full column rank mod p.
+        A maximal minor that is nonzero mod p is nonzero over Q(zeta_L), so
+        the exact kernel is 0.  False certifies nothing."""
+        todo = self.present(positions)
         if not todo:
             return True
-        L, pw = self.L, self.powers
+        L, pw, diagonal = self.L, self.powers, self.diagonal
         alpha = lam_alpha = None  # the identity's rows enter for a permuting g only
-        if not self.diagonal:
+        if not diagonal:
             alpha = [pw[e] for e in exps]
             lam_alpha = [pw[(ell + e) % L] for e in exps]
+        es = [sum(map(exps.__getitem__, prefix)) % L for prefix in self.prefixes]
+        chis = [pw[e] for e in es]
 
-        def chi(prefix):
-            return pw[sum(map(exps.__getitem__, prefix)) % L]
+        def full_rank(block, cols):
+            rows = self.rows(block, cols, alpha, lam_alpha, chis, True, diagonal)
+            return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
 
         for block, cols in todo:
             if block.fp is None:
                 return False
-            rows = self.rows(block, cols, alpha, lam_alpha, chi, True, self.diagonal)
-            if linalg.rank_mod((r for _, r in rows), len(cols), self.p) < len(cols):
+            if diagonal and block.keyed:
+                key = (block, tuple(cols), tuple(map(es.__getitem__, block.prefixes)))
+                full = self.verdicts.get(key)
+                if full is None:
+                    full = self.verdicts[key] = full_rank(block, cols)
+            else:
+                full = full_rank(block, cols)
+            if not full:
                 return False
         return True
+
+
+def _diagonal_support(exps, ells, L):
+    """For each ell, the positions (a, k) with exps[a] - exps[k] = ell
+    (mod L), in (a, k) order: the unknowns of the diagonal grouplike
+    u_k -> zeta_L^exps[k] u_k at lam = zeta_L^ell (None for an ell that is
+    None).  A bucket join: the letters grouped by exponent, then for each a
+    the k in bucket[(exps[a] - ell) mod L]."""
+    buckets: dict[int, list] = {}
+    for k, e in enumerate(exps):
+        buckets.setdefault(e % L, []).append(k)
+    return [
+        None if ell is None
+        else [(a, k) for a, e in enumerate(exps) for k in buckets.get((e - ell) % L, ())]
+        for ell in ells
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +601,31 @@ def _sweep(pres, lams, cands, level, keep):
     """Families over every lambda and every relation-preserving grouplike
     candidate (perm, exps) at this level: the skew solutions x with
     keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A diagonal
-    candidate with no unknowns at any lambda has only x = 0 and is dropped
-    first.  A candidate whose system _SkewRows certifies to have kernel 0 is
-    skipped; every other one goes to solve_skew_space."""
+    candidate's unknowns at each lambda come from _diagonal_support, and one
+    with none at any lambda has only x = 0 and is dropped first; a permuting
+    candidate keeps every position.  Only then does _PreservationMemo decide
+    the candidate, and only a preserving one reads the tables of its
+    permutation.  A candidate whose system _SkewRows certifies to have
+    kernel 0 is skipped; every other one goes to solve_skew_space."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell, or None
+    everywhere = [(lam, ell, None) for lam, ell in zip(lams, ells)]
+    identity = tuple(range(pres.ngens))
     found = []
     for perm, exps in cands:
-        tables = _SkewRows.of(pres, perm, level)
-        support = tables.support(exps)
-        live = [(lam, ell) for lam, ell in zip(lams, ells) if ell is None or ell % level in support]
+        if perm == identity:
+            supports = zip(lams, ells, _diagonal_support(exps, ells, level))
+            live = [(lam, ell, positions) for lam, ell, positions in supports if positions != []]
+        else:
+            live = everywhere
         if not live or not preserves(perm, exps):
             continue
-        for lam, ell in live:
-            if ell is not None and tables.zero_kernel(exps, ell, support[ell % level]):
+        tables = _SkewRows.of(pres, perm, level)
+        for lam, ell, positions in live:
+            if positions is None:
+                positions = tables.positions
+            if ell is not None and tables.zero_kernel(exps, ell, positions):
                 continue
             g = _grouplike(perm, exps, level)
             _, basis = solve_skew_space(pres, g, lam, level)

@@ -370,6 +370,100 @@ def _run_suite_parallel(selected, ord_q, workers):
 # rendering -------------------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(f):
+    if f != f:
+        return "NaN"
+    if f in (float("inf"), float("-inf")):
+        return "Infinity" if f > 0 else "-Infinity"
+    return float.__repr__(f)
+
+
+def _key_text(key):
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def report_text(obj):
+    """The text of json.dumps(obj, indent=2, sort_keys=True), written
+    directly: with indent set, json encodes through its pure-Python
+    generator.  Values are tested in json's order (str, None, True, False,
+    int, float, list or tuple, dict), a dict is sorted on its original keys
+    before they are converted, and any other key or value raises TypeError."""
+    out = []
+    put = out.append
+
+    def scalar(o):
+        # json's text of a value that is no container, or None
+        if isinstance(o, str):
+            return _encode_str(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float_text(o)
+        return None
+
+    def write(o, nl):
+        # o is no scalar: a list or tuple, a dict, or a TypeError
+        inner = nl + "  "
+        if isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            sep = "[" + inner
+            for item in o:
+                text = _encode_str(item) if isinstance(item, str) else scalar(item)
+                if text is None:
+                    put(sep)
+                    write(item, inner)
+                else:
+                    put(sep + text)
+                sep = "," + inner
+            put(nl + "]")
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            sep = "{" + inner
+            for key, value in sorted(o.items()):
+                if not isinstance(key, str):
+                    key = _key_text(key)
+                head = sep + _encode_str(key) + ": "
+                text = _encode_str(value) if isinstance(value, str) else scalar(value)
+                if text is None:
+                    put(head)
+                    write(value, inner)
+                else:
+                    put(head + text)
+                sep = "," + inner
+            put(nl + "}")
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    text = scalar(obj)
+    if text is not None:
+        return text
+    write(obj, "\n")
+    return "".join(out)
+
+
 def render_markdown(command, report):
     lines = [f"# qhact {command} report", ""]
     if command == "suite":
@@ -390,7 +484,7 @@ def render_markdown(command, report):
             lines.append(f"| {fam['tag']} | {fam['dimension']} |")
     else:
         lines.append("```json")
-        lines.append(json.dumps(report, indent=2, sort_keys=True))
+        lines.append(report_text(report))
         lines.append("```")
     return "\n".join(lines) + "\n"
 
@@ -441,7 +535,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     if opts.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(report_text(report))
     else:
         print(render_markdown(opts.command, report), end="")
     return code

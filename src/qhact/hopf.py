@@ -287,13 +287,16 @@ class GrouplikeAction:
         return GrouplikeAction(perm, scalars)
 
     def power(self, e):
-        out = GrouplikeAction.identity(len(self.perm), self.scalars[0].L)
-        base = self
-        while e:
-            if e & 1:
-                out = base.compose(out)
-            base = base.compose(base)
-            e >>= 1
+        """g^e for e >= 0, by squaring from g itself and multiplying by g
+        at each set bit below the leading one (g^3 takes two compose
+        calls); the identity for e = 0."""
+        if e == 0:
+            return GrouplikeAction.identity(len(self.perm), self.scalars[0].L)
+        out = self
+        for i in range(e.bit_length() - 2, -1, -1):
+            out = out.compose(out)
+            if e >> i & 1:
+                out = self.compose(out)
         return out
 
     def order(self, cap=10_000):

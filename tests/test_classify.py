@@ -15,6 +15,7 @@ from qhact.classify import (
     m2_order3_family,
     matrix_max_rank_components,
     max_rank,
+    _diagonal_support,
     _SkewRows,
     solve_skew_space,
     spans_equal,
@@ -177,18 +178,18 @@ def test_matrix_max_rank_component_tags():
 def test_skew_support_examples():
     # the same support rule on exponents, as zero_kernel and the sweep apply
     # it: (a, k) stays when alpha_a = lam alpha_k, i.e. e_a - e_k = ell mod L
-    def support(pres, exps, ell, L):
-        return _SkewRows.of(pres, tuple(range(len(exps))), L).support(exps).get(ell % L, [])
+    def support(exps, ell, L):
+        return _diagonal_support(exps, [ell], L)[0]
 
     plane = quantum_plane(zeta(5))
     # mu = w, lam = w^2, lam^-1 mu = w^4
-    assert support(plane, [1, 4], 2, 5) == [(0, 1)]
+    assert support([1, 4], 2, 5) == [(0, 1)]
     # the x = 0 kernel is not certified where the exact kernel is nonzero
     assert not _SkewRows.of(plane, (0, 1), 5).zero_kernel([1, 4], 2, [(0, 1)])
-    assert support(plane, [0, 1], 0, 5) == [(0, 0), (1, 1)]
+    assert support([0, 1], 0, 5) == [(0, 0), (1, 1)]
     # at level 40: zeta_8 = w^5, alpha = zeta_8^3 = w^15
-    affine = quantum_affine(generic_affine_p(3, 5))
-    assert support(affine, [15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
+    assert support([15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
+    assert _diagonal_support([0, 1], [None, 3], 5) == [None, []]
 
 
 def test_solve_skew_space_positions():
@@ -217,6 +218,16 @@ def test_affine_pair_family_alpha_rule():
     # the outside scalar is p_1k p_k2 (0-based: p[0][2] p[2][1])
     assert fam.g.scalars[2] == pres.p[0][2] * pres.p[2][1]
     assert verify_module_algebra(fam.instance()).ok
+
+
+@pytest.mark.slow
+def test_matrix_search_n4_tau_ord3():
+    # 54 of the 55 transpose blocks peel; the sweep finds the printed
+    # families f1, f2, f3 and f4 and nothing under the transpose
+    found = enumerate_taft_matrix(4, zeta(3), zeta(3) ** 2)
+    assert sorted(f.tag for f in found) == [
+        "f1[b=2]", "f1[b=3]", "f1[b=4]", "f2[a=2]", "f2[a=3]", "f2[a=4]", "f3", "f4",
+    ]
 
 
 @pytest.mark.slow
@@ -346,6 +357,37 @@ def _prefilter_grid(name):
 GRIDS = ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau", "m3-ord3"]
 
 
+def _unknowns(tables, exps, ells):
+    """The unknowns zero_kernel is given at each ell, as the sweep finds
+    them: every position for a permuting g, _diagonal_support otherwise."""
+    if not tables.diagonal:
+        return [tables.positions for _ in ells]
+    return _diagonal_support(exps, ells, tables.L)
+
+
+def _support_by_differences(exps, L):
+    """{ell mod L: positions (a, k) with exps[a] - exps[k] = ell}, from all
+    t^2 differences, the way the sweep found the support before the bucket
+    join; kept as the oracle."""
+    out = {}
+    for a, ea in enumerate(exps):
+        for k, ek in enumerate(exps):
+            out.setdefault((ea - ek) % L, []).append((a, k))
+    return out
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_bucket_join_matches_the_differences(grid):
+    from qhact.cyclotomic import as_q_power
+
+    _, L, lams, cands = _prefilter_grid(grid)
+    ells = [as_q_power(lam, zeta(L)) for lam in lams]
+    for _, exps in cands:
+        want = _support_by_differences(exps, L)
+        got = _diagonal_support(exps, ells, L)
+        assert got == [want.get(ell % L, []) for ell in ells], exps
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 def test_sweep_prefilter_is_sound(grid):
     """On every candidate of the grid and every lambda, the sweep's
@@ -354,7 +396,6 @@ def test_sweep_prefilter_is_sound(grid):
     from qhact.classify import (
         _grouplike,
         _PreservationMemo,
-        _SkewRows,
         preserves_relations,
     )
     from qhact.cyclotomic import as_q_power, root_of_unity
@@ -369,9 +410,9 @@ def test_sweep_prefilter_is_sound(grid):
         assert memo(perm, exps) == preserves_relations(pres, g), (perm, exps)
         if perm not in tables:
             tables[perm] = _SkewRows(pres, perm, L)
-        support = tables[perm].support(exps)
-        for lam, ell in zip(lams, ells):
-            if tables[perm].zero_kernel(exps, ell, support.get(ell % L, [])):
+        unknowns = _unknowns(tables[perm], exps, ells)
+        for lam, ell, positions in zip(lams, ells, unknowns):
+            if tables[perm].zero_kernel(exps, ell, positions):
                 certified += 1
                 assert solve_skew_space(pres, g, lam, L)[1] == [], (perm, exps, lam)
             else:
@@ -380,48 +421,59 @@ def test_sweep_prefilter_is_sound(grid):
     assert certified > 0 and uncertified > 0
 
 
+def _chis(tables, alpha, one):
+    """The product of alpha over each prefix of the tables, exactly."""
+    out = []
+    for prefix in tables.prefixes:
+        c = one
+        for k in prefix:
+            c = c * alpha[k]
+        out.append(c)
+    return out
+
+
 @pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
 def test_skew_rows_match_act_skew_raw(grid):
     """On every candidate of the grid, the relation rows that
     _SkewRows.rows builds, block by block over every position, are at every
     unit eta the act_skew_raw image of that unit eta on each relation; the
-    blocks partition the positions, and a sure block's column is nonzero."""
-    from qhact.classify import _grouplike, _SkewRows
+    blocks partition the positions, and every column of a block that peels
+    is nonzero."""
+    from qhact.classify import _grouplike
     from qhact.hopf import act_skew_raw, eta_from_entries
 
     pres, L, lams, cands = _prefilter_grid(grid)
     t = pres.ngens
     one = Cyc.one(L)
     rels = [{w: c.lift(L) for w, c in rel.items()} for rel in pres.relations()]
+    peeled = 0
     for perm, exps in cands:
         g = _grouplike(perm, exps, L)
         tables = _SkewRows.of(pres, perm, L)
         alpha = g.scalars
         lam_alpha = [lams[0] * a for a in alpha]
-
-        def chi(prefix):
-            c = one
-            for k in prefix:
-                c = c * alpha[k]
-            return c
-
-        present = tables.present(tables.positions)
-        assert sorted(pos for _, cols in present for pos in cols) == tables.positions
+        assert sorted(pos for block in tables.blocks for pos in block.positions) == tables.positions
+        chis = _chis(tables, alpha, one)
         got = {}
-        for block, cols in present:
-            order = list(cols)
-            for row, entries in tables.rows(block, cols, alpha, lam_alpha, chi, False, False):
+        for block in tables.blocks:
+            order = block.positions
+            cols = {pos: c for c, pos in enumerate(order)}
+            for row, entries in tables.rows(block, cols, alpha, lam_alpha, chis, False, False):
                 for col, v in entries.items():
                     if row < len(tables.labels) and not v.is_zero():
                         ridx, word = tables.labels[row]
                         got.setdefault(order[col], {}).setdefault(ridx, {})[word] = v
-            if block.sure:
-                assert got.get(order[0]), (perm, exps, order)
+            if block.peels:
+                peeled += 1
+                for pos in order:
+                    assert got.get(pos), (perm, exps, pos)
         for a, k in tables.positions:
             x = eta_from_entries(t, {(a, k): one}, L)
             for ridx, rel in enumerate(rels):
                 want = act_skew_raw(pres, g, x, rel).terms
                 assert got.get((a, k), {}).get(ridx, {}) == want, (perm, exps, (a, k), ridx)
+    # no block of the plane or the Weyl algebra peels
+    assert (peeled > 0) == (grid not in ("plane-3-4", "weyl-3-4"))
 
 
 def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
@@ -454,28 +506,38 @@ def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_blocks_match_the_whole_system(grid):
+def test_blocks_match_the_whole_system(grid, monkeypatch):
     """On every candidate of the grid and every lambda, the block
     certificate gives the verdict of rank_mod on the whole system; on every
     uncertified candidate the block-wise exact solver returns the positions
     and basis, in order, of nullspace on the whole system, pruned and
-    unpruned; and an empty diagonal support leaves only x = 0."""
+    unpruned; and an empty diagonal support leaves only x = 0.  The
+    certificate asks rank_mod no more often than with its verdicts
+    forgotten, and on the affine grid less often."""
     from qhact.classify import _grouplike
     from qhact.cyclotomic import as_q_power, fp_image
     from qhact.hopf import eta_from_entries
 
+    calls = [0]
+    rank_mod = linalg.rank_mod
+
+    def counted(rows, ncols, p):
+        calls[0] += 1
+        return rank_mod(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "rank_mod", counted)
     pres, L, lams, cands = _prefilter_grid(grid)
     t = pres.ngens
     one = Cyc.one(L)
+    ells = [as_q_power(lam, zeta(L)) for lam in lams]
     tables = {}
-    uncertified = empty = 0
+    uncertified = empty = cached = fresh = 0
     for perm, exps in cands:
         tb = tables.get(perm) or tables.setdefault(perm, _SkewRows(pres, perm, L))
         assert all(block.fp is not None for block in tb.blocks)
         p, pw = tb.p, tb.powers
         g = _grouplike(perm, exps, L)
         alpha = g.scalars
-        support = tb.support(exps)
 
         def chi(prefix):
             c = one
@@ -483,10 +545,15 @@ def test_blocks_match_the_whole_system(grid):
                 c = c * alpha[k]
             return c
 
-        for lam in lams:
-            ell = as_q_power(lam, zeta(L))
-            positions = support.get(ell % L, [])
+        for lam, ell, positions in zip(lams, ells, _unknowns(tb, exps, ells)):
+            calls[0] = 0
             verdict = tb.zero_kernel(exps, ell, positions)
+            cached += calls[0]
+            kept, tb.verdicts = tb.verdicts, {}
+            calls[0] = 0
+            assert tb.zero_kernel(exps, ell, positions) == verdict
+            fresh += calls[0]
+            tb.verdicts = kept
             fp_alpha = [pw[e] for e in exps]
             fp_lam_alpha = [pw[(ell + e) % L] for e in exps]
             if tb.diagonal:
@@ -503,7 +570,21 @@ def test_blocks_match_the_whole_system(grid):
                 tb.diagonal,
             )
             n = len(positions)
-            assert verdict == (linalg.rank_mod(rows, n, p) == n), (perm, exps, ell)
+            assert verdict == (rank_mod(rows, n, p) == n), (perm, exps, ell)
+            if tb.diagonal and n > 1:
+                # fewer unknowns at the same exponents are a different key
+                sub = positions[1:]
+                rows = _whole_system(
+                    tb,
+                    sub,
+                    fp_alpha,
+                    fp_lam_alpha,
+                    lambda prefix: pw[sum(exps[k] for k in prefix) % L],
+                    lambda v: fp_image(v, p, pw[1], L),
+                    True,
+                )
+                want = rank_mod(rows, n - 1, p) == n - 1
+                assert tb.zero_kernel(exps, ell, sub) == want, (perm, exps, ell, sub)
             if not positions:
                 empty += 1
                 assert solve_skew_space(pres, g, lam, L) == ([], [])
@@ -525,26 +606,121 @@ def test_blocks_match_the_whole_system(grid):
                 assert [x.eta for x in got] == [x.eta for x in want], (perm, exps, ell, unpruned)
     assert uncertified > 0
     assert empty > 0 or not all(tb.diagonal for tb in tables.values())
+    assert cached <= fresh
+    if grid == "affine-3-ord5":
+        assert cached < fresh
+    if grid == "m3-ord3":
+        # every block that does not peel reads every exponent: none is keyed
+        assert not any(tb.verdicts for tb in tables.values())
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_power_scalar_early_answer_matches_power_ratio(grid):
+    """On every skew basis vector the sweep of the grid hands to keep,
+    solve_power_scalar gives hopf.power_ratio's answer, ANY read as 0."""
+    from qhact.classify import _sweep, solve_power_scalar
+    from qhact.hopf import power_ratio
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    m = lams[0].mult_order()
+    nilpotent = []
+
+    def keep(g, x):
+        g = g.lift(L)
+        X = operator_matrix(pres, g, 1, x)
+        want = power_ratio(pres, g, X, m, L)
+        got = solve_power_scalar(pres, g, x, m, L)
+        if want is None:
+            assert got is None, (g, x)
+        else:
+            assert got == (Cyc.zero(L) if want is linalg.ANY else want), (g, x)
+        nilpotent.append(linalg.s_is_zero(linalg.s_pow(X, m, L)))
+        return False
+
+    _sweep(pres, lams, cands, L, keep)
+    # no candidate of the Weyl grid has a skew solution; X^m != 0 is
+    # test_solve_power_scalar_cycle's case
+    assert any(nilpotent) == (grid != "weyl-3-4")
+
+
+def _peel_oracle_tables():
+    """The tables of every grid, and of O_q(M_3) with the transpose at L = 3."""
+    out = []
+    for grid in GRIDS:
+        pres, L, _, cands = _prefilter_grid(grid)
+        out += [_SkewRows(pres, perm, L) for perm in dict.fromkeys(perm for perm, _ in cands)]
+    tau = tuple((k % 3) * 3 + k // 3 for k in range(9))
+    out.append(_SkewRows(quantum_matrix(3, zeta(3), level=3), tau, 3))
+    return out
+
+
+def test_peeled_blocks_have_full_column_rank():
+    """Every block that peels has exact full column rank (linalg.rank) for
+    random g, scalars off the roots of unity included, and random sets of
+    its positions, with the rows of g x = lam x g on those positions when g
+    permutes."""
+    import random
+
+    from qhact.cyclotomic import root_of_unity
+
+    rng = random.Random(18)
+    checked = 0
+    for tb in _peel_oracle_tables():
+        L, t = tb.L, tb.t
+        one = Cyc.one(L)
+        for block in tb.blocks:
+            if not block.peels:
+                continue
+            for _ in range(4):
+                alpha = [root_of_unity(L, rng.randrange(L)) * rng.randint(1, 3) for _ in range(t)]
+                lam = root_of_unity(L, rng.randrange(L))
+                lam_alpha = [lam * a for a in alpha]
+                present = [pos for pos in block.positions if rng.random() < 0.7] or block.positions
+                cols = {pos: c for c, pos in enumerate(present)}
+                rows = [r for _, r in tb.rows(block, cols, None, None, _chis(tb, alpha, one), False, True)]
+                if not tb.diagonal:
+                    for _, pos1, pos2, i, c in block.identity:
+                        row = {}
+                        if pos1 in cols:
+                            row[cols[pos1]] = alpha[i]
+                        if pos2 in cols:
+                            row[cols[pos2]] = row.get(cols[pos2], Cyc.zero(L)) - lam_alpha[c]
+                        rows.append(row)
+                rows = [{c: v for c, v in r.items() if not v.is_zero()} for r in rows]
+                assert linalg.rank([r for r in rows if r]) == len(cols), (tb.perm, block.positions)
+                checked += 1
+    assert checked > 0
 
 
 def test_skew_blocks_of_quantum_matrices():
     """The blocks of O_q(M_N) follow its row and column grading: a unit eta
-    (a, k) moves the degree by deg u_a - deg u_k."""
+    (a, k) moves the degree by deg u_a - deg u_k.  Singleton-row presolve
+    empties all but the blocks of the three-term relations."""
 
-    def sizes(N, L, perm=None):
-        pres = quantum_matrix(N, zeta(L), level=L)
-        tables = _SkewRows(pres, perm or tuple(range(N * N)), L)
-        return tables, sorted(len(block.positions) for block in tables.blocks)
+    def tables_of(N, L, tau=False):
+        flat = range(N * N)
+        perm = tuple((k % N) * N + k // N for k in flat) if tau else tuple(flat)
+        return _SkewRows(quantum_matrix(N, zeta(L), level=L), perm, L)
 
-    tables, got = sizes(3, 3)
-    assert len(got) == 49 and got == [1] * 36 + [3] * 12 + [9]
-    # every single position is sure, and the nine are the diagonal (a, a)
-    assert all(block.sure for block in tables.blocks if len(block.positions) == 1)
+    def sizes(tables):
+        return sorted(len(block.positions) for block in tables.blocks)
+
+    def peeled(tables):
+        return sum(block.peels for block in tables.blocks), len(tables.blocks)
+
+    tables = tables_of(3, 3)
+    assert sizes(tables) == [1] * 36 + [3] * 12 + [9]
+    # the 36 single positions peel and nothing else does; the nine are the
+    # diagonal (a, a)
+    assert [len(block.positions) for block in tables.blocks if block.peels] == [1] * 36
     (diagonal,) = [block for block in tables.blocks if len(block.positions) == 9]
     assert diagonal.positions == [(a, a) for a in range(9)]
-    assert sizes(2, 7)[1] == [1, 1, 1, 1, 2, 2, 2, 2, 4]
-    tau = tuple((k % 2) * 2 + k // 2 for k in range(4))
-    assert sizes(2, 7, tau)[1] == [1, 1, 4, 4, 6]
+    assert sizes(tables_of(2, 7)) == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+    assert sizes(tables_of(2, 7, tau=True)) == [1, 1, 4, 4, 6]
+    assert peeled(tables_of(2, 5, tau=True)) == (4, 5)
+    assert peeled(tables_of(3, 3, tau=True)) == (18, 19)
+    assert peeled(tables_of(4, 5)) == (152, 169)
+    assert peeled(tables_of(4, 3, tau=True)) == (54, 55)
 
 
 def _order_by_powers(g, cap=10_000):

@@ -610,3 +610,52 @@ def test_parallel_suite_matches_serial(tmp_path, capsys):
     serial = report()
     assert [r["id"] for r in serial["results"]] == [3, 11, 12]
     assert report("--workers", "2") == serial
+
+
+def _random_json(rng, depth):
+    """A random value json.dumps accepts: nested dicts (keys of one kind per
+    dict, as sorting needs: str, int, int or float, or bool), lists and
+    tuples, empty containers, non-ASCII and control characters, nan and the
+    infinities."""
+    chars = "aZ09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600"
+    leaves = [
+        lambda: "".join(rng.choice(chars) for _ in range(rng.randrange(6))),
+        lambda: None,
+        lambda: rng.random() < 0.5,
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice([0.0, -0.0, 1e300, -2.5e-308, float("nan"), float("inf"),
+                            float("-inf"), rng.uniform(-1e6, 1e6)]),
+    ]
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    size = rng.randrange(4)
+    kind = rng.randrange(3)
+    if kind < 2:
+        items = [_random_json(rng, depth - 1) for _ in range(size)]
+        return items if kind == 0 else tuple(items)
+    keys = rng.choice([
+        lambda: "".join(rng.choice(chars) for _ in range(rng.randrange(4))),
+        lambda: rng.randint(-50, 50),
+        lambda: rng.choice([rng.randint(-5, 5), rng.uniform(-10, 10), float("inf")]),
+        lambda: rng.random() < 0.5,
+    ])
+    return {keys(): _random_json(rng, depth - 1) for _ in range(size)}
+
+
+def test_report_text_matches_json_dumps():
+    import random
+
+    from qhact.cli import report_text
+
+    rng = random.Random(18)
+    for _ in range(3000):
+        obj = _random_json(rng, 4)
+        assert report_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+    assert report_text({None: 1}) == json.dumps({None: 1}, indent=2, sort_keys=True)
+    assert report_text({1.5: [], 2: {}}) == json.dumps({1.5: [], 2: {}}, indent=2, sort_keys=True)
+    for bad in ({"a": {1, 2}}, {(1,): 2}, [object()], {1: "a", "b": 2}):
+        with pytest.raises(TypeError) as want:
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError) as got:
+            report_text(bad)
+        assert str(got.value) == str(want.value)

@@ -856,3 +856,30 @@ def test_fixed_relations_keep_the_failure_witnesses(monkeypatch):
         monkeypatch.undo()
         assert got == want
         assert any(v["axiom"] == "grouplike-preserves-relation" for v in got)
+
+
+def test_power_squares_from_self(monkeypatch):
+    """GrouplikeAction.power agrees with composing g with itself e times,
+    for e = 0..12, on diagonal grouplikes with scalars of mixed levels and
+    on a permuting one, and g^3 takes two compose calls."""
+    two = Cyc.rational(2)
+    gs = [
+        GrouplikeAction.diagonal([zeta(3), zeta(5, 2), zeta(4) * two]),
+        GrouplikeAction.diagonal([zeta(12, 5), Cyc.one(1), zeta(7)]),
+        GrouplikeAction((2, 0, 1), [zeta(5), zeta(3) * two, zeta(4, 3)]),
+    ]
+    for g in gs:
+        loop = GrouplikeAction.identity(3, g.scalars[0].L)
+        for e in range(13):
+            assert g.power(e) == loop, (g, e)
+            loop = g.compose(loop)
+    calls = []
+    compose = GrouplikeAction.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(GrouplikeAction, "compose", counted)
+    gs[2].power(3)
+    assert len(calls) == 2
