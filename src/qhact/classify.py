@@ -20,7 +20,8 @@ algebra, W. Stein, Modular Forms: A Computational Approach, AMS 2007).  That
 certificate is one-sided: full column rank mod p proves the kernel over
 Q(zeta_L) is 0, and only then is the candidate skipped.  Every other
 candidate goes to the exact solver, which reads the same tables exactly and
-decides every reported family.
+decides every reported family; it too skips a block that has full column
+rank mod p, and eliminates every other block exactly.
 
 The system is block diagonal.  The relations of k_p[u_1..u_t] and O_q(M_N)
 are homogeneous for a grading (Z^t, or rows and columns Z^N x Z^N; K. Brown
@@ -37,11 +38,18 @@ is never checked.  For a diagonal g a block's rows mod p depend on g only
 through the exponents of chi_g at its prefixes, so its verdict is kept
 under those exponents and its present positions.
 
-The sweep finds a diagonal candidate's unknowns at each lambda by a bucket
-join on the exponents, drops a candidate with none at any lambda (only
-x = 0 is left), then asks the preservation memo, and only then reads the
-tables of its permutation: a permutation that never preserves the
-relations builds none.  The power scalar of a kept x is 0 as soon as
+On a whole exponent grid (Z_L)^t the sweep generates only the diagonal
+candidates that can carry an x != 0: those with e_a - e_k = ell (mod L)
+for some a, k and a lambda = zeta_L^ell.  With all exponents but the last
+fixed, the last is free when the others hold such a pair and is one of
+e_a + ell, e_a - ell otherwise.  It finds a live candidate's unknowns at
+each lambda by a bucket join on the exponents.  A permutation's grid is
+decided whole first: the memo's key is linear in the exponents, so the
+keys the grid reaches are the sums of its columns, and each is asked once;
+a permutation none of whose keys preserves the relations (the swap of the
+plane and of the Weyl algebra, every non-identity permutation of a generic
+k_p[u_1..u_3]) is never swept.  Only a preserving candidate reads the
+tables of its permutation.  The power scalar of a kept x is 0 as soon as
 x^m = 0 on degree one.
 
 Compatibility of two rank-one actions solves the three pair relations
@@ -58,8 +66,9 @@ member's skew matrix entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections import Counter
-from itertools import permutations, product, zip_longest
+from itertools import combinations, permutations, product, zip_longest
 from math import gcd
 
 from . import linalg
@@ -155,9 +164,10 @@ def solve_skew_space(
     (pres, g.perm, level).  A diagonal g restricts the unknowns to the
     positions that identity allows unless `unpruned` is set; otherwise every
     position is an unknown and the identity enters as rows.  A block that
-    peels has kernel 0 and is skipped; each other present block is
-    eliminated on its own.  The RREF of a block
-    diagonal matrix is the union of its blocks' RREFs, so ordering the
+    peels has kernel 0 and is skipped, and so is one whose rows mod p have
+    full column rank (_SkewRows.full_rank, the certificate of zero_kernel);
+    each other present block is eliminated exactly on its own.  The RREF of
+    a block diagonal matrix is the union of its blocks' RREFs, so ordering the
     blocks' kernel vectors by free column gives the basis of the whole
     system.  Returns (positions, basis) where positions orders the unknowns
     and basis is a list of SkewAction kernel vectors (empty when only
@@ -184,8 +194,11 @@ def solve_skew_space(
     else:
         positions = list(tables.positions)
     chis = [chi(prefix) for prefix in tables.prefixes]
+    fp = tables.fp_values(alpha, lam)
     found = []
     for block, cols in tables.present(positions):
+        if fp is not None and block.fp is not None and tables.full_rank(block, cols, *fp, pruned):
+            continue
         # the sparse contract: entries that cancel are not stored
         rows = []
         for _, row in tables.rows(block, cols, alpha, lam_alpha, chis, False, pruned):
@@ -219,6 +232,8 @@ def preserves_relations(pres, g: GrouplikeAction):
 
 
 # A candidate is (perm, exps): the grouplike u_k -> zeta_L^exps[k] u_perm[k].
+# The searches hand _sweep a whole grid of perm as (perm, None); the explicit
+# lists of _diag_candidates and _monomial_candidates remain as its oracles.
 
 
 def _grouplike(perm, exps, L):
@@ -283,13 +298,46 @@ class _PreservationMemo:
                     self.diffs.append(d)
         self.verdicts = {}
 
-    def __call__(self, perm, exps):
+    def key(self, exps):
         L = self.L
-        key = (perm, tuple(sum(n * exps[x] for x, n in d) % L for d in self.diffs))
-        ok = self.verdicts.get(key)
+        return tuple(sum(n * exps[x] for x, n in d) % L for d in self.diffs)
+
+    def __call__(self, perm, exps):
+        return self._verdict(perm, self.key(exps), exps)
+
+    def _verdict(self, perm, key, exps):
+        ok = self.verdicts.get((perm, key))
         if ok is None:
-            ok = self.verdicts[key] = preserves_relations(self.pres, _grouplike(perm, exps, L))
+            ok = self.verdicts[perm, key] = preserves_relations(
+                self.pres, _grouplike(perm, exps, self.L)
+            )
         return ok
+
+    @cached_property
+    def reachable(self):
+        """{key: exps} over every key that some exps in (Z_L)^t has.  The key
+        is linear in exps, key(exps) = sum_x exps[x] col_x mod L, so the keys
+        are the sums of the columns col_x: a breadth-first search from
+        key(0, ..., 0) adds one column at a time, and the exponent vector
+        that first reaches a key represents it."""
+        L, t = self.L, self.pres.ngens
+        cols = [tuple(dict(d).get(x, 0) % L for d in self.diffs) for x in range(t)]
+        key = (0,) * len(self.diffs)
+        reps = {key: (0,) * t}
+        todo = [key]
+        for key in todo:  # todo grows as the search goes
+            exps = reps[key]
+            for x, col in enumerate(cols):
+                nxt = tuple((a + b) % L for a, b in zip(key, col))
+                if nxt not in reps:
+                    reps[nxt] = exps[:x] + ((exps[x] + 1) % L,) + exps[x + 1 :]
+                    todo.append(nxt)
+        return reps
+
+    def refuses(self, perm):
+        """Whether no exps in (Z_L)^t gives perm a preserving key, asking
+        each reachable key at most once, as __call__ would."""
+        return not any(self._verdict(perm, key, exps) for key, exps in self.reachable.items())
 
 
 class _Block:
@@ -528,11 +576,6 @@ class _SkewRows:
             lam_alpha = [pw[(ell + e) % L] for e in exps]
         es = [sum(map(exps.__getitem__, prefix)) % L for prefix in self.prefixes]
         chis = [pw[e] for e in es]
-
-        def full_rank(block, cols):
-            rows = self.rows(block, cols, alpha, lam_alpha, chis, True, diagonal)
-            return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
-
         for block, cols in todo:
             if block.fp is None:
                 return False
@@ -540,12 +583,38 @@ class _SkewRows:
                 key = (block, tuple(cols), tuple(map(es.__getitem__, block.prefixes)))
                 full = self.verdicts.get(key)
                 if full is None:
-                    full = self.verdicts[key] = full_rank(block, cols)
+                    full = self.verdicts[key] = self.full_rank(
+                        block, cols, alpha, lam_alpha, chis, diagonal
+                    )
             else:
-                full = full_rank(block, cols)
+                full = self.full_rank(block, cols, alpha, lam_alpha, chis, diagonal)
             if not full:
                 return False
         return True
+
+    def full_rank(self, block, cols, alpha, lam_alpha, chis, pruned):
+        """Whether the block's rows mod p over the unknowns cols have full
+        column rank, alpha, lam_alpha and chis given mod p as for rows().
+        A maximal minor that is nonzero mod p is nonzero exactly."""
+        rows = self.rows(block, cols, alpha, lam_alpha, chis, True, pruned)
+        return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
+
+    def fp_values(self, alpha, lam):
+        """(alpha, lam alpha, chis) mod p for the exact scalars alpha and
+        lam at level L, as full_rank reads them, or None when p divides a
+        denominator."""
+        p, omega, L = self.p, self.powers[1], self.L
+        alpha = [fp_image(a, p, omega, L) for a in alpha]
+        lam = fp_image(lam, p, omega, L)
+        if lam is None or None in alpha:
+            return None
+        chis = []
+        for prefix in self.prefixes:
+            c = 1
+            for k in prefix:
+                c = c * alpha[k] % p
+            chis.append(c)
+        return alpha, [lam * a % p for a in alpha], chis
 
 
 def _diagonal_support(exps, ells, L):
@@ -562,6 +631,26 @@ def _diagonal_support(exps, ells, L):
         else [(a, k) for a, e in enumerate(exps) for k in buckets.get((e - ell) % L, ())]
         for ell in ells
     ]
+
+
+def _live_exponents(t, ells, L):
+    """The exponent vectors of product(range(L), repeat=t), in its order,
+    at which _diagonal_support finds some unknown: those with e_a - e_k =
+    ell (mod L) for some a, k and some ell.  Every vector when an ell is
+    None or 0 mod L.  Given the first t - 1 exponents, every last one is
+    live when they hold such a pair, and otherwise only e_a + ell and
+    e_a - ell, e_a among them."""
+    if any(ell is None or ell % L == 0 for ell in ells):
+        yield from product(range(L), repeat=t)
+        return
+    shifts = {s % L for ell in ells for s in (ell, -ell)}
+    for head in product(range(L), repeat=t - 1):
+        if any((a - b) % L in shifts for a, b in combinations(head, 2)):
+            tails = range(L)
+        else:
+            tails = sorted({(e + s) % L for e in head for s in shifts})
+        for e in tails:
+            yield head + (e,)
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +689,35 @@ def _affine_tag(fam):
 def _sweep(pres, lams, cands, level, keep):
     """Families over every lambda and every relation-preserving grouplike
     candidate (perm, exps) at this level: the skew solutions x with
-    keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A diagonal
-    candidate's unknowns at each lambda come from _diagonal_support, and one
-    with none at any lambda has only x = 0 and is dropped first; a permuting
-    candidate keeps every position.  Only then does _PreservationMemo decide
-    the candidate, and only a preserving one reads the tables of its
-    permutation.  A candidate whose system _SkewRows certifies to have
-    kernel 0 is skipped; every other one goes to solve_skew_space."""
+    keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A candidate
+    (perm, None) stands for the whole grid (perm, exps), exps in (Z_L)^t in
+    product order, which the sweep generates itself: for the identity only
+    the vectors of _live_exponents, and for a permutation nothing when
+    _PreservationMemo.refuses it.  A diagonal candidate's unknowns at each
+    lambda come from _diagonal_support, and one with none at any lambda has
+    only x = 0 and is dropped; a permuting candidate keeps every position.
+    Only then does _PreservationMemo decide the candidate, and only a
+    preserving one reads the tables of its permutation.  A candidate whose
+    system _SkewRows certifies to have kernel 0 is skipped; every other one
+    goes to solve_skew_space."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell, or None
     everywhere = [(lam, ell, None) for lam, ell in zip(lams, ells)]
-    identity = tuple(range(pres.ngens))
+    t = pres.ngens
+    identity = tuple(range(t))
+
+    def candidates():
+        for perm, exps in cands:
+            if exps is not None:
+                yield perm, exps
+            elif perm == identity:
+                yield from ((perm, exps) for exps in _live_exponents(t, ells, level))
+            elif everywhere and not preserves.refuses(perm):
+                yield from ((perm, exps) for exps in product(range(level), repeat=t))
+
     found = []
-    for perm, exps in cands:
+    for perm, exps in candidates():
         if perm == identity:
             supports = zip(lams, ells, _diagonal_support(exps, ells, level))
             live = [(lam, ell, positions) for lam, ell, positions in supports if positions != []]
@@ -667,7 +771,7 @@ def enumerate_taft_qplane(k, m, grid: SearchGrid | None = None, algebra="plane")
         v_idx, u_idx = 0, 1
     else:
         raise InputError(f"unknown algebra {algebra!r}")
-    cands = list(_diag_candidates(2, L)) + list(_monomial_candidates(2, L, [(1, 0)]))
+    cands = [((0, 1), None), ((1, 0), None)]
     found = _sweep(pres, primitive_lambdas(L, m), cands, L, _gamma_zero(pres, m, L))
     # inner faithfulness for the rank-one case: x != 0, ord(g) = n
     found = [fam for fam in found if fam.g.order() == n]
@@ -709,10 +813,8 @@ def enumerate_taft_affine(p, m, grid: SearchGrid | None = None):
                     raise InputError("ord(p_ij) must be at least 3")
     grid = grid or SearchGrid(level=lcm(pres.level, m))
     L = lcm(grid.level, lcm(pres.level, m))
-    if grid.g_shape == "diagonal":
-        cands = list(_diag_candidates(t, L))
-    else:
-        cands = list(_monomial_candidates(t, L, list(permutations(range(t)))))
+    perms = [tuple(range(t))] if grid.g_shape == "diagonal" else permutations(range(t))
+    cands = [(perm, None) for perm in perms]
 
     def keep(g, x):
         return (
@@ -1073,22 +1175,32 @@ class CompatResult:
         return obj
 
 
-def compatibility(ai: ParamAction, aj: ParamAction, q=None) -> CompatResult:
+def _degree_one(act: ParamAction, level):
+    """The degree-one operators of act with g lifted to level: G and
+    (label, X) for each part."""
+    g = act.g.lift(level)
+    parts = [(lab, operator_matrix(act.pres, g, 1, part)) for lab, part in act.parts]
+    return operator_matrix(act.pres, g, 1), parts
+
+
+def compatibility(
+    ai: ParamAction, aj: ParamAction, q=None, degree_one=_degree_one
+) -> CompatResult:
     """Solve x_i x_j = zeta x_j x_i, g_i x_j = zeta x_j g_i, g_j x_i = zeta^{-1} x_i g_j.
 
     Returns the unique zeta (= chi_j(g_i)) and the free scalars forced to
     zero, or incompatible; when incompatible because two exact candidates
     differ by a power of q, that exponent is reported as required_unity.
+    degree_one(act, level) gives the degree-one operators (_degree_one's);
+    max_rank passes one that builds them once per action and level.
     """
     if not (ai.pres == aj.pres):
         raise InputError("actions must live on the same presentation")
     level = lcm_all(
         [ai.g.scalars[0].L, aj.g.scalars[0].L, ai.lam.L, aj.lam.L]
     )
-    pres, gi, gj = ai.pres, ai.g.lift(level), aj.g.lift(level)
-    Gi, Gj = operator_matrix(pres, gi, 1), operator_matrix(pres, gj, 1)
-    parts_i = [(lab, operator_matrix(pres, gi, 1, part)) for lab, part in ai.parts]
-    parts_j = [(lab, operator_matrix(pres, gj, 1, part)) for lab, part in aj.parts]
+    Gi, parts_i = degree_one(ai, level)
+    Gj, parts_j = degree_one(aj, level)
 
     # zeta per part from g_j x_i = zeta^-1 x_i g_j and g_i x_j = zeta x_j g_i,
     # and per part pair from x_i x_j = zeta x_j x_i, each read through
@@ -1159,10 +1271,18 @@ def max_rank(actions: list[ParamAction], q=None) -> MaxRankResult:
     """Maximum size of a pairwise-compatible set whose forced-zero constraints
     leave every member's skew matrix nonzero, plus a verified witness."""
     n = len(actions)
+    built = {}
+
+    def degree_one(act, level):
+        key = (id(act), level)
+        if key not in built:
+            built[key] = _degree_one(act, level)
+        return built[key]
+
     compat = {}
     for i in range(n):
         for j in range(i + 1, n):
-            compat[(i, j)] = compatibility(actions[i], actions[j], q)
+            compat[(i, j)] = compatibility(actions[i], actions[j], q, degree_one)
 
     def valid(clique):
         kills = {v: set() for v in clique}

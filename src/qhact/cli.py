@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import qdet as qdet_mod
 from .classify import (
@@ -500,7 +501,10 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on the first main call and kept: parsing
+    leaves no state in it, each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="qhact", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--job", help="JSON job file (omit for suite defaults)")
@@ -508,7 +512,11 @@ def main(argv=None):
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--degree-bound", type=int, dest="degree_bound")
     parser.add_argument("--level", type=int, help="ambient level override")
-    opts = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    opts = _parser().parse_args(argv)
     if opts.workers < 1:
         print(json.dumps({"error": f"--workers must be at least 1, got {opts.workers}"}),
               file=sys.stderr)

@@ -264,7 +264,13 @@ class Cyc:
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
+        """A zero operand returns the other one, at the common level, with
+        its root-of-unity exponent."""
         a, b = self._pair(other)
+        if not any(a.num):
+            return b
+        if not any(b.num):
+            return a
         num = K.add_scaled(a.num, b.num, b.den, a.den)
         return Cyc(a.L, num, a.den * b.den)
 

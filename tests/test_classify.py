@@ -643,6 +643,225 @@ def test_power_scalar_early_answer_matches_power_ratio(grid):
     assert any(nilpotent) == (grid != "weyl-3-4")
 
 
+def _grid_form(cands):
+    """The sweep's grid form of a candidate list: (perm, None) for each
+    permutation, in order of first appearance."""
+    return [(perm, None) for perm in dict.fromkeys(perm for perm, _ in cands)]
+
+
+@pytest.mark.parametrize(
+    "t,L", [(2, 3), (2, 5), (2, 12), (2, 30), (3, 3), (3, 5), (3, 12), (3, 30),
+            (4, 3), (4, 5), (4, 12)],
+)
+def test_live_exponents_are_the_filtered_grid(t, L):
+    """_live_exponents is _diag_candidates filtered by _diagonal_support,
+    in its order: one ell, several, an ell past L, an ell of 0 mod L, and
+    an ell of None."""
+    from qhact.classify import _diag_candidates, _live_exponents
+
+    ells_sets = [[1], [1, L - 1], [L // 3, 2 * L // 3, L + 1], [None, 1], [L], []]
+    for ells in ells_sets:
+        want = [
+            exps for _, exps in _diag_candidates(t, L)
+            if any(s != [] for s in _diagonal_support(exps, ells, L))
+        ]
+        assert list(_live_exponents(t, ells, L)) == want, ells
+        if ells == [1] and t < L:
+            assert 0 < len(want) < L**t
+
+
+def _keys_of(memo, perm):
+    return {key for p, key in memo.verdicts if p == perm}
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_refused_permutations_keep_no_candidate(grid):
+    """The reachable keys are the keys of the exponent grid, each with a
+    representative of that key.  A permutation whose reachable keys all
+    refuse has no candidate in the grid that the per-candidate memo keeps;
+    refuses asks each reachable key once, and the full grid of the
+    permutation reaches no other key."""
+    from itertools import product
+
+    from qhact.classify import _PreservationMemo
+
+    pres, L, _, cands = _prefilter_grid(grid)
+    t = pres.ngens
+    identity = tuple(range(t))
+    per_candidate = _PreservationMemo(pres, L)
+    reps = per_candidate.reachable
+    assert all(per_candidate.key(exps) == key for key, exps in reps.items())
+    if L**t <= 5**4:
+        assert set(reps) == {per_candidate.key(exps) for exps in product(range(L), repeat=t)}
+    keys = {}
+    for perm, _ in _grid_form(cands):
+        if perm == identity:
+            continue
+        memo = _PreservationMemo(pres, L)
+        refused = memo.refuses(perm)
+        reached = _keys_of(memo, perm)
+        for exps in product(range(L), repeat=t):
+            memo(perm, exps)
+        if refused:
+            assert not any(per_candidate(p, exps) for p, exps in cands if p == perm), perm
+            assert _keys_of(memo, perm) == reached, perm
+        keys[perm] = len(_keys_of(memo, perm)), refused
+    # the plane's swap has one key, the Weyl swap L, and each of the five
+    # permutations of affine t = 3 one; all of them refuse
+    want = {
+        "plane-3-4": {(1, 0): (1, True)},
+        "weyl-3-4": {(1, 0): (L, True)},
+        "affine-3-ord5": {
+            perm: (1, True) for perm, _ in _grid_form(cands) if perm != identity
+        },
+    }
+    if grid in want:
+        assert keys == want[grid]
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5"])
+def test_grid_sweep_matches_the_candidate_sweep(grid, monkeypatch):
+    """_sweep over the grid form finds the same families, hands keep the
+    same skew solutions in the same order, keeps the same memo and block
+    verdicts and asks preserves_relations no more often than over the
+    candidate list."""
+    from qhact import classify
+
+    calls = _count_calls(monkeypatch, classify, "preserves_relations")
+    memos = []
+
+    class Memo(classify._PreservationMemo):
+        def __init__(self, *args):
+            super().__init__(*args)
+            memos.append(self)
+
+    monkeypatch.setattr(classify, "_PreservationMemo", Memo)
+    runs = []
+    for form in (list, _grid_form):
+        pres, L, lams, cands = _prefilter_grid(grid)
+        kept = []
+
+        def keep(g, x):
+            kept.append((g.key(), x.eta))
+            return True
+
+        calls[0] = 0
+        found = classify._sweep(pres, lams, form(cands), L, keep)
+        blocks = {
+            (perm, tb.blocks.index(key[0]), key[1], key[2]): v
+            for perm, tb in ((perm, pres._skew_tables[perm, L]) for perm, _ in pres._skew_tables)
+            for key, v in tb.verdicts.items()
+        }
+        families = [(f.lam, f.g, [x.eta for x in f.basis]) for f in found]
+        runs.append((families, kept, memos[-1].verdicts, blocks, calls[0]))
+    (families, kept, verdicts, blocks, before), (families2, kept2, verdicts2, blocks2, after) = runs
+    assert families2 == families and kept2 == kept
+    assert verdicts2 == verdicts and blocks2 == blocks
+    assert after <= before
+    # no candidate of the Weyl grid has a skew solution
+    assert bool(families) == (grid != "weyl-3-4")
+
+
+def test_census_searches_ask_no_more_preservation_checks(monkeypatch):
+    """On the census searches, plane and Weyl at (k, m) in 3..6 and the
+    monomial affine grids at orders 5 and 7, the grid sweep asks
+    preserves_relations no more often than the candidate sweep."""
+    from itertools import permutations
+
+    from qhact import classify
+    from qhact.classify import _diag_candidates, _monomial_candidates, primitive_lambdas
+
+    calls = _count_calls(monkeypatch, classify, "preserves_relations")
+    searches = []
+    for k in range(3, 7):
+        for m in range(3, 7):
+            L = lcm(k, m)
+            cands = list(_diag_candidates(2, L)) + list(_monomial_candidates(2, L, [(1, 0)]))
+            mu = zeta(L, L // k)
+            searches += [(quantum_plane, mu, L, m, cands), (first_weyl, mu, L, m, cands)]
+    for order in (5, 7):
+        cands = list(_monomial_candidates(3, order, permutations(range(3))))
+        searches.append((quantum_affine, generic_affine_p(3, order), order, order, cands))
+    total = [0, 0]
+    for build, arg, L, m, cands in searches:
+        for side, form in enumerate((list, _grid_form)):
+            calls[0] = 0
+            classify._sweep(build(arg), primitive_lambdas(L, m), form(cands), L, lambda g, x: False)
+            total[side] += calls[0]
+            assert side == 0 or calls[0] <= before, (build, L, m)
+            before = calls[0]
+    assert 0 < total[1] <= total[0]
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
+    """solve_skew_space, which skips a block whose rows mod p have full
+    column rank, returns the positions and basis of the exact elimination
+    of every present block, pruned and unpruned, at every lambda on at
+    least 60 candidates spread over the grid; and it skips some block."""
+    from qhact import classify
+    from qhact.classify import _grouplike
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
+    certify = _SkewRows.full_rank
+    with_cert = without = 0
+    for perm, exps in cands[:: max(1, len(cands) // 60)]:
+        g = _grouplike(perm, exps, L)
+        for lam in lams:
+            for unpruned in (False, True):
+                nullspace[0] = 0
+                monkeypatch.setattr(_SkewRows, "full_rank", certify)
+                got = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                with_cert += nullspace[0]
+                nullspace[0] = 0
+                monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
+                want = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                without += nullspace[0]
+                assert got[0] == want[0]
+                assert [x.eta for x in got[1]] == [x.eta for x in want[1]], (perm, exps, lam)
+    assert with_cert < without
+
+
+def test_max_rank_builds_degree_one_once_per_action(monkeypatch):
+    """max_rank's compatibility results, with the degree-one operators
+    built once per action, equal compatibility's own for every pair of
+    the O_q(M_3) families."""
+    from qhact import classify
+
+    q = zeta(5)
+    actions = all_matrix_families(3, q)
+    built = _count_calls(monkeypatch, classify, "_degree_one")
+    seen = {}
+    real = classify.compatibility
+
+    def recording(ai, aj, q=None, *args):
+        res = real(ai, aj, q, *args)
+        seen[actions.index(ai), actions.index(aj)] = res
+        return res
+
+    monkeypatch.setattr(classify, "compatibility", recording)
+    res = max_rank(actions, q)
+    assert res.theta == 4
+    n = len(actions)
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    assert built[0] == n
+    for (i, j), got in seen.items():
+        assert got == real(actions[i], actions[j], q), (i, j)
+
+
 def _peel_oracle_tables():
     """The tables of every grid, and of O_q(M_3) with the transpose at L = 3."""
     out = []

@@ -659,3 +659,28 @@ def test_report_text_matches_json_dumps():
         with pytest.raises(TypeError) as got:
             report_text(bad)
         assert str(got.value) == str(want.value)
+
+
+def test_parser_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; each call still gets only its
+    # own flags, and the usage and the exit-2 contract are unchanged
+    from qhact import cli
+
+    seen = []
+
+    def recording(job, opts):
+        seen.append(opts)
+        return {}, 0
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", recording)
+    job = write_job(tmp_path, "v.json", {})
+    assert run_cli(capsys, "verify", "--job", job, "--json", "--degree-bound", "3", "--level", "5")[0] == 0
+    assert run_cli(capsys, "verify", "--job", job)[0] == 0
+    first, second = seen
+    assert (first.degree_bound, first.level, first.json) == (3, 5, True)
+    assert (second.degree_bound, second.level, second.json, second.workers) == (None, None, False, 1)
+    assert first is not second and cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--degree-bound", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: qhact [-h] [--job JOB] [--json]")

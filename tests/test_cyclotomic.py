@@ -333,3 +333,30 @@ def test_root_products_read_the_table():
     assert (zeta(5) + 1)._exp == -2
     assert (zeta(5) + 1).mult_order() is None
     assert root_of_unity(12, -5)._exp == 7 and root_of_unity(9, 4)._exp == 8
+
+
+def test_adding_zero_returns_the_other_operand(monkeypatch):
+    # 0 + x is x at the common level, with its exponent slot, so the trace
+    # series of one root of unity is its powers, each read from the table
+    from qhact import _kernel
+    from qhact.invariants import trace_series_product
+
+    z = zeta(5, 2)
+    for total in (Cyc.zero(5) + z, z + Cyc.zero(5), 0 + z, z + 0):
+        assert total == z and total.L == 5 and total._exp == z._exp >= 0
+    for total in (Cyc.zero(15) + z, z + Cyc.zero(3)):
+        assert total == z.lift(15) and total.L == 15
+        assert total._exp == z.lift(15)._exp >= 0
+    assert (Cyc.zero(4) + Cyc.zero(6)).L == 12 and (Cyc.zero(4) + Cyc.zero(6)).is_zero()
+    lam = zeta(7, 3)
+    want = [lam**d for d in range(13)]
+    calls = [0]
+    real = _kernel.conv_reduce
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(_kernel, "conv_reduce", counted)
+    assert trace_series_product([lam], [1], 12) == want
+    assert calls[0] == 0
