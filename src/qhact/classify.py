@@ -11,17 +11,17 @@ mode is kept as the ground-truth oracle for small cases.
 
 The skew system has one builder, _SkewRows: normal-form tables made once
 per (presentation, permutation, level), which hold each coefficient exactly
-and mod a prime p = 1 (mod L).  Before the exact solver, the sweep passes
-each candidate through two filters.  Whether g preserves the relations
-depends only on its permutation and on the exponent differences within each
-relation, so it is decided once per such key, exactly.  The system is then
-read from the tables mod p and its rank taken over F_p (multimodular linear
-algebra, W. Stein, Modular Forms: A Computational Approach, AMS 2007).  That
-certificate is one-sided: full column rank mod p proves the kernel over
-Q(zeta_L) is 0, and only then is the candidate skipped.  Every other
-candidate goes to the exact solver, which reads the same tables exactly and
-decides every reported family; it too skips a block that has full column
-rank mod p, and eliminates every other block exactly.
+and mod a prime p = 1 (mod L).  Whether g preserves the relations depends
+only on its permutation and on the exponent differences within each
+relation, so the sweep decides it once per such key, exactly, and hands
+each preserving candidate to the one solver, solve_skew_space, with g and
+lambda as exponents of zeta_L.  The solver reads each block of the system
+from the tables mod p and takes its rank over F_p (multimodular linear
+algebra, W. Stein, Modular Forms: A Computational Approach, AMS 2007).
+That certificate is one-sided: full column rank mod p proves the block's
+kernel over Q(zeta_L) is 0, and only then is the block skipped.  Every
+other block is eliminated at once from the same tables read exactly, which
+decides every reported family.
 
 The system is block diagonal.  The relations of k_p[u_1..u_t] and O_q(M_N)
 are homogeneous for a grading (Z^t, or rows and columns Z^N x Z^N; K. Brown
@@ -29,14 +29,14 @@ and K. Goodearl, Lectures on Algebraic Quantum Groups, 2002, I.1), and the
 unit eta at (a, k) moves degree by deg u_a - deg u_k, so two unknowns share
 an equation only when their shifts match.  _SkewRows finds the blocks from
 its table, not from the grading: positions that share a row are joined by
-union-find.  The certificate and the exact solver both work one block at a
-time, and each block is presolved once, when the tables are built: a row
-whose one remaining position has a single term c chi_g(prefix), c != 0,
-forces that position to 0, so it is removed, and so on (singleton-row
-presolve).  A block that this empties has full column rank for every g and
-is never checked.  For a diagonal g a block's rows mod p depend on g only
-through the exponents of chi_g at its prefixes, so its verdict is kept
-under those exponents and its present positions.
+union-find.  The solver works one block at a time, and each block is
+presolved once, when the tables are built: a row whose one remaining
+position has a single term c chi_g(prefix), c != 0, forces that position
+to 0, so it is removed, and so on (singleton-row presolve).  A block that
+this empties has full column rank for every g and is never checked.  For a
+diagonal g a block's rows mod p depend on g only through the exponents of
+chi_g at its prefixes, so its verdict is kept under those exponents and its
+present positions.
 
 On a whole exponent grid (Z_L)^t the sweep generates only the diagonal
 candidates that can carry an x != 0: those with e_a - e_k = ell (mod L)
@@ -68,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
-from itertools import combinations, permutations, product, zip_longest
+from itertools import combinations, permutations, product, repeat, zip_longest
 from math import gcd
 
 from . import linalg
@@ -81,6 +81,7 @@ from .cyclotomic import (
     lcm,
     lcm_all,
     root_of_unity,
+    root_table,
 )
 from .hopf import (
     AbelianGroup,
@@ -153,64 +154,72 @@ def spans_equal(skews_a, skews_b, t):
 # the core linear solver
 
 
-def solve_skew_space(
-    pres: Presentation, g: GrouplikeAction, lam: Cyc, level=None, unpruned=False
-):
-    """Kernel basis of the linear system a skew matrix must satisfy.
+def solve_skew_space(pres: Presentation, perm, exps, ell, level, positions=None, unpruned=False):
+    """Kernel basis of the linear system a skew matrix must satisfy, for the
+    grouplike u_k -> zeta_L^exps[k] u_perm[k] at lam = zeta_L^ell, L = level.
 
     Unknowns are the entries of eta.  Equations: the degree-one identity
     g x = lam x g, and the vanishing of x on every defining relation, as
     _SkewRows.rows builds them, block by block, from the tables of
-    (pres, g.perm, level).  A diagonal g restricts the unknowns to the
-    positions that identity allows unless `unpruned` is set; otherwise every
-    position is an unknown and the identity enters as rows.  A block that
-    peels has kernel 0 and is skipped, and so is one whose rows mod p have
-    full column rank (_SkewRows.full_rank, the certificate of zero_kernel);
-    each other present block is eliminated exactly on its own.  The RREF of
-    a block diagonal matrix is the union of its blocks' RREFs, so ordering the
+    (pres, perm, L).  A diagonal g restricts the unknowns to positions, by
+    default those of _diagonal_support, unless `unpruned` is set; otherwise
+    every position is an unknown and the identity enters as rows.
+
+    One pass over the blocks that hold an unknown and do not peel: a block
+    whose rows mod p have full column rank (_SkewRows.full_rank) has kernel
+    0 and is skipped, since a maximal minor that is nonzero mod p is nonzero
+    over Q(zeta_L); a pruned keyed block keeps that verdict in
+    _SkewRows.verdicts.  Every other block is eliminated exactly on its own,
+    with its scalars read from the same exponents.  The RREF of a block
+    diagonal matrix is the union of its blocks' RREFs, so ordering the
     blocks' kernel vectors by free column gives the basis of the whole
     system.  Returns (positions, basis) where positions orders the unknowns
     and basis is a list of SkewAction kernel vectors (empty when only
     x = 0).
     """
-    t = pres.ngens
-    level = level or lcm_all([pres.level, lam.L] + [s.L for s in g.scalars])
-    lam = lam.lift(level)
-    alpha = g.lift(level).scalars
-    lam_alpha = [lam * a for a in alpha]
-    one = Cyc.one(level)
-    chars = {(): one}
-
-    def chi(prefix):
-        c = chars.get(prefix)
-        if c is None:
-            c = chars[prefix] = chi(prefix[:-1]) * alpha[prefix[-1]]
-        return c
-
-    tables = _SkewRows.of(pres, g.perm, level)
-    pruned = g.is_diagonal() and not unpruned
-    if pruned:
-        positions = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
-    else:
-        positions = list(tables.positions)
-    chis = [chi(prefix) for prefix in tables.prefixes]
-    fp = tables.fp_values(alpha, lam)
+    t, L = pres.ngens, level
+    tables = _SkewRows.of(pres, perm, L)
+    pruned = tables.diagonal and not unpruned
+    if positions is None:
+        positions = _diagonal_support(exps, [ell], L)[0] if pruned else list(tables.positions)
+    todo = tables.present(positions)
+    if not todo:
+        return positions, []
+    es = [sum(map(exps.__getitem__, prefix)) % L for prefix in tables.prefixes]
+    pw = tables.powers
+    fp = None, None, [pw[e] for e in es]
+    if not pruned:  # the identity's rows enter, reading alpha and lam alpha
+        fp = [pw[e] for e in exps], [pw[(ell + e) % L] for e in exps], fp[2]
+    exact = None
     found = []
-    for block, cols in tables.present(positions):
-        if fp is not None and block.fp is not None and tables.full_rank(block, cols, *fp, pruned):
-            continue
+    for block, cols in todo:
+        if block.fp is not None:
+            if pruned and block.keyed:
+                key = (block, tuple(cols), tuple(map(es.__getitem__, block.prefixes)))
+                full = tables.verdicts.get(key)
+                if full is None:
+                    full = tables.verdicts[key] = tables.full_rank(block, cols, *fp, pruned)
+            else:
+                full = tables.full_rank(block, cols, *fp, pruned)
+            if full:
+                continue
+        if exact is None:
+            # zeta_L^e is the shared root zeta_M^(e M / L), M = unit_level(L)
+            roots = root_table(L)[0]
+            step = len(roots) // L
+            exact = [[roots[e % L * step] for e in v] for v in (exps, [ell + e for e in exps], es)]
         # the sparse contract: entries that cancel are not stored
         rows = []
-        for _, row in tables.rows(block, cols, alpha, lam_alpha, chis, False, pruned):
+        for _, row in tables.rows(block, cols, *exact, False, pruned):
             row = {c: v for c, v in row.items() if not v.is_zero()}
             if row:
                 rows.append(row)
         order = list(cols)
-        for vec in linalg.nullspace(rows, len(order), level):
+        for vec in linalg.nullspace(rows, len(order), L):
             # the free column is the last: a pivot row is 0 left of its lead
             found.append((order[max(vec)], {order[c]: v for c, v in vec.items()}))
     found.sort(key=lambda fv: fv[0])
-    return positions, [eta_from_entries(t, entries, level) for _, entries in found]
+    return positions, [eta_from_entries(t, entries, L) for _, entries in found]
 
 
 def solve_power_scalar(pres, g: GrouplikeAction, x: SkewAction, m, level):
@@ -267,8 +276,7 @@ def _rank_one_candidates(N, L, tau=False):
 
 
 # ---------------------------------------------------------------------------
-# the sweep's prefilter: an exact preservation memo and a zero-kernel
-# certificate mod p
+# the sweep's preservation memo and the skew system's tables
 
 
 class _PreservationMemo:
@@ -350,7 +358,7 @@ class _Block:
     alpha[i] at pos1 minus lam alpha[c] at pos2.  peels marks a block that
     singleton-row presolve empties: it has full column rank for every g and
     every set of present positions, so neither field is asked.  keyed marks
-    a block whose verdicts zero_kernel keeps."""
+    a block whose verdicts solve_skew_space keeps."""
 
     __slots__ = ("positions", "prefixes", "exact", "fp", "identity", "peels", "keyed")
 
@@ -411,15 +419,15 @@ class _SkewRows:
 
     For a diagonal g the F_p rows of a block over its present columns are
     sums of c omega^E(prefix), E the exponent sum of g's scalars over the
-    prefix, so zero_kernel keeps each verdict in verdicts under (block, its
-    present positions in column order, E(prefix) mod L for each of the
-    block's prefixes): _PreservationMemo's rule, applied to the rank.  It
-    keeps them only for a keyed block, one that lacks some one-letter
-    prefix (k,).  A block with all of them reads every exponent of g, and
-    its present positions at two lambdas are disjoint, so one sweep never
-    meets its key twice: every non-peeling block of O_q(M_3) and O_q(M_4),
-    where no key would repeat.  The single positions of k_p[u_1..u_t],
-    which read t - 1 letters, are keyed."""
+    prefix, so solve_skew_space keeps each pruned verdict in verdicts under
+    (block, its present positions in column order, E(prefix) mod L for each
+    of the block's prefixes): _PreservationMemo's rule, applied to the
+    rank.  It keeps them only for a keyed block, one that lacks some
+    one-letter prefix (k,).  A block with all of them reads every exponent
+    of g, and its present positions at two lambdas are disjoint, so one
+    sweep never meets its key twice: every non-peeling block of O_q(M_3)
+    and O_q(M_4), where no key would repeat.  The single positions of
+    k_p[u_1..u_t], which read t - 1 letters, are keyed."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
@@ -559,39 +567,6 @@ class _SkewRows:
             if entries:
                 yield row, entries
 
-    def zero_kernel(self, exps, ell, positions):
-        """True when the system of (perm, exps) at lam = zeta_L^ell, with
-        the unknowns positions (every position for a permuting g, and for a
-        diagonal one those of _diagonal_support), has full column rank block
-        by block: each present block peels or has full column rank mod p.
-        A maximal minor that is nonzero mod p is nonzero over Q(zeta_L), so
-        the exact kernel is 0.  False certifies nothing."""
-        todo = self.present(positions)
-        if not todo:
-            return True
-        L, pw, diagonal = self.L, self.powers, self.diagonal
-        alpha = lam_alpha = None  # the identity's rows enter for a permuting g only
-        if not diagonal:
-            alpha = [pw[e] for e in exps]
-            lam_alpha = [pw[(ell + e) % L] for e in exps]
-        es = [sum(map(exps.__getitem__, prefix)) % L for prefix in self.prefixes]
-        chis = [pw[e] for e in es]
-        for block, cols in todo:
-            if block.fp is None:
-                return False
-            if diagonal and block.keyed:
-                key = (block, tuple(cols), tuple(map(es.__getitem__, block.prefixes)))
-                full = self.verdicts.get(key)
-                if full is None:
-                    full = self.verdicts[key] = self.full_rank(
-                        block, cols, alpha, lam_alpha, chis, diagonal
-                    )
-            else:
-                full = self.full_rank(block, cols, alpha, lam_alpha, chis, diagonal)
-            if not full:
-                return False
-        return True
-
     def full_rank(self, block, cols, alpha, lam_alpha, chis, pruned):
         """Whether the block's rows mod p over the unknowns cols have full
         column rank, alpha, lam_alpha and chis given mod p as for rows().
@@ -599,36 +574,18 @@ class _SkewRows:
         rows = self.rows(block, cols, alpha, lam_alpha, chis, True, pruned)
         return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
 
-    def fp_values(self, alpha, lam):
-        """(alpha, lam alpha, chis) mod p for the exact scalars alpha and
-        lam at level L, as full_rank reads them, or None when p divides a
-        denominator."""
-        p, omega, L = self.p, self.powers[1], self.L
-        alpha = [fp_image(a, p, omega, L) for a in alpha]
-        lam = fp_image(lam, p, omega, L)
-        if lam is None or None in alpha:
-            return None
-        chis = []
-        for prefix in self.prefixes:
-            c = 1
-            for k in prefix:
-                c = c * alpha[k] % p
-            chis.append(c)
-        return alpha, [lam * a % p for a in alpha], chis
-
 
 def _diagonal_support(exps, ells, L):
     """For each ell, the positions (a, k) with exps[a] - exps[k] = ell
     (mod L), in (a, k) order: the unknowns of the diagonal grouplike
-    u_k -> zeta_L^exps[k] u_k at lam = zeta_L^ell (None for an ell that is
-    None).  A bucket join: the letters grouped by exponent, then for each a
-    the k in bucket[(exps[a] - ell) mod L]."""
+    u_k -> zeta_L^exps[k] u_k at lam = zeta_L^ell.  A bucket join: the
+    letters grouped by exponent, then for each a the k in
+    bucket[(exps[a] - ell) mod L]."""
     buckets: dict[int, list] = {}
     for k, e in enumerate(exps):
         buckets.setdefault(e % L, []).append(k)
     return [
-        None if ell is None
-        else [(a, k) for a, e in enumerate(exps) for k in buckets.get((e - ell) % L, ())]
+        [(a, k) for a, e in enumerate(exps) for k in buckets.get((e - ell) % L, ())]
         for ell in ells
     ]
 
@@ -637,10 +594,10 @@ def _live_exponents(t, ells, L):
     """The exponent vectors of product(range(L), repeat=t), in its order,
     at which _diagonal_support finds some unknown: those with e_a - e_k =
     ell (mod L) for some a, k and some ell.  Every vector when an ell is
-    None or 0 mod L.  Given the first t - 1 exponents, every last one is
-    live when they hold such a pair, and otherwise only e_a + ell and
-    e_a - ell, e_a among them."""
-    if any(ell is None or ell % L == 0 for ell in ells):
+    0 mod L.  Given the first t - 1 exponents, every last one is live when
+    they hold such a pair, and otherwise only e_a + ell and e_a - ell, e_a
+    among them."""
+    if any(ell % L == 0 for ell in ells):
         yield from product(range(L), repeat=t)
         return
     shifts = {s % L for ell in ells for s in (ell, -ell)}
@@ -697,13 +654,11 @@ def _sweep(pres, lams, cands, level, keep):
     lambda come from _diagonal_support, and one with none at any lambda has
     only x = 0 and is dropped; a permuting candidate keeps every position.
     Only then does _PreservationMemo decide the candidate, and only a
-    preserving one reads the tables of its permutation.  A candidate whose
-    system _SkewRows certifies to have kernel 0 is skipped; every other one
-    goes to solve_skew_space."""
+    preserving one reads the tables of its permutation.  solve_skew_space
+    solves each live (candidate, lambda) in one pass over its blocks."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
-    ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell, or None
-    everywhere = [(lam, ell, None) for lam, ell in zip(lams, ells)]
+    ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell
     t = pres.ngens
     identity = tuple(range(t))
 
@@ -713,26 +668,23 @@ def _sweep(pres, lams, cands, level, keep):
                 yield perm, exps
             elif perm == identity:
                 yield from ((perm, exps) for exps in _live_exponents(t, ells, level))
-            elif everywhere and not preserves.refuses(perm):
+            elif not preserves.refuses(perm):
                 yield from ((perm, exps) for exps in product(range(level), repeat=t))
 
     found = []
     for perm, exps in candidates():
-        if perm == identity:
-            supports = zip(lams, ells, _diagonal_support(exps, ells, level))
-            live = [(lam, ell, positions) for lam, ell, positions in supports if positions != []]
-        else:
-            live = everywhere
-        if not live or not preserves(perm, exps):
+        diagonal = perm == identity
+        supports = _diagonal_support(exps, ells, level) if diagonal else None
+        if (diagonal and not any(supports)) or not preserves(perm, exps):
             continue
         tables = _SkewRows.of(pres, perm, level)
-        for lam, ell, positions in live:
-            if positions is None:
-                positions = tables.positions
-            if ell is not None and tables.zero_kernel(exps, ell, positions):
+        for lam, ell, positions in zip(lams, ells, supports or repeat(tables.positions)):
+            if not positions:
+                continue
+            _, basis = solve_skew_space(pres, perm, exps, ell, level, positions)
+            if not basis:
                 continue
             g = _grouplike(perm, exps, level)
-            _, basis = solve_skew_space(pres, g, lam, level)
             kept = [x for x in basis if keep(g, x)]
             if kept:
                 parts = tuple((f"p{i}", x) for i, x in enumerate(kept))

@@ -11,8 +11,8 @@ solved for an unknown one, is read through `s_ratio`.
 
 Kernels are computed by exact row reduction; ranks and dimensions are
 exact integers by construction.  `rank_mod` is the one routine over F_p: it
-takes rows of integers, reduces them mod p itself, and serves the search's
-zero-kernel certificate.
+takes rows of integers, reduces them mod p itself, and serves the skew
+solver's block certificate.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 
-from .cyclotomic import Cyc, lcm, root_of_unity, zeta
+from .cyclotomic import Cyc, as_q_power, lcm, root_of_unity, zeta
 from . import linalg, qdet
 from .classify import (
     SUPPORT_CAP,
@@ -313,12 +313,13 @@ def _affine_search_with_oracle(p, m, sample_stride=7):
     t = pres.ngens
     L = lcm(pres.level, m)
     lams = primitive_lambdas(L, m)
+    ells = [as_q_power(lam, root_of_unity(L, 1)) for lam in lams]
     for count, (perm, exps) in enumerate(_diag_candidates(t, L), 1):
         if count % sample_stride:
             continue
         g = _grouplike(perm, exps, L)
-        for lam in lams:
-            _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
+        for lam, ell in zip(lams, ells):
+            _, unpruned = solve_skew_space(pres, perm, exps, ell, L, unpruned=True)
             matching = [f for f in fams if f.lam == lam and f.g == g]
             pruned = list(matching[0].basis) if matching else []
             if unpruned and not pruned:

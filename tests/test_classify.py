@@ -176,7 +176,7 @@ def test_matrix_max_rank_component_tags():
 
 
 def test_skew_support_examples():
-    # the same support rule on exponents, as zero_kernel and the sweep apply
+    # the support rule on exponents, as the sweep and solve_skew_space apply
     # it: (a, k) stays when alpha_a = lam alpha_k, i.e. e_a - e_k = ell mod L
     def support(exps, ell, L):
         return _diagonal_support(exps, [ell], L)[0]
@@ -184,30 +184,28 @@ def test_skew_support_examples():
     plane = quantum_plane(zeta(5))
     # mu = w, lam = w^2, lam^-1 mu = w^4
     assert support([1, 4], 2, 5) == [(0, 1)]
-    # the x = 0 kernel is not certified where the exact kernel is nonzero
-    assert not _SkewRows.of(plane, (0, 1), 5).zero_kernel([1, 4], 2, [(0, 1)])
+    # the x = 0 kernel is not certified where the exact kernel is nonzero: a
+    # certified block would be skipped and leave no basis vector
+    assert solve_skew_space(plane, (0, 1), (1, 4), 2, 5, [(0, 1)])[1] != []
     assert support([0, 1], 0, 5) == [(0, 0), (1, 1)]
     # at level 40: zeta_8 = w^5, alpha = zeta_8^3 = w^15
     assert support([15, 20, 25], 5, 40) == [(1, 0), (2, 1)]
-    assert _diagonal_support([0, 1], [None, 3], 5) == [None, []]
+    assert _diagonal_support([0, 1], [3, 1], 5) == [[], [(1, 0)]]
 
 
 def test_solve_skew_space_positions():
-    # a diagonal g keeps the positions (a, k) with alpha_a = lam alpha_k
-    mu, lam = zeta(5), zeta(5, 2)
-    pres = quantum_plane(mu)
-    g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
-    positions, basis = solve_skew_space(pres, g, lam)
+    # a diagonal g keeps the positions (a, k) with alpha_a = lam alpha_k;
+    # mu = w = zeta_5, lam = w^2 and lam^-1 mu = w^4
+    pres = quantum_plane(zeta(5))
+    positions, basis = solve_skew_space(pres, (0, 1), (1, 4), 2, 5)
     assert positions == [(0, 1)]
     assert len(basis) == 1
-    one = Cyc.one(5)
-    g_id = GrouplikeAction.diagonal([one, mu])
-    assert solve_skew_space(pres, g_id, one)[0] == [(0, 0), (1, 1)]
-    lam4 = zeta(8)
-    alpha = zeta(8, 3)
-    g3 = GrouplikeAction.diagonal([alpha, lam4 * alpha, lam4 * lam4 * alpha])
+    # g = (1, mu) at lam = 1
+    assert solve_skew_space(pres, (0, 1), (0, 1), 0, 5)[0] == [(0, 0), (1, 1)]
+    # at level 40: lam = zeta_8 = w^5 and alpha = zeta_8^3 = w^15, so g is
+    # (alpha, lam alpha, lam^2 alpha)
     pres3 = quantum_affine(generic_affine_p(3, 5))
-    assert solve_skew_space(pres3, g3, lam4)[0] == [(1, 0), (2, 1)]
+    assert solve_skew_space(pres3, (0, 1, 2), (15, 20, 25), 5, 40)[0] == [(1, 0), (2, 1)]
 
 
 def test_affine_pair_family_alpha_rule():
@@ -303,22 +301,20 @@ def test_unpruned_solver_spans_pruned(grid):
     from itertools import product
     from math import gcd
 
-    from qhact.cyclotomic import root_of_unity
-
     if grid == "plane-3-4":
         L, m, t = 12, 4, 2
         pres = quantum_plane(zeta(3).lift(L))
     else:
         L, m, t = 5, 5, 3
         pres = quantum_affine(generic_affine_p(3, 5))
-    lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
+    ells = [(L // m) * j for j in range(1, m) if gcd(j, m) == 1]
+    identity = tuple(range(t))
     nonzero = 0
     for exps in product(range(L), repeat=t):
-        g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
-        for lam in lams:
-            _, pruned = solve_skew_space(pres, g, lam, L)
-            _, unpruned = solve_skew_space(pres, g, lam, L, unpruned=True)
-            assert spans_equal(unpruned, pruned, t), (exps, lam)
+        for ell in ells:
+            _, pruned = solve_skew_space(pres, identity, exps, ell, L)
+            _, unpruned = solve_skew_space(pres, identity, exps, ell, L, unpruned=True)
+            assert spans_equal(unpruned, pruned, t), (exps, ell)
             nonzero += bool(pruned)
     assert nonzero > 0
 
@@ -358,8 +354,8 @@ GRIDS = ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau", "m3-ord3"]
 
 
 def _unknowns(tables, exps, ells):
-    """The unknowns zero_kernel is given at each ell, as the sweep finds
-    them: every position for a permuting g, _diagonal_support otherwise."""
+    """The unknowns the sweep hands solve_skew_space at each ell: every
+    position for a permuting g, _diagonal_support otherwise."""
     if not tables.diagonal:
         return [tables.positions for _ in ells]
     return _diagonal_support(exps, ells, tables.L)
@@ -389,10 +385,13 @@ def test_bucket_join_matches_the_differences(grid):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
-def test_sweep_prefilter_is_sound(grid):
+def test_sweep_prefilter_is_sound(grid, monkeypatch):
     """On every candidate of the grid and every lambda, the sweep's
-    preservation memo gives the verdict of preserves_relations, and a zero
-    kernel certified mod p is a zero kernel of the exact solver."""
+    preservation memo gives the verdict of preserves_relations, and a
+    system that solve_skew_space certifies mod p block by block, calling
+    nullspace on no block, has a zero kernel when every block is eliminated
+    exactly."""
+    from qhact import classify
     from qhact.classify import (
         _grouplike,
         _PreservationMemo,
@@ -403,20 +402,23 @@ def test_sweep_prefilter_is_sound(grid):
     pres, L, lams, cands = _prefilter_grid(grid)
     ells = [as_q_power(lam, root_of_unity(L, 1)) for lam in lams]
     memo = _PreservationMemo(pres, L)
-    tables = {}
+    nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
+    certify = _SkewRows.full_rank
     certified = uncertified = 0
     for perm, exps in cands:
         g = _grouplike(perm, exps, L)
         assert memo(perm, exps) == preserves_relations(pres, g), (perm, exps)
-        if perm not in tables:
-            tables[perm] = _SkewRows(pres, perm, L)
-        unknowns = _unknowns(tables[perm], exps, ells)
-        for lam, ell, positions in zip(lams, ells, unknowns):
-            if tables[perm].zero_kernel(exps, ell, positions):
-                certified += 1
-                assert solve_skew_space(pres, g, lam, L)[1] == [], (perm, exps, lam)
-            else:
+        unknowns = _unknowns(_SkewRows.of(pres, perm, L), exps, ells)
+        for ell, positions in zip(ells, unknowns):
+            nullspace[0] = 0
+            monkeypatch.setattr(_SkewRows, "full_rank", certify)
+            solve_skew_space(pres, perm, exps, ell, L, positions)
+            if nullspace[0]:
                 uncertified += 1
+                continue
+            certified += 1
+            monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
+            assert solve_skew_space(pres, perm, exps, ell, L, positions)[1] == [], (perm, exps, ell)
     assert len(memo.verdicts) < len(cands)
     assert certified > 0 and uncertified > 0
 
@@ -507,25 +509,29 @@ def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
 
 @pytest.mark.parametrize("grid", GRIDS)
 def test_blocks_match_the_whole_system(grid, monkeypatch):
-    """On every candidate of the grid and every lambda, the block
-    certificate gives the verdict of rank_mod on the whole system; on every
-    uncertified candidate the block-wise exact solver returns the positions
-    and basis, in order, of nullspace on the whole system, pruned and
-    unpruned; and an empty diagonal support leaves only x = 0.  The
-    certificate asks rank_mod no more often than with its verdicts
-    forgotten, and on the affine grid less often."""
+    """On every candidate of the grid and every lambda, solve_skew_space
+    certifies every block mod p, calling nullspace on none, exactly when
+    rank_mod gives the whole system full column rank; on every uncertified
+    candidate the block-wise solver returns the positions and basis, in
+    order, of nullspace on the whole system, pruned and unpruned; and an
+    empty diagonal support leaves only x = 0.  The keyed verdicts ask
+    rank_mod no more often than with them forgotten, and on the affine grid
+    less often."""
+    from qhact import classify
     from qhact.classify import _grouplike
     from qhact.cyclotomic import as_q_power, fp_image
     from qhact.hopf import eta_from_entries
 
-    calls = [0]
-    rank_mod = linalg.rank_mod
+    rank_mod, nullspace = linalg.rank_mod, linalg.nullspace
+    calls = _count_calls(monkeypatch, classify.linalg, "rank_mod")
+    eliminated = _count_calls(monkeypatch, classify.linalg, "nullspace")
 
-    def counted(rows, ncols, p):
-        calls[0] += 1
-        return rank_mod(rows, ncols, p)
+    def certifies(perm, exps, ell, positions):
+        """Whether solve_skew_space skips every block it is given."""
+        eliminated[0] = 0
+        solve_skew_space(pres, perm, exps, ell, L, positions)
+        return eliminated[0] == 0
 
-    monkeypatch.setattr(linalg, "rank_mod", counted)
     pres, L, lams, cands = _prefilter_grid(grid)
     t = pres.ngens
     one = Cyc.one(L)
@@ -533,7 +539,7 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
     tables = {}
     uncertified = empty = cached = fresh = 0
     for perm, exps in cands:
-        tb = tables.get(perm) or tables.setdefault(perm, _SkewRows(pres, perm, L))
+        tb = tables.get(perm) or tables.setdefault(perm, _SkewRows.of(pres, perm, L))
         assert all(block.fp is not None for block in tb.blocks)
         p, pw = tb.p, tb.powers
         g = _grouplike(perm, exps, L)
@@ -547,11 +553,11 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
 
         for lam, ell, positions in zip(lams, ells, _unknowns(tb, exps, ells)):
             calls[0] = 0
-            verdict = tb.zero_kernel(exps, ell, positions)
+            verdict = certifies(perm, exps, ell, positions)
             cached += calls[0]
             kept, tb.verdicts = tb.verdicts, {}
             calls[0] = 0
-            assert tb.zero_kernel(exps, ell, positions) == verdict
+            assert certifies(perm, exps, ell, positions) == verdict
             fresh += calls[0]
             tb.verdicts = kept
             fp_alpha = [pw[e] for e in exps]
@@ -584,10 +590,10 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
                     True,
                 )
                 want = rank_mod(rows, n - 1, p) == n - 1
-                assert tb.zero_kernel(exps, ell, sub) == want, (perm, exps, ell, sub)
+                assert certifies(perm, exps, ell, sub) == want, (perm, exps, ell, sub)
             if not positions:
                 empty += 1
-                assert solve_skew_space(pres, g, lam, L) == ([], [])
+                assert solve_skew_space(pres, perm, exps, ell, L) == ([], [])
             if verdict:
                 continue
             uncertified += 1
@@ -599,9 +605,9 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
                     cols = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
                 rows = _whole_system(tb, cols, alpha, lam_alpha, chi, lambda v: v, pruned)
                 rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
-                kernel = linalg.nullspace([row for row in rows if row], len(cols), L)
+                kernel = nullspace([row for row in rows if row], len(cols), L)
                 want = [eta_from_entries(t, {cols[c]: v for c, v in vec.items()}, L) for vec in kernel]
-                got_cols, got = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                got_cols, got = solve_skew_space(pres, perm, exps, ell, L, unpruned=unpruned)
                 assert got_cols == cols
                 assert [x.eta for x in got] == [x.eta for x in want], (perm, exps, ell, unpruned)
     assert uncertified > 0
@@ -655,11 +661,10 @@ def _grid_form(cands):
 )
 def test_live_exponents_are_the_filtered_grid(t, L):
     """_live_exponents is _diag_candidates filtered by _diagonal_support,
-    in its order: one ell, several, an ell past L, an ell of 0 mod L, and
-    an ell of None."""
+    in its order: one ell, several, an ell past L and an ell of 0 mod L."""
     from qhact.classify import _diag_candidates, _live_exponents
 
-    ells_sets = [[1], [1, L - 1], [L // 3, 2 * L // 3, L + 1], [None, 1], [L], []]
+    ells_sets = [[1], [1, L - 1], [L // 3, 2 * L // 3, L + 1], [L], []]
     for ells in ells_sets:
         want = [
             exps for _, exps in _diag_candidates(t, L)
@@ -812,27 +817,45 @@ def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
     of every present block, pruned and unpruned, at every lambda on at
     least 60 candidates spread over the grid; and it skips some block."""
     from qhact import classify
-    from qhact.classify import _grouplike
+    from qhact.cyclotomic import as_q_power
 
     pres, L, lams, cands = _prefilter_grid(grid)
     nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
+    ells = [as_q_power(lam, zeta(L)) for lam in lams]
     certify = _SkewRows.full_rank
     with_cert = without = 0
     for perm, exps in cands[:: max(1, len(cands) // 60)]:
-        g = _grouplike(perm, exps, L)
-        for lam in lams:
+        for ell in ells:
             for unpruned in (False, True):
                 nullspace[0] = 0
                 monkeypatch.setattr(_SkewRows, "full_rank", certify)
-                got = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                got = solve_skew_space(pres, perm, exps, ell, L, unpruned=unpruned)
                 with_cert += nullspace[0]
                 nullspace[0] = 0
                 monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
-                want = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                want = solve_skew_space(pres, perm, exps, ell, L, unpruned=unpruned)
                 without += nullspace[0]
                 assert got[0] == want[0]
-                assert [x.eta for x in got[1]] == [x.eta for x in want[1]], (perm, exps, lam)
+                assert [x.eta for x in got[1]] == [x.eta for x in want[1]], (perm, exps, ell)
     assert with_cert < without
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_sweep_certificate_keeps_the_families(grid, monkeypatch):
+    """_sweep finds the same families, in the same order, with the same
+    lambda, g and basis, when the F_p certificate certifies nothing and
+    every block is eliminated exactly."""
+    from qhact.classify import _sweep
+
+    runs = []
+    for full_rank in (_SkewRows.full_rank, lambda *args: False):
+        monkeypatch.setattr(_SkewRows, "full_rank", full_rank)
+        pres, L, lams, cands = _prefilter_grid(grid)
+        found = _sweep(pres, lams, cands, L, lambda g, x: True)
+        runs.append([(f.lam, f.g, [x.eta for x in f.basis]) for f in found])
+    assert runs[0] == runs[1]
+    # no candidate of the Weyl grid has a skew solution
+    assert bool(runs[0]) == (grid != "weyl-3-4")
 
 
 def test_max_rank_builds_degree_one_once_per_action(monkeypatch):

@@ -234,19 +234,21 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
     ]
     for L, m, pres in grids:
         t = len(pres.gens)
-        lams = [root_of_unity(L, (L // m) * j) for j in range(1, m) if gcd(j, m) == 1]
+        ells = [(L // m) * j for j in range(1, m) if gcd(j, m) == 1]
+        identity = tuple(range(t))
         for exps in product(range(L), repeat=t):
             g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
             G = operator_matrix(pres, g, 1)
             _assert_no_zeros(G, "operator_matrix of g")
-            for lam in lams:
+            for ell in ells:
+                lam = root_of_unity(L, ell)
                 for unpruned, certified in product((False, True), repeat=2):
                     # with the F_p certificate off, the full-rank blocks are
                     # eliminated exactly too, as when p divides a denominator
                     full_rank = certify if certified else (lambda *args: False)
                     monkeypatch.setattr(classify._SkewRows, "full_rank", full_rank)
                     rows_in.clear()
-                    _, basis = solve_skew_space(pres, g, lam, L, unpruned=unpruned)
+                    _, basis = solve_skew_space(pres, identity, exps, ell, L, unpruned=unpruned)
                     _assert_no_zeros(rows_in, "solve_skew_space rows")
                     systems += bool(rows_in)
                 members += len(basis)
@@ -266,12 +268,15 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                     ):
                         _assert_no_zeros(M, what)
     assert systems > 0 and members > 0
-    # a block of several positions with a nonzero kernel: the grouplike of
-    # O_q(M_2) row 1 at lambda = q^2, whose delta spans (0,1) and (2,3)
+    # a block of several positions with a nonzero kernel: the grouplike
+    # (q, q^-1, q, q^-1) of O_q(M_2) row 1 at lambda = q^2, q = zeta_5, whose
+    # delta spans (0,1) and (2,3)
     fam = m2_family(zeta(5), 1)
+    exps = (1, 4, 1, 4)
+    assert fam.g.scalars == tuple(zeta(5, e) for e in exps) and fam.lam == zeta(5, 2)
     rows_in.clear()
     solved.clear()
-    _, basis = solve_skew_space(fam.pres, fam.g, fam.lam, 5)
+    _, basis = solve_skew_space(fam.pres, (0, 1, 2, 3), exps, 2, 5)
     _assert_no_zeros(rows_in, "solve_skew_space rows")
     assert any(nrows > 0 and ncols > 1 and nvecs > 0 for nrows, ncols, nvecs in solved), solved
     assert [x.support() for x in basis] == [{(0, 1), (2, 3)}]
