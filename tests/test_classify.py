@@ -361,6 +361,21 @@ def _unknowns(tables, exps, ells):
     return _diagonal_support(exps, ells, tables.L)
 
 
+def _exact_solve(monkeypatch, pres, perm, exps, ell, L, positions=None, unpruned=False):
+    """solve_skew_space with the F_p certificate off: _SkewRows.full_rank
+    certifies nothing and the tables' keyed verdicts start empty, so no
+    verdict of a certified run is read and none is left for one.  Every
+    present block is eliminated exactly."""
+    tables = _SkewRows.of(pres, perm, L)
+    kept, tables.verdicts = tables.verdicts, {}
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(_SkewRows, "full_rank", lambda *args: False)
+            return solve_skew_space(pres, perm, exps, ell, L, positions, unpruned)
+    finally:
+        tables.verdicts = kept
+
+
 def _support_by_differences(exps, L):
     """{ell mod L: positions (a, k) with exps[a] - exps[k] = ell}, from all
     t^2 differences, the way the sweep found the support before the bucket
@@ -403,7 +418,6 @@ def test_sweep_prefilter_is_sound(grid, monkeypatch):
     ells = [as_q_power(lam, root_of_unity(L, 1)) for lam in lams]
     memo = _PreservationMemo(pres, L)
     nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
-    certify = _SkewRows.full_rank
     certified = uncertified = 0
     for perm, exps in cands:
         g = _grouplike(perm, exps, L)
@@ -411,14 +425,13 @@ def test_sweep_prefilter_is_sound(grid, monkeypatch):
         unknowns = _unknowns(_SkewRows.of(pres, perm, L), exps, ells)
         for ell, positions in zip(ells, unknowns):
             nullspace[0] = 0
-            monkeypatch.setattr(_SkewRows, "full_rank", certify)
             solve_skew_space(pres, perm, exps, ell, L, positions)
             if nullspace[0]:
                 uncertified += 1
                 continue
             certified += 1
-            monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
-            assert solve_skew_space(pres, perm, exps, ell, L, positions)[1] == [], (perm, exps, ell)
+            got = _exact_solve(monkeypatch, pres, perm, exps, ell, L, positions)
+            assert got[1] == [], (perm, exps, ell)
     assert len(memo.verdicts) < len(cands)
     assert certified > 0 and uncertified > 0
 
@@ -815,29 +828,31 @@ def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
     """solve_skew_space, which skips a block whose rows mod p have full
     column rank, returns the positions and basis of the exact elimination
     of every present block, pruned and unpruned, at every lambda on at
-    least 60 candidates spread over the grid; and it skips some block."""
+    least 60 candidates spread over the grid; and it skips some block.  The
+    certified runs share the keyed verdicts, as the sweep does; the exact
+    runs neither read nor write them.  On every grid with a keyed block,
+    some keyed block is certified."""
     from qhact import classify
     from qhact.cyclotomic import as_q_power
 
     pres, L, lams, cands = _prefilter_grid(grid)
     nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
     ells = [as_q_power(lam, zeta(L)) for lam in lams]
-    certify = _SkewRows.full_rank
     with_cert = without = 0
     for perm, exps in cands[:: max(1, len(cands) // 60)]:
         for ell in ells:
             for unpruned in (False, True):
                 nullspace[0] = 0
-                monkeypatch.setattr(_SkewRows, "full_rank", certify)
                 got = solve_skew_space(pres, perm, exps, ell, L, unpruned=unpruned)
                 with_cert += nullspace[0]
                 nullspace[0] = 0
-                monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
-                want = solve_skew_space(pres, perm, exps, ell, L, unpruned=unpruned)
+                want = _exact_solve(monkeypatch, pres, perm, exps, ell, L, unpruned=unpruned)
                 without += nullspace[0]
                 assert got[0] == want[0]
                 assert [x.eta for x in got[1]] == [x.eta for x in want[1]], (perm, exps, ell)
     assert with_cert < without
+    verdicts = [v for tb in pres._skew_tables.values() for v in tb.verdicts.values()]
+    assert any(verdicts) == (grid != "m3-ord3"), verdicts
 
 
 @pytest.mark.parametrize("grid", GRIDS)

@@ -236,6 +236,7 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
         t = len(pres.gens)
         ells = [(L // m) * j for j in range(1, m) if gcd(j, m) == 1]
         identity = tuple(range(t))
+        certified_verdicts = {}
         for exps in product(range(L), repeat=t):
             g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
             G = operator_matrix(pres, g, 1)
@@ -244,9 +245,12 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                 lam = root_of_unity(L, ell)
                 for unpruned, certified in product((False, True), repeat=2):
                     # with the F_p certificate off, the full-rank blocks are
-                    # eliminated exactly too, as when p divides a denominator
+                    # eliminated exactly too, as when p divides a denominator;
+                    # the uncertified runs keep their keyed verdicts apart
                     full_rank = certify if certified else (lambda *args: False)
                     monkeypatch.setattr(classify._SkewRows, "full_rank", full_rank)
+                    verdicts = certified_verdicts if certified else {}
+                    classify._SkewRows.of(pres, identity, L).verdicts = verdicts
                     rows_in.clear()
                     _, basis = solve_skew_space(pres, identity, exps, ell, L, unpruned=unpruned)
                     _assert_no_zeros(rows_in, "solve_skew_space rows")
@@ -267,6 +271,8 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                         ("s_rows", linalg.s_rows(linalg.s_sub(G, X), t)),
                     ):
                         _assert_no_zeros(M, what)
+        # the certified runs certify some keyed block
+        assert any(certified_verdicts.values()), L
     assert systems > 0 and members > 0
     # a block of several positions with a nonzero kernel: the grouplike
     # (q, q^-1, q, q^-1) of O_q(M_2) row 1 at lambda = q^2, q = zeta_5, whose
