@@ -1,22 +1,59 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""Kernels for cyclotomic coefficient vectors (the L0 layer under ``Cyc``).
 
-Set QHACT_PURE=1 in the environment to force the pure-Python kernel even
-when the compiled extension is built (used by the benchmark and the
-parity tests).
+Vectors are lists of Python ints (numerators over a shared denominator),
+so all arithmetic stays exact at arbitrary precision.
 """
 
-import os
+from math import gcd
 
-if os.environ.get("QHACT_PURE"):
-    from . import _cycore_py as impl
-else:
-    try:
-        from . import _cycore as impl  # type: ignore[attr-defined]
-    except ImportError:  # extension not built
-        from . import _cycore_py as impl  # type: ignore[no-redef]
+# One pure-Python kernel: perfbench traces conv_reduce/content here by name and
+# records BACKEND, and a compiled twin would gain at most 1.12x end to end
+# (README, "Install").
+BACKEND = "python"
 
-BACKEND = impl.BACKEND
-conv_reduce = impl.conv_reduce
-add_scaled = impl.add_scaled
-scale = impl.scale
-content = impl.content
+
+def conv_reduce(a, b, rows, deg):
+    """Product of coefficient vectors a, b reduced mod the cyclotomic polynomial.
+
+    ``rows[e]`` is the reduced integer vector representing x^(deg+e); only
+    exponents up to 2*deg-2 occur, so len(rows) >= deg-1 suffices.
+    """
+    n = 2 * deg - 1
+    c = [0] * n
+    for i in range(deg):
+        ai = a[i]
+        if ai:
+            for j in range(deg):
+                bj = b[j]
+                if bj:
+                    c[i + j] += ai * bj
+    out = c[:deg]
+    for e in range(deg - 1):
+        ce = c[deg + e]
+        if ce:
+            row = rows[e]
+            for i in range(deg):
+                ri = row[i]
+                if ri:
+                    out[i] += ce * ri
+    return out
+
+
+def add_scaled(a, b, ca, cb):
+    """Entrywise ca*a + cb*b."""
+    return [ca * x + cb * y for x, y in zip(a, b)]
+
+
+def scale(a, c):
+    return [c * x for x in a]
+
+
+def content(a, extra):
+    """gcd of the entries of a and of extra (extra > 0)."""
+    g = extra
+    for x in a:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                return 1
+    return g

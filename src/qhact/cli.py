@@ -54,6 +54,8 @@ from .ncalg import quantum_matrix
 def parse_scalar(value, q=None, field="scalar"):
     """Job scalars: integers, fraction strings, q-power strings like "q^-2"
     (relative to the job's ambient q), or full {level, coeffs} objects."""
+    if isinstance(value, bool):  # an int to Python, but no scalar in a job
+        raise InputError(f"{field}: expected a scalar, got {value!r}")
     if isinstance(value, int):
         return Cyc.rational(value)
     if isinstance(value, dict):

@@ -634,6 +634,21 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
 
 
 @pytest.mark.parametrize("grid", GRIDS)
+def test_keyed_blocks_hold_one_position(grid):
+    """Why a keyed verdict need not vary with the present positions today:
+    on the diagonal tables of every grid, each keyed block that does not
+    peel holds one position, so its present positions are always the same.
+    A family with a larger keyed block needs a test that varies them."""
+    pres, L, _, _ = _prefilter_grid(grid)
+    tables = _SkewRows.of(pres, tuple(range(pres.ngens)), L)
+    keyed = [block.positions for block in tables.blocks if block.keyed and not block.peels]
+    for positions in keyed:
+        assert len(positions) == 1, f"{grid}: keyed block {positions} holds several positions"
+    want = {"plane-3-4": 2, "weyl-3-4": 2, "affine-3-ord5": 6, "m2-ord5-tau": 2, "m3-ord3": 0}
+    assert len(keyed) == want[grid], keyed
+
+
+@pytest.mark.parametrize("grid", GRIDS)
 def test_power_scalar_early_answer_matches_power_ratio(grid):
     """On every skew basis vector the sweep of the grid hands to keep,
     solve_power_scalar gives hopf.power_ratio's answer, ANY read as 0."""

@@ -33,6 +33,9 @@ def test_parse_scalar():
         parse_scalar("q^2")  # no ambient q
     with pytest.raises(InputError):
         parse_scalar("wat")
+    for flag in (True, False):  # bool is an int to Python, not to a job
+        with pytest.raises(InputError, match="lambda"):
+            parse_scalar(flag, q, "lambda")
 
 
 def test_verify_exit_codes(tmp_path, capsys):
@@ -346,6 +349,15 @@ def _m2_instance_json():
     return instance_to_json(m2_family(zeta(5), 1).instance())
 
 
+def _affine_p_json_true_diagonal():
+    from qhact.classify import generic_affine_p
+
+    p = [[e.to_json() for e in row] for row in generic_affine_p(3, 5)]
+    for i, row in enumerate(p):
+        row[i] = True
+    return p
+
+
 # sizes and shapes the engine cannot work with: exit 2 naming the field, no
 # traceback
 OUT_OF_RANGE_JOBS = [
@@ -389,6 +401,9 @@ OUT_OF_RANGE_JOBS = [
     ("verify", {"instance": _m2_instance_json(), "inner_faithful": "false"}, "inner_faithful"),
     ("verify", {"instance": _m2_instance_json(), "inner_faithful": 1}, "inner_faithful"),
     ("verify", {"instance": _m2_instance_json(), "inner_faithful": None}, "inner_faithful"),
+    # a JSON boolean is no scalar: true is not read as 1
+    ("search", {"target": "affine", "m": 5, "p": _affine_p_json_true_diagonal()}, "p"),
+    ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": True}, "lambda"),
 ]
 
 

@@ -1,10 +1,10 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
-from qhact import _cycore_py
+from qhact import _kernel
 from qhact.cyclotomic import (
     Cyc,
     DivisionByZero,
@@ -130,7 +130,27 @@ def test_conv_reduce_matches_power_rows():
                     row = _power_row(L, i + j)
                     for e in range(deg):
                         expected[e] += a[i] * b[j] * row[e]
-            assert _cycore_py.conv_reduce(a, b, rows, deg) == expected
+            assert _kernel.conv_reduce(a, b, rows, deg) == expected
+
+
+def test_vector_helpers_match_plain_oracles():
+    rng = random.Random(5)
+    big = 2**64
+    vectors = [[0] * 6, [-3, 0, 7, -big - 1, 3 * big, 0]]
+    vectors += [[rng.randrange(-(10**25), 10**25) for _ in range(6)] for _ in range(20)]
+    scalars = (0, 1, -1, -7, big + 3, -(big**2))
+    for x in vectors:
+        for y in vectors:
+            for ca in scalars:
+                for cb in scalars:
+                    want = [ca * u + cb * v for u, v in zip(x, y)]
+                    assert _kernel.add_scaled(x, y, ca, cb) == want
+        for c in scalars:
+            assert _kernel.scale(x, c) == [c * u for u in x]
+        for extra in (1, 12, big * 6, 3**50):
+            assert _kernel.content(x, extra) == gcd(*x, extra)
+    assert _kernel.content([0] * 6, 12) == 12
+    assert _kernel.content([-4, 0, -big * 2], 6) == 2
 
 
 def test_pow_and_order_consistency():
@@ -319,7 +339,7 @@ def test_root_products_read_the_table():
             for e2, b in enumerate(powers):
                 c = a * b
                 assert c._exp == (e1 + e2) % M
-                assert c.den == 1 and c.num == _cycore_py.conv_reduce(a.num, b.num, rows, deg)
+                assert c.den == 1 and c.num == _kernel.conv_reduce(a.num, b.num, rows, deg)
             fresh = Cyc(L, a.num)  # the same value with an empty slot
             assert fresh._exp == -2
             assert a.inv() == fresh.inv() and (a.inv() * a) == 1
@@ -338,7 +358,6 @@ def test_root_products_read_the_table():
 def test_adding_zero_returns_the_other_operand(monkeypatch):
     # 0 + x is x at the common level, with its exponent slot, so the trace
     # series of one root of unity is its powers, each read from the table
-    from qhact import _kernel
     from qhact.invariants import trace_series_product
 
     z = zeta(5, 2)

@@ -31,3 +31,16 @@ def test_traced_target_resolves(target):
     fn = tracing.resolve(target)
     assert callable(fn), target
     assert tracing.bindings(fn), target
+
+
+def test_names_run_and_replay_read_resolve():
+    # perfbench/run.py records KERNEL_BACKEND and runs the monomial-grid
+    # affine sweep, and perfbench/replay.py times _kernel.conv_reduce
+    import qhact
+    from qhact import _kernel
+    from qhact.classify import SearchGrid, enumerate_taft_affine, generic_affine_p
+
+    assert qhact.KERNEL_BACKEND == "python"
+    assert callable(_kernel.conv_reduce)
+    grid = SearchGrid(level=5, g_shape="monomial")
+    assert enumerate_taft_affine(generic_affine_p(3, 5), 5, grid)
