@@ -43,14 +43,29 @@ candidates that can carry an x != 0: those with e_a - e_k = ell (mod L)
 for some a, k and a lambda = zeta_L^ell.  With all exponents but the last
 fixed, the last is free when the others hold such a pair and is one of
 e_a + ell, e_a - ell otherwise.  It finds a live candidate's unknowns at
-each lambda by a bucket join on the exponents.  A permutation's grid is
-decided whole first: the memo's key is linear in the exponents, so the
-keys the grid reaches are the sums of its columns, and each is asked once;
-a permutation none of whose keys preserves the relations (the swap of the
+each lambda by a bucket join on the exponents.  A permutation's grid, the
+sums of some exponent columns (the t unit columns, or the 2N - 1 columns
+of the rank-one grid e_ij = a_i + b_j of O_q(M_N)), is decided whole
+first: the memo's key is linear in the exponents, so the keys the grid
+reaches are the sums of its columns' keys, and each is asked once; a
+permutation none of whose keys preserves the relations (the swap of the
 plane and of the Weyl algebra, every non-identity permutation of a generic
-k_p[u_1..u_3]) is never swept.  Only a preserving candidate reads the
-tables of its permutation.  The power scalar of a kept x is 0 as soon as
-x^m = 0 on degree one.
+k_p[u_1..u_3]) is never swept, and on a rank-one grid, where e_il + e_jk =
+e_ik + e_jl, the one key settles every candidate.  Only a preserving
+candidate reads the tables of its permutation.
+
+A permuting g is settled by the cycles of (a, c) -> (perm a, perm c) on the
+positions.  The identity rows of g x = lam x g read alpha_a eta_ac =
+lam alpha_c eta_(perm a, perm c), so around a cycle C the entries of eta
+vanish unless sum_C (e_a - e_c) = |C| ell (mod L); such a cycle is live.
+Those rows join a cycle into one block, and a block that peels has kernel
+0, so x = 0 unless some cycle of a block that does not peel (an open
+cycle) is live.  The sweep hands solve_skew_space a permuting candidate
+only at the lambdas where one is, and skips a grid whole when no open
+cycle's congruence is solvable over its columns (_SkewRows.reaches), as on
+every transpose grid of O_q(M_N) measured (N = 2, 3 at ord(q) = 3, 5, 7
+and N = 4 at 3, 5).  The power scalar of a kept x is 0 as soon as x^m = 0
+on degree one.
 
 Compatibility of two rank-one actions solves the three pair relations
   x_i x_j = zeta x_j x_i,  g_i x_j = zeta x_j g_i,  g_j x_i = zeta^{-1} x_i g_j
@@ -68,7 +83,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
-from itertools import combinations, permutations, product, repeat, zip_longest
+from itertools import combinations, permutations, product, zip_longest
 from math import gcd
 
 from . import linalg
@@ -185,9 +200,13 @@ def solve_skew_space(pres: Presentation, perm, exps, ell, level, positions=None,
     todo = tables.present(positions)
     if not todo:
         return positions, []
-    es = [sum(map(exps.__getitem__, prefix)) % L for prefix in tables.prefixes]
     pw = tables.powers
-    fp = None, None, [pw[e] for e in es]
+    key = tuple(exps)
+    if tables.sums[0] != key:  # the sweep asks one candidate at each live lambda in turn
+        es = [sum(map(exps.__getitem__, prefix)) % L for prefix in tables.prefixes]
+        tables.sums = key, es, [pw[e] for e in es]
+    _, es, chis = tables.sums
+    fp = None, None, chis
     if not pruned:  # the identity's rows enter, reading alpha and lam alpha
         fp = [pw[e] for e in exps], [pw[(ell + e) % L] for e in exps], fp[2]
     exact = None
@@ -241,8 +260,10 @@ def preserves_relations(pres, g: GrouplikeAction):
 
 
 # A candidate is (perm, exps): the grouplike u_k -> zeta_L^exps[k] u_perm[k].
-# The searches hand _sweep a whole grid of perm as (perm, None); the explicit
-# lists of _diag_candidates and _monomial_candidates remain as its oracles.
+# The searches hand _sweep a whole grid of perm as (perm, cols), cols a list of
+# exponent columns, or (perm, None) for the t unit columns; the explicit lists
+# of _diag_candidates, _monomial_candidates and _rank_one_candidates remain as
+# its oracles.
 
 
 def _grouplike(perm, exps, L):
@@ -259,6 +280,29 @@ def _monomial_candidates(t, L, perms):
     for perm in map(tuple, perms):
         for exps in product(range(L), repeat=t):
             yield perm, exps
+
+
+def _grid_exponents(cols, L):
+    """The exponent vectors sum_j s_j cols[j] (mod L), s running over
+    (Z_L)^len(cols) in product order; the vectors of all but the last
+    column are listed first."""
+    *outer, last = cols
+    heads = [(0,) * len(last)]
+    for col in outer:
+        heads = [tuple((e + s * c) % L for e, c in zip(v, col)) for v in heads for s in range(L)]
+    for v in heads:
+        for s in range(L):
+            yield tuple((e + s * c) % L for e, c in zip(v, last))
+
+
+def _rank_one_grid(N, tau=False):
+    """_rank_one_candidates as a grid: the permutation and the 2N - 1 columns
+    of e_ij = a_i + b_j, a_1..a_N then b_1..b_(N-1) (b_N = 0), in that
+    generator's order."""
+    flat = range(N * N)
+    perm = tuple((k % N) * N + k // N for k in flat) if tau else tuple(flat)
+    cols = [tuple(int(k // N == i) for k in flat) for i in range(N)]
+    return perm, cols + [tuple(int(k % N == j) for k in flat) for j in range(N - 1)]
 
 
 def _rank_one_candidates(N, L, tau=False):
@@ -321,31 +365,32 @@ class _PreservationMemo:
             )
         return ok
 
-    @cached_property
-    def reachable(self):
-        """{key: exps} over every key that some exps in (Z_L)^t has.  The key
-        is linear in exps, key(exps) = sum_x exps[x] col_x mod L, so the keys
-        are the sums of the columns col_x: a breadth-first search from
+    def reachable(self, cols):
+        """{key: exps} over every key of the grid of cols, the exps =
+        sum_j s_j cols[j] mod L.  The key is linear in exps, so the keys are
+        the sums of the columns' keys: a breadth-first search from
         key(0, ..., 0) adds one column at a time, and the exponent vector
-        that first reaches a key represents it."""
-        L, t = self.L, self.pres.ngens
-        cols = [tuple(dict(d).get(x, 0) % L for d in self.diffs) for x in range(t)]
-        key = (0,) * len(self.diffs)
-        reps = {key: (0,) * t}
-        todo = [key]
+        that first reaches a key represents it.  The unit columns reach
+        every key of (Z_L)^t; a rank-one grid of O_q(M_N) only key(0), since
+        there e_il + e_jk = e_ik + e_jl."""
+        L = self.L
+        steps = [(self.key(col), col) for col in cols]
+        exps = (0,) * len(cols[0])
+        reps = {self.key(exps): exps}
+        todo = list(reps)
         for key in todo:  # todo grows as the search goes
             exps = reps[key]
-            for x, col in enumerate(cols):
-                nxt = tuple((a + b) % L for a, b in zip(key, col))
+            for step, col in steps:
+                nxt = tuple((a + b) % L for a, b in zip(key, step))
                 if nxt not in reps:
-                    reps[nxt] = exps[:x] + ((exps[x] + 1) % L,) + exps[x + 1 :]
+                    reps[nxt] = tuple((e + c) % L for e, c in zip(exps, col))
                     todo.append(nxt)
         return reps
 
-    def refuses(self, perm):
-        """Whether no exps in (Z_L)^t gives perm a preserving key, asking
-        each reachable key at most once, as __call__ would."""
-        return not any(self._verdict(perm, key, exps) for key, exps in self.reachable.items())
+    def grid(self, perm, cols):
+        """The verdict of each key of the grid (perm, cols), asking each key
+        at most once, as __call__ would."""
+        return [self._verdict(perm, key, exps) for key, exps in self.reachable(cols).items()]
 
 
 class _Block:
@@ -427,7 +472,9 @@ class _SkewRows:
     of g, and its present positions at two lambdas are disjoint, so one
     sweep never meets its key twice: every non-peeling block of O_q(M_3)
     and O_q(M_4), where no key would repeat.  The single positions of
-    k_p[u_1..u_t], which read t - 1 letters, are keyed."""
+    k_p[u_1..u_t], which read t - 1 letters, are keyed.  sums holds the
+    last exps solve_skew_space was given, with E(prefix) mod L for each of
+    the prefixes and its power of omega mod p."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
@@ -437,6 +484,7 @@ class _SkewRows:
         self.diagonal = perm == tuple(range(t))
         self.positions = [(a, k) for a in range(t) for k in range(t)]
         self.verdicts = {}
+        self.sums = None, None, None
         merged: dict[tuple, dict] = {}
         rows: dict[tuple, int] = {}
         for ridx, rel in enumerate(pres.relations()):
@@ -574,6 +622,45 @@ class _SkewRows:
         rows = self.rows(block, cols, alpha, lam_alpha, chis, True, pruned)
         return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
 
+    @cached_property
+    def cycles(self):
+        """The open cycles of (a, c) -> (perm a, perm c): those in a block
+        that does not peel, as (letter coefficients, length), each distinct
+        pair once.  A cycle C is live at exps and ell when sum_C (e_a - e_c)
+        = |C| ell (mod L); the letter coefficients are that sum's, as
+        ((letter, count), ...)."""
+        perm, seen, out = self.perm, set(), {}
+        for pos in self.unpeeled:
+            coeffs, size = Counter(), 0
+            while pos not in seen:
+                seen.add(pos)
+                a, c = pos
+                coeffs[a] += 1
+                coeffs[c] -= 1
+                size += 1
+                pos = perm[a], perm[c]
+            if size:
+                out[tuple(sorted((x, n) for x, n in coeffs.items() if n)), size] = None
+        return list(out)
+
+    def live(self, exps, ells):
+        """For each ell, whether some open cycle is live at exps and ell."""
+        L = self.L
+        sums = [(sum(n * exps[x] for x, n in coeffs), size) for coeffs, size in self.cycles]
+        return [any((s - size * ell) % L == 0 for s, size in sums) for ell in ells]
+
+    def reaches(self, cols, ells):
+        """Whether some exps = sum_j s_j cols[j] (mod L) makes an open cycle
+        live at some ell.  The cycle's sum is then sum_j s_j c_j, c_j its
+        coefficients dotted with cols[j], which takes exactly the multiples
+        of gcd(L, c_1, c_2, ...) mod L."""
+        L = self.L
+        for coeffs, size in self.cycles:
+            d = gcd(L, *(sum(n * col[x] for x, n in coeffs) for col in cols))
+            if any(size * ell % d == 0 for ell in ells):
+                return True
+        return False
+
 
 def _diagonal_support(exps, ells, L):
     """For each ell, the positions (a, k) with exps[a] - exps[k] = ell
@@ -647,38 +734,52 @@ def _sweep(pres, lams, cands, level, keep):
     """Families over every lambda and every relation-preserving grouplike
     candidate (perm, exps) at this level: the skew solutions x with
     keep(g, x), as parts p0, p1, ..., sorted by (lambda, g).  A candidate
-    (perm, None) stands for the whole grid (perm, exps), exps in (Z_L)^t in
-    product order, which the sweep generates itself: for the identity only
-    the vectors of _live_exponents, and for a permutation nothing when
-    _PreservationMemo.refuses it.  A diagonal candidate's unknowns at each
-    lambda come from _diagonal_support, and one with none at any lambda has
-    only x = 0 and is dropped; a permuting candidate keeps every position.
-    Only then does _PreservationMemo decide the candidate, and only a
-    preserving one reads the tables of its permutation.  solve_skew_space
+    (perm, cols), cols a list of exponent columns, stands for the grid
+    (perm, exps), exps = sum_j s_j cols[j] over s in (Z_L)^len(cols) in
+    product order, and (perm, None) for the grid of the t unit columns,
+    (Z_L)^t; the sweep generates them itself.  On the unit grid of the
+    identity it takes only the vectors of _live_exponents.  Any other grid
+    is skipped when none of its keys preserves the relations
+    (_PreservationMemo.grid) or when no open cycle can be live on it
+    (_SkewRows.reaches), and its candidates skip the memo when all of its
+    keys preserve them.  A diagonal candidate's unknowns at each lambda come
+    from _diagonal_support, and one with none at any lambda has only x = 0
+    and is dropped.  Only then does _PreservationMemo decide the candidate,
+    and only a preserving one reads the tables of its permutation.  A
+    permuting candidate keeps every position at each lambda where some open
+    cycle is live (_SkewRows.live), and none elsewhere.  solve_skew_space
     solves each live (candidate, lambda) in one pass over its blocks."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell
     t = pres.ngens
     identity = tuple(range(t))
+    units = [tuple(int(x == k) for x in range(t)) for k in range(t)]
 
     def candidates():
-        for perm, exps in cands:
-            if exps is not None:
-                yield perm, exps
-            elif perm == identity:
-                yield from ((perm, exps) for exps in _live_exponents(t, ells, level))
-            elif not preserves.refuses(perm):
-                yield from ((perm, exps) for exps in product(range(level), repeat=t))
+        """(perm, exps, whether the memo must still decide the candidate)."""
+        for perm, spec in cands:
+            if isinstance(spec, tuple):
+                yield perm, spec, True
+            elif perm == identity and spec is None:
+                yield from ((perm, exps, True) for exps in _live_exponents(t, ells, level))
+            else:
+                cols = spec or units
+                verdicts = preserves.grid(perm, cols)
+                if any(verdicts) and _SkewRows.of(pres, perm, level).reaches(cols, ells):
+                    check = not all(verdicts)
+                    yield from ((perm, exps, check) for exps in _grid_exponents(cols, level))
 
     found = []
-    for perm, exps in candidates():
+    for perm, exps, check in candidates():
         diagonal = perm == identity
         supports = _diagonal_support(exps, ells, level) if diagonal else None
-        if (diagonal and not any(supports)) or not preserves(perm, exps):
+        if (diagonal and not any(supports)) or (check and not preserves(perm, exps)):
             continue
         tables = _SkewRows.of(pres, perm, level)
-        for lam, ell, positions in zip(lams, ells, supports or repeat(tables.positions)):
+        if not diagonal:
+            supports = [tables.positions if live else () for live in tables.live(exps, ells)]
+        for lam, ell, positions in zip(lams, ells, supports):
             if not positions:
                 continue
             _, basis = solve_skew_space(pres, perm, exps, ell, level, positions)
@@ -794,7 +895,7 @@ def enumerate_taft_matrix(N, q, lam, grid: SearchGrid | None = None, include_tau
     L = lcm(grid.level, lcm(n, m))
     pres = quantum_matrix(N, q.lift(L), level=L)
     branches = [False, True] if include_tau else [False]
-    cands = [c for tau in branches for c in _rank_one_candidates(N, L, tau=tau)]
+    cands = [_rank_one_grid(N, tau) for tau in branches]
     # ord(lam) divides L, so lam is a power of zeta_L whatever level it was written at
     lam = root_of_unity(L, as_q_power(lam, root_of_unity(L, 1)) % L)
     found = _sweep(pres, [lam], cands, L, _gamma_zero(pres, m, L))

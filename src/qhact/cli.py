@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -544,10 +545,17 @@ def main(argv=None):
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    if opts.json:
-        print(report_text(report))
-    else:
-        print(render_markdown(opts.command, report), end="")
+    try:
+        if opts.json:
+            print(report_text(report))
+        else:
+            print(render_markdown(opts.command, report), end="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; 1 would mean a failed check, so exit as a
+        # process killed by SIGPIPE does, and let nothing else reach the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
@@ -712,7 +714,7 @@ def test_refused_permutations_keep_no_candidate(grid):
     """The reachable keys are the keys of the exponent grid, each with a
     representative of that key.  A permutation whose reachable keys all
     refuse has no candidate in the grid that the per-candidate memo keeps;
-    refuses asks each reachable key once, and the full grid of the
+    grid asks each reachable key once, and the full grid of the
     permutation reaches no other key."""
     from itertools import product
 
@@ -722,7 +724,8 @@ def test_refused_permutations_keep_no_candidate(grid):
     t = pres.ngens
     identity = tuple(range(t))
     per_candidate = _PreservationMemo(pres, L)
-    reps = per_candidate.reachable
+    units = [tuple(int(x == k) for x in range(t)) for k in range(t)]
+    reps = per_candidate.reachable(units)
     assert all(per_candidate.key(exps) == key for key, exps in reps.items())
     if L**t <= 5**4:
         assert set(reps) == {per_candidate.key(exps) for exps in product(range(L), repeat=t)}
@@ -731,7 +734,7 @@ def test_refused_permutations_keep_no_candidate(grid):
         if perm == identity:
             continue
         memo = _PreservationMemo(pres, L)
-        refused = memo.refuses(perm)
+        refused = not any(memo.grid(perm, units))
         reached = _keys_of(memo, perm)
         for exps in product(range(L), repeat=t):
             memo(perm, exps)
@@ -836,6 +839,238 @@ def test_census_searches_ask_no_more_preservation_checks(monkeypatch):
             assert side == 0 or calls[0] <= before, (build, L, m)
             before = calls[0]
     assert 0 < total[1] <= total[0]
+
+
+def _units(t):
+    return [tuple(int(x == k) for x in range(t)) for k in range(t)]
+
+
+def _listed(cands, level, t):
+    """The explicit candidate list of the sweep's grids: the monomial
+    candidates of a unit grid (perm, None), the rank-one candidates of a
+    rank-one grid (perm, cols)."""
+    from qhact.classify import _monomial_candidates, _rank_one_candidates
+
+    out = []
+    for perm, cols in cands:
+        if cols is None:
+            out += _monomial_candidates(t, level, [perm])
+        else:
+            out += _rank_one_candidates(int(t**0.5), level, tau=perm != tuple(range(t)))
+    return out
+
+
+def _cycle_case(name):
+    """(presentation, level, ells, grids) of a cycle cross-check, the grids
+    in the sweep's form: the plane or Weyl swap at (k, m) and affine t = 3
+    at ord 3 under its five non-identity permutations, at every ell mod L;
+    the transpose grid of O_q(M_N) at ord(q) = L, a prime, at every ell on
+    O_q(M_2) at ord 3 and at every ell but 0 otherwise."""
+    from itertools import permutations
+
+    from qhact.classify import _rank_one_grid
+
+    family, *sizes = name.split("-")
+    if family in ("plane", "weyl"):
+        k, m = map(int, sizes)
+        L = lcm(k, m)
+        pres = (quantum_plane if family == "plane" else first_weyl)(zeta(L, L // k))
+        return pres, L, list(range(L)), [((1, 0), None)]
+    if family == "affine":
+        perms = [perm for perm in permutations(range(3)) if perm != (0, 1, 2)]
+        return quantum_affine(generic_affine_p(3, 3)), 3, [0, 1, 2], [(p, None) for p in perms]
+    N, L = int(family[1]), int(sizes[0][3:])
+    ells = range(L) if (N, L) == (2, 3) else range(1, L)
+    return quantum_matrix(N, zeta(L), level=L), L, list(ells), [_rank_one_grid(N, tau=True)]
+
+
+def _live_by_identity(tables, exps, ell):
+    """The oracle of _SkewRows.live: whether the rows of g x = lam x g on
+    some cycle of (a, c) -> (perm a, perm c) in a block that does not peel
+    have a solution eta != 0, that is whether eta_(perm a, perm c) =
+    alpha_a / (lam alpha_c) eta_ac brings eta back to itself around the
+    cycle, in exact roots of unity."""
+    L = tables.L
+    alpha = [zeta(L, e) for e in exps]
+    lam, seen = zeta(L, ell), set()
+    for pos in tables.positions:
+        if pos in seen or pos not in tables.unpeeled:
+            continue
+        ratio = Cyc.one(L)
+        while pos not in seen:
+            seen.add(pos)
+            a, c = pos
+            ratio = ratio * alpha[a] / (lam * alpha[c])
+            pos = tables.perm[a], tables.perm[c]
+        if ratio == Cyc.one(L):
+            return True
+    return False
+
+
+# the (candidate, ell) pairs with a nonzero basis: at lam = 1 and -1 on the
+# plane, the Weyl algebra, affine t = 3 and O_q(M_2) at ord 3; none at a lam
+# of order 3 or more
+CYCLE_CASES = {
+    "plane-2-3": 42, "weyl-2-3": 12, "plane-2-4": 20, "weyl-2-4": 8,
+    "plane-3-4": 0, "weyl-3-4": 0, "plane-4-3": 0, "weyl-4-3": 0,
+    "affine-3-ord3": 54, "m2-ord3": 27, "m2-ord5": 0, "m2-ord7": 0,
+    "m3-ord3": 0, "m3-ord5": 0, "m4-ord3": 0,
+}
+
+
+@pytest.mark.parametrize("name", CYCLE_CASES)
+def test_open_cycles_settle_the_permuting_candidates(name):
+    """The open-cycle rule against the solver.  At every permuting
+    candidate of each grid and every ell, _SkewRows.live agrees with the
+    identity rows walked around each open cycle, and solve_skew_space over
+    every position returns an empty basis unless some open cycle is live,
+    so the sweep drops only empty candidates; and _SkewRows.reaches accepts
+    the grid at ell exactly when some candidate of it has a live open
+    cycle, so a grid it skips holds none."""
+    pres, L, ells, grids = _cycle_case(name)
+    t = pres.ngens
+    nonzero = 0
+    for perm, cols in grids:
+        tables = _SkewRows.of(pres, perm, L)
+        cands = [exps for _, exps in _listed([(perm, cols)], L, t)]
+        for ell in ells:
+            live_somewhere = False
+            for exps in cands:
+                (live,) = tables.live(exps, [ell])
+                assert live == _live_by_identity(tables, exps, ell), (perm, exps, ell)
+                _, basis = solve_skew_space(pres, perm, exps, ell, L)
+                assert live or not basis, (perm, exps, ell)
+                nonzero += bool(basis)
+                live_somewhere |= live
+            assert tables.reaches(cols or _units(t), [ell]) == live_somewhere, (perm, ell)
+    assert nonzero == CYCLE_CASES[name]
+
+
+@pytest.mark.parametrize(
+    "name,ells",
+    [("plane-2-3", {0, 3}), ("weyl-2-3", {0}), ("plane-2-4", {0, 2}), ("weyl-2-4", {0}),
+     ("plane-3-4", set()), ("affine-3-ord3", {0}), ("m2-ord3", {0})],
+)
+def test_sweep_keeps_the_permuting_families(name, ells, monkeypatch):
+    """_sweep over the permuting grids of a cycle case, at every root of
+    unity lam of the level, finds the same families over the grid form,
+    over the explicit candidate lists, and over those lists with the
+    open-cycle rule off (every permuting candidate handed to the solver at
+    every lam); the families sit at lam = zeta_L^ell for the given ells,
+    that is at lam = 1 and -1."""
+    from qhact.classify import _sweep
+    from qhact.cyclotomic import as_q_power
+
+    pres, L, _, grids = _cycle_case(name)
+    lams = [zeta(L, ell) for ell in range(L)]
+    runs = []
+    for form in ("grid", "listed", "rule off"):
+        with monkeypatch.context() as patch:
+            if form == "rule off":
+                patch.setattr(_SkewRows, "live", lambda self, exps, ells: [True] * len(ells))
+            cands = grids if form == "grid" else _listed(grids, L, pres.ngens)
+            found = _sweep(pres, lams, cands, L, lambda g, x: True)
+        runs.append([(f.lam, f.g, [x.eta for x in f.basis]) for f in found])
+    assert runs[0] == runs[1] == runs[2]
+    assert {as_q_power(lam, zeta(L)) % L for lam, _, _ in runs[0]} == ells
+
+
+@pytest.mark.parametrize(
+    "search", ["m2-ord3", "m2-ord5", "m3-ord3", "plane-2-3", "plane-2-4", "weyl-2-3", "weyl-2-4"]
+)
+def test_grid_searches_match_the_candidate_lists(search, monkeypatch):
+    """enumerate_taft_matrix with the transpose and enumerate_taft_qplane at
+    k = 2, where the swap preserves the relation, find the same families
+    with the same tags over their grids as over the explicit candidate
+    lists, and as over those lists with the open-cycle rule off (every
+    permuting candidate handed to the solver at every lambda)."""
+    from qhact import classify
+
+    real = classify._sweep
+    mode = ["grid"]
+
+    def sweep(pres, lams, cands, level, keep):
+        if mode[0] != "grid":
+            cands = _listed(cands, level, pres.ngens)
+        return real(pres, lams, cands, level, keep)
+
+    monkeypatch.setattr(classify, "_sweep", sweep)
+    family, size = search.split("-", 1)
+    runs = []
+    for mode[0] in ("grid", "listed", "every lambda"):
+        with monkeypatch.context() as patch:
+            if mode[0] == "every lambda":
+                patch.setattr(_SkewRows, "live", lambda self, exps, ells: [True] * len(ells))
+            if family in ("plane", "weyl"):
+                found = enumerate_taft_qplane(2, int(size[2:]), algebra=family)
+            else:
+                q = zeta(int(size[3:]))
+                found = enumerate_taft_matrix(int(family[1]), q, q * q, include_tau=True)
+        runs.append([(f.lam, f.g, [x.eta for x in f.basis], f.tag) for f in found])
+    assert runs[0] == runs[1] == runs[2]
+    # the Weyl algebra at mu = -1 has no family
+    assert bool(runs[0]) == (family != "weyl")
+
+
+@pytest.mark.parametrize("N,L", [(2, 3), (2, 7), (3, 3), (3, 5), (4, 3)])
+def test_rank_one_grids_have_one_preservation_key(N, L):
+    """On a rank-one grid e_ij = a_i + b_j of O_q(M_N), e_il + e_jk =
+    e_ik + e_jl, so the preservation key is the same at every candidate of
+    both branches: the grid reaches one key, the key of each candidate the
+    sweep used to list, and its one verdict is preserves_relations' at
+    every candidate asked."""
+    from qhact.classify import (
+        _grouplike,
+        _PreservationMemo,
+        _rank_one_candidates,
+        _rank_one_grid,
+        preserves_relations,
+    )
+
+    pres = quantum_matrix(N, zeta(L), level=L)
+    memo = _PreservationMemo(pres, L)
+    for tau in (False, True):
+        perm, cols = _rank_one_grid(N, tau)
+        (key,) = memo.reachable(cols)
+        (verdict,) = memo.grid(perm, cols)
+        cands = list(_rank_one_candidates(N, L, tau=tau))
+        assert {memo.key(exps) for _, exps in cands} == {key}
+        for p, exps in cands[:: max(1, len(cands) // 20)]:
+            assert p == perm
+            assert preserves_relations(pres, _grouplike(perm, exps, L)) == verdict
+    assert memo.diffs  # the three-term relations are in the key
+
+
+def test_matrix_searches_ask_each_preservation_key_once(monkeypatch):
+    """The census count check on the matrix searches: with the transpose,
+    O_q(M_2) at ord 5 and 7 at every lambda and O_q(M_3) at ord 3 ask
+    preserves_relations at most once per (permutation, key), so twice per
+    search, and no more often than the sweep over the explicit candidate
+    lists."""
+    from qhact import classify
+    from qhact.classify import primitive_lambdas
+
+    calls = _count_calls(monkeypatch, classify, "preserves_relations")
+    real = classify._sweep
+    listed = [False]
+
+    def sweep(pres, lams, cands, level, keep):
+        if listed[0]:
+            cands = _listed(cands, level, pres.ngens)
+        return real(pres, lams, cands, level, keep)
+
+    monkeypatch.setattr(classify, "_sweep", sweep)
+    searches = [(2, 5, lam) for lam in primitive_lambdas(5, 5)]
+    searches += [(2, 7, lam) for lam in primitive_lambdas(7, 7)]
+    searches.append((3, 3, zeta(3, 2)))
+    for N, order, lam in searches:
+        counts = []
+        for listed[0] in (False, True):
+            calls[0] = 0
+            enumerate_taft_matrix(N, zeta(order), lam, include_tau=True)
+            counts.append(calls[0])
+        assert counts[0] <= 2, (N, order, lam, counts)
+        assert counts[0] <= counts[1], (N, order, lam, counts)
 
 
 @pytest.mark.parametrize("grid", GRIDS)

@@ -322,17 +322,17 @@ def test_report_digest(tmp_path, capsys, command, payload, digest):
 
 def test_level_override_keeps_transposed_candidates(tmp_path, capsys, monkeypatch):
     # --level sets only the grid's level: a matrix job still sweeps the
-    # transposed rank-one candidates unless the job sets "tau": false
+    # transposed rank-one grid unless the job sets "tau": false
     from qhact import classify
 
     seen = []
-    real = classify._rank_one_candidates
+    real = classify._rank_one_grid
 
-    def recording(N, L, tau=False):
+    def recording(N, tau=False):
         seen.append(tau)
-        return real(N, L, tau=tau)
+        return real(N, tau=tau)
 
-    monkeypatch.setattr(classify, "_rank_one_candidates", recording)
+    monkeypatch.setattr(classify, "_rank_one_grid", recording)
     payload = {"target": "matrix", "N": 2, "ord_q": 3, "lambda": "q^2"}
     job = write_job(tmp_path, "m.json", payload)
     code, _, err = run_cli(capsys, "search", "--job", job, "--json", "--level", "3")
@@ -699,3 +699,31 @@ def test_parser_calls_share_no_state(tmp_path, capsys, monkeypatch):
         main(["verify", "--degree-bound", "x"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("usage: qhact [-h] [--job JOB] [--json]")
+
+
+@pytest.mark.parametrize("fmt", [["--json"], []])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, fmt):
+    """A report written to a pipe whose reader is gone: the write fails
+    with EPIPE, and the CLI exits 141 (128 + SIGPIPE) rather than 1, which
+    means a failed check, with nothing on stderr.  The read end is closed
+    before the CLI starts, so the first write fails every time."""
+    import os
+    import subprocess
+    import sys
+
+    import qhact
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qhact.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    job = write_job(tmp_path, "pl.json", {"target": "plane", "k": 3, "m": 3})
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhact.cli", "search", "--job", job, *fmt],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
