@@ -60,8 +60,7 @@ lam alpha_c eta_(perm a, perm c), so around a cycle C the entries of eta
 vanish unless sum_C (e_a - e_c) = |C| ell (mod L); such a cycle is live.
 Those rows join a cycle into one block, and a block that peels has kernel
 0, so x = 0 unless some cycle of a block that does not peel (an open
-cycle) is live.  The sweep hands solve_skew_space a permuting candidate
-only at the lambdas where one is, and skips a grid whole when no open
+cycle) is live.  The sweep skips a permuting grid whole when no open
 cycle's congruence is solvable over its columns (_SkewRows.reaches), as on
 every transpose grid of O_q(M_N) measured (N = 2, 3 at ord(q) = 3, 5, 7
 and N = 4 at 3, 5).  The power scalar of a kept x is 0 as soon as x^m = 0
@@ -83,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from collections import Counter
-from itertools import combinations, permutations, product, zip_longest
+from itertools import combinations, permutations, product, repeat, zip_longest
 from math import gcd
 
 from . import linalg
@@ -202,7 +201,7 @@ def solve_skew_space(pres: Presentation, perm, exps, ell, level, positions=None,
         return positions, []
     pw = tables.powers
     key = tuple(exps)
-    if tables.sums[0] != key:  # the sweep asks one candidate at each live lambda in turn
+    if tables.sums[0] != key:  # the sweep asks one candidate at each lambda in turn
         es = [sum(map(exps.__getitem__, prefix)) % L for prefix in tables.prefixes]
         tables.sums = key, es, [pw[e] for e in es]
     _, es, chis = tables.sums
@@ -643,12 +642,6 @@ class _SkewRows:
                 out[tuple(sorted((x, n) for x, n in coeffs.items() if n)), size] = None
         return list(out)
 
-    def live(self, exps, ells):
-        """For each ell, whether some open cycle is live at exps and ell."""
-        L = self.L
-        sums = [(sum(n * exps[x] for x, n in coeffs), size) for coeffs, size in self.cycles]
-        return [any((s - size * ell) % L == 0 for s, size in sums) for ell in ells]
-
     def reaches(self, cols, ells):
         """Whether some exps = sum_j s_j cols[j] (mod L) makes an open cycle
         live at some ell.  The cycle's sum is then sum_j s_j c_j, c_j its
@@ -745,10 +738,9 @@ def _sweep(pres, lams, cands, level, keep):
     keys preserve them.  A diagonal candidate's unknowns at each lambda come
     from _diagonal_support, and one with none at any lambda has only x = 0
     and is dropped.  Only then does _PreservationMemo decide the candidate,
-    and only a preserving one reads the tables of its permutation.  A
-    permuting candidate keeps every position at each lambda where some open
-    cycle is live (_SkewRows.live), and none elsewhere.  solve_skew_space
-    solves each live (candidate, lambda) in one pass over its blocks."""
+    and only a preserving one reads the tables of its permutation; a
+    permuting candidate keeps every position.  solve_skew_space solves each
+    live (candidate, lambda) in one pass over its blocks."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell
@@ -777,9 +769,7 @@ def _sweep(pres, lams, cands, level, keep):
         if (diagonal and not any(supports)) or (check and not preserves(perm, exps)):
             continue
         tables = _SkewRows.of(pres, perm, level)
-        if not diagonal:
-            supports = [tables.positions if live else () for live in tables.live(exps, ells)]
-        for lam, ell, positions in zip(lams, ells, supports):
+        for lam, ell, positions in zip(lams, ells, supports or repeat(tables.positions)):
             if not positions:
                 continue
             _, basis = solve_skew_space(pres, perm, exps, ell, level, positions)

@@ -885,7 +885,7 @@ def _cycle_case(name):
 
 
 def _live_by_identity(tables, exps, ell):
-    """The oracle of _SkewRows.live: whether the rows of g x = lam x g on
+    """Whether the rows of g x = lam x g on
     some cycle of (a, c) -> (perm a, perm c) in a block that does not peel
     have a solution eta != 0, that is whether eta_(perm a, perm c) =
     alpha_a / (lam alpha_c) eta_ac brings eta back to itself around the
@@ -921,12 +921,12 @@ CYCLE_CASES = {
 @pytest.mark.parametrize("name", CYCLE_CASES)
 def test_open_cycles_settle_the_permuting_candidates(name):
     """The open-cycle rule against the solver.  At every permuting
-    candidate of each grid and every ell, _SkewRows.live agrees with the
-    identity rows walked around each open cycle, and solve_skew_space over
-    every position returns an empty basis unless some open cycle is live,
-    so the sweep drops only empty candidates; and _SkewRows.reaches accepts
-    the grid at ell exactly when some candidate of it has a live open
-    cycle, so a grid it skips holds none."""
+    candidate of each grid and every ell, solve_skew_space over every
+    position returns an empty basis unless some open cycle is live, the
+    identity rows walked around it bringing eta back to itself; and
+    _SkewRows.reaches accepts the grid at ell exactly when some candidate
+    of it has a live open cycle, so a grid it skips holds only empty
+    candidates."""
     pres, L, ells, grids = _cycle_case(name)
     t = pres.ngens
     nonzero = 0
@@ -936,8 +936,7 @@ def test_open_cycles_settle_the_permuting_candidates(name):
         for ell in ells:
             live_somewhere = False
             for exps in cands:
-                (live,) = tables.live(exps, [ell])
-                assert live == _live_by_identity(tables, exps, ell), (perm, exps, ell)
+                live = _live_by_identity(tables, exps, ell)
                 _, basis = solve_skew_space(pres, perm, exps, ell, L)
                 assert live or not basis, (perm, exps, ell)
                 nonzero += bool(basis)
@@ -951,27 +950,22 @@ def test_open_cycles_settle_the_permuting_candidates(name):
     [("plane-2-3", {0, 3}), ("weyl-2-3", {0}), ("plane-2-4", {0, 2}), ("weyl-2-4", {0}),
      ("plane-3-4", set()), ("affine-3-ord3", {0}), ("m2-ord3", {0})],
 )
-def test_sweep_keeps_the_permuting_families(name, ells, monkeypatch):
+def test_sweep_keeps_the_permuting_families(name, ells):
     """_sweep over the permuting grids of a cycle case, at every root of
-    unity lam of the level, finds the same families over the grid form,
-    over the explicit candidate lists, and over those lists with the
-    open-cycle rule off (every permuting candidate handed to the solver at
-    every lam); the families sit at lam = zeta_L^ell for the given ells,
-    that is at lam = 1 and -1."""
+    unity lam of the level, finds the same families over the grid form as
+    over the explicit candidate lists, which no open-cycle test skips; the
+    families sit at lam = zeta_L^ell for the given ells, that is at lam = 1
+    and -1."""
     from qhact.classify import _sweep
     from qhact.cyclotomic import as_q_power
 
     pres, L, _, grids = _cycle_case(name)
     lams = [zeta(L, ell) for ell in range(L)]
     runs = []
-    for form in ("grid", "listed", "rule off"):
-        with monkeypatch.context() as patch:
-            if form == "rule off":
-                patch.setattr(_SkewRows, "live", lambda self, exps, ells: [True] * len(ells))
-            cands = grids if form == "grid" else _listed(grids, L, pres.ngens)
-            found = _sweep(pres, lams, cands, L, lambda g, x: True)
+    for cands in (grids, _listed(grids, L, pres.ngens)):
+        found = _sweep(pres, lams, cands, L, lambda g, x: True)
         runs.append([(f.lam, f.g, [x.eta for x in f.basis]) for f in found])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     assert {as_q_power(lam, zeta(L)) % L for lam, _, _ in runs[0]} == ells
 
 
@@ -982,8 +976,7 @@ def test_grid_searches_match_the_candidate_lists(search, monkeypatch):
     """enumerate_taft_matrix with the transpose and enumerate_taft_qplane at
     k = 2, where the swap preserves the relation, find the same families
     with the same tags over their grids as over the explicit candidate
-    lists, and as over those lists with the open-cycle rule off (every
-    permuting candidate handed to the solver at every lambda)."""
+    lists, which no open-cycle test skips."""
     from qhact import classify
 
     real = classify._sweep
@@ -997,17 +990,14 @@ def test_grid_searches_match_the_candidate_lists(search, monkeypatch):
     monkeypatch.setattr(classify, "_sweep", sweep)
     family, size = search.split("-", 1)
     runs = []
-    for mode[0] in ("grid", "listed", "every lambda"):
-        with monkeypatch.context() as patch:
-            if mode[0] == "every lambda":
-                patch.setattr(_SkewRows, "live", lambda self, exps, ells: [True] * len(ells))
-            if family in ("plane", "weyl"):
-                found = enumerate_taft_qplane(2, int(size[2:]), algebra=family)
-            else:
-                q = zeta(int(size[3:]))
-                found = enumerate_taft_matrix(int(family[1]), q, q * q, include_tau=True)
+    for mode[0] in ("grid", "listed"):
+        if family in ("plane", "weyl"):
+            found = enumerate_taft_qplane(2, int(size[2:]), algebra=family)
+        else:
+            q = zeta(int(size[3:]))
+            found = enumerate_taft_matrix(int(family[1]), q, q * q, include_tau=True)
         runs.append([(f.lam, f.g, [x.eta for x in f.basis], f.tag) for f in found])
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1]
     # the Weyl algebra at mu = -1 has no family
     assert bool(runs[0]) == (family != "weyl")
 
