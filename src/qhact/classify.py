@@ -33,10 +33,10 @@ union-find.  The solver works one block at a time, and each block is
 presolved once, when the tables are built: a row whose one remaining
 position has a single term c chi_g(prefix), c != 0, forces that position
 to 0, so it is removed, and so on (singleton-row presolve).  A block that
-this empties has full column rank for every g and is never checked.  For a
-diagonal g a block's rows mod p depend on g only through the exponents of
-chi_g at its prefixes, so its verdict is kept under those exponents and its
-present positions.
+this empties has full column rank for every g and is never checked.  A
+pruned block with one present unknown has full column rank mod p exactly
+when some row's entry at that unknown is nonzero mod p, so its verdict is
+read off its rows without ranking them.
 
 On a whole exponent grid (Z_L)^t the sweep generates only the diagonal
 candidates that can carry an x != 0: those with e_a - e_k = ell (mod L)
@@ -79,7 +79,7 @@ member's skew matrix entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from collections import Counter
 from itertools import combinations, permutations, product, repeat, zip_longest
@@ -182,8 +182,7 @@ def solve_skew_space(pres: Presentation, perm, exps, ell, level, positions=None,
     One pass over the blocks that hold an unknown and do not peel: a block
     whose rows mod p have full column rank (_SkewRows.full_rank) has kernel
     0 and is skipped, since a maximal minor that is nonzero mod p is nonzero
-    over Q(zeta_L); a pruned keyed block keeps that verdict in
-    _SkewRows.verdicts.  Every other block is eliminated exactly on its own,
+    over Q(zeta_L).  Every other block is eliminated exactly on its own,
     with its scalars read from the same exponents.  The RREF of a block
     diagonal matrix is the union of its blocks' RREFs, so ordering the
     blocks' kernel vectors by free column gives the basis of the whole
@@ -211,16 +210,8 @@ def solve_skew_space(pres: Presentation, perm, exps, ell, level, positions=None,
     exact = None
     found = []
     for block, cols in todo:
-        if block.fp is not None:
-            if pruned and block.keyed:
-                key = (block, tuple(cols), tuple(map(es.__getitem__, block.prefixes)))
-                full = tables.verdicts.get(key)
-                if full is None:
-                    full = tables.verdicts[key] = tables.full_rank(block, cols, *fp, pruned)
-            else:
-                full = tables.full_rank(block, cols, *fp, pruned)
-            if full:
-                continue
+        if block.fp is not None and tables.full_rank(block, cols, *fp, pruned):
+            continue
         if exact is None:
             # zeta_L^e is the shared root zeta_M^(e M / L), M = unit_level(L)
             roots = root_table(L)[0]
@@ -397,19 +388,17 @@ class _Block:
     unknowns, and its rows as (row, [(position, j, coefficient)]), j the
     index of the prefix in the table's prefixes, exactly (exact) and mod p
     (fp; None when p divides a denominator, and then the block certifies
-    nothing); prefixes lists the indices j its rows use, once each.
-    identity holds the rows of g x = lam x g as (row, pos1, pos2, i, c):
+    nothing).  identity holds the rows of g x = lam x g as (row, pos1, pos2, i, c):
     alpha[i] at pos1 minus lam alpha[c] at pos2.  peels marks a block that
     singleton-row presolve empties: it has full column rank for every g and
-    every set of present positions, so neither field is asked.  keyed marks
-    a block whose verdicts solve_skew_space keeps."""
+    every set of present positions, so neither field is asked."""
 
-    __slots__ = ("positions", "prefixes", "exact", "fp", "identity", "peels", "keyed")
+    __slots__ = ("positions", "exact", "fp", "identity", "peels")
 
     def __init__(self, positions):
         self.positions = positions
-        self.prefixes, self.exact, self.fp, self.identity = [], [], [], []
-        self.peels = self.keyed = False
+        self.exact, self.fp, self.identity = [], [], []
+        self.peels = False
 
 
 def _peels(block):
@@ -463,17 +452,10 @@ class _SkewRows:
 
     For a diagonal g the F_p rows of a block over its present columns are
     sums of c omega^E(prefix), E the exponent sum of g's scalars over the
-    prefix, so solve_skew_space keeps each pruned verdict in verdicts under
-    (block, its present positions in column order, E(prefix) mod L for each
-    of the block's prefixes): _PreservationMemo's rule, applied to the
-    rank.  It keeps them only for a keyed block, one that lacks some
-    one-letter prefix (k,).  A block with all of them reads every exponent
-    of g, and its present positions at two lambdas are disjoint, so one
-    sweep never meets its key twice: every non-peeling block of O_q(M_3)
-    and O_q(M_4), where no key would repeat.  The single positions of
-    k_p[u_1..u_t], which read t - 1 letters, are keyed.  sums holds the
-    last exps solve_skew_space was given, with E(prefix) mod L for each of
-    the prefixes and its power of omega mod p."""
+    prefix.  sums holds the last exps solve_skew_space was given, with
+    E(prefix) mod L for each of the prefixes and its power of omega mod p;
+    it is a memo of a pure function of exps, and the tables keep no
+    verdicts."""
 
     def __init__(self, pres, perm, L):
         t = pres.ngens
@@ -482,7 +464,6 @@ class _SkewRows:
         self.powers = [pow(omega, e, self.p) for e in range(L)]
         self.diagonal = perm == tuple(range(t))
         self.positions = [(a, k) for a in range(t) for k in range(t)]
-        self.verdicts = {}
         self.sums = None, None, None
         merged: dict[tuple, dict] = {}
         rows: dict[tuple, int] = {}
@@ -509,7 +490,7 @@ class _SkewRows:
     def _split(self, omega):
         """The blocks: union-find over the positions, joining the positions
         of each row of the table and of each row of g x = lam x g; then each
-        block's rows in both fields, its prefixes, and whether it peels."""
+        block's rows in both fields and whether it peels."""
         t, perm, L, p = self.t, self.perm, self.L, self.p
         inv = [0] * t
         for k in range(t):
@@ -547,14 +528,11 @@ class _SkewRows:
             dealt: dict[tuple, list] = {}
             for item in block.exact:
                 dealt.setdefault(item[1][0][0], []).append(item)
-            read = {prefix for _, terms in block.exact for _, prefix, _ in terms}
-            block.keyed = any((k,) not in read for k in range(t))
             block.exact = [
                 (row, [(pos, index.setdefault(prefix, len(index)), v) for pos, prefix, v in terms])
                 for turn in zip_longest(*dealt.values())
                 for row, terms in filter(None, turn)
             ]
-            block.prefixes = sorted({j for _, terms in block.exact for _, j, _ in terms})
             block.peels = _peels(block)
             block.fp = [
                 (row, [(pos, j, fp_image(v, p, omega, L)) for pos, j, v in terms])
@@ -617,7 +595,15 @@ class _SkewRows:
     def full_rank(self, block, cols, alpha, lam_alpha, chis, pruned):
         """Whether the block's rows mod p over the unknowns cols have full
         column rank, alpha, lam_alpha and chis given mod p as for rows().
-        A maximal minor that is nonzero mod p is nonzero exactly."""
+        A maximal minor that is nonzero mod p is nonzero exactly.  A pruned
+        block has no identity rows, so over one unknown it has full rank
+        when some row's entry there, the sum of c chis[j] over the row's
+        terms at that position, is nonzero mod p."""
+        if pruned and len(cols) == 1:
+            p = self.p
+            return any(
+                sum(c * chis[j] for pos, j, c in terms if pos in cols) % p for _, terms in block.fp
+            )
         rows = self.rows(block, cols, alpha, lam_alpha, chis, True, pruned)
         return linalg.rank_mod((r for _, r in rows), len(cols), self.p) == len(cols)
 
@@ -795,16 +781,13 @@ def enumerate_taft_qplane(k, m, grid: SearchGrid | None = None, algebra="plane")
     first quantum Weyl algebra, n = lcm(k, m), mu = zeta_k.
 
     Enumerates every diagonal and anti-diagonal grouplike with entries in
-    mu_n and solves for the skew matrix; keeps the inner-faithful actions.
-    On the Weyl algebra the generator order is (v, u).
+    mu_L, L = lcm(grid level, n), and solves for the skew matrix; keeps the
+    inner-faithful actions.  On the Weyl algebra the generator order is (v, u).
     """
     if k <= 1 or m < 3:
         raise InputError("census requires ord(mu) > 1 and m >= 3")
     n = lcm(k, m)
-    grid = grid or SearchGrid(level=n)
-    if grid.level % n:
-        raise InputError("grid level must cover lcm(k, m)")
-    L = grid.level
+    L = lcm(grid.level, n) if grid else n
     mu = root_of_unity(L, L // k)
     if algebra == "plane":
         pres = quantum_plane(mu)
@@ -1008,6 +991,14 @@ def m2_family(q, row) -> ParamAction:
     return ParamAction(pres, g, lam, parts, f"r{row}")
 
 
+def family_parameter(N, kind):
+    """(name, low, high) of the shifted column b or row a that the family
+    kind on O_q(M_N) takes; None when it takes neither, as on O_q(M_2)."""
+    if N < 3:
+        return None
+    return {1: ("b", 2, N), 2: ("a", 2, N), 5: ("b", 1, N - 1), 6: ("a", 1, N - 1)}.get(kind)
+
+
 def mn_family(N, q, kind, a=None, b=None) -> ParamAction:
     """The eight action families on O_q(M_N), N >= 3: column/row shifts
     (kinds 1/2/5/6, parameterized by the shifted column b or row a) and the
@@ -1027,32 +1018,30 @@ def mn_family(N, q, kind, a=None, b=None) -> ParamAction:
             [avec[i] * bvec[j] for i in range(N) for j in range(N)]
         )
 
+    param = family_parameter(N, kind)
+    if param is not None:
+        name, low, high = param
+        value = a if name == "a" else b
+        if value is None or not low <= value <= high:
+            raise InputError(f"family {kind} needs {low} <= {name} <= {high}")
     avec = [one] * N
     bvec = [one] * N
     if kind == 1:
-        if b is None or not (2 <= b <= N):
-            raise InputError("family 1 needs 2 <= b <= N")
         bvec[b - 2], bvec[b - 1] = q, qi
         lam = q * q
         entries = {(flat(i, b - 2), flat(i, b - 1)): one for i in range(N)}
         tag = f"f1[b={b}]"
     elif kind == 2:
-        if a is None or not (2 <= a <= N):
-            raise InputError("family 2 needs 2 <= a <= N")
         avec[a - 2], avec[a - 1] = q, qi
         lam = q * q
         entries = {(flat(a - 2, j), flat(a - 1, j)): one for j in range(N)}
         tag = f"f2[a={a}]"
     elif kind == 5:
-        if b is None or not (1 <= b <= N - 1):
-            raise InputError("family 5 needs 1 <= b <= N-1")
         bvec[b - 1], bvec[b] = q, qi
         lam = qi * qi
         entries = {(flat(i, b), flat(i, b - 1)): one for i in range(N)}
         tag = f"f5[b={b}]"
     elif kind == 6:
-        if a is None or not (1 <= a <= N - 1):
-            raise InputError("family 6 needs 1 <= a <= N-1")
         avec[a - 1], avec[a] = q, qi
         lam = qi * qi
         entries = {(flat(a, j), flat(a - 1, j)): one for j in range(N)}
@@ -1307,7 +1296,6 @@ class MaxRankResult:
     theta: int
     clique: tuple[int, ...]
     witness: ActionInstance | None
-    zeta: dict = field(default_factory=dict)
 
 
 def max_rank(actions: list[ParamAction], q=None) -> MaxRankResult:
@@ -1370,7 +1358,7 @@ def max_rank(actions: list[ParamAction], q=None) -> MaxRankResult:
                 i, j = clique[x], clique[y]
                 zeta_table[(i, j)] = compat[(i, j)].zeta
         witness = assemble_bosonization(actions, clique, kills, zeta_table)
-    return MaxRankResult(theta, clique, witness, zeta_table)
+    return MaxRankResult(theta, clique, witness)
 
 
 def assemble_bosonization(actions, clique, kills, zeta_table) -> ActionInstance:

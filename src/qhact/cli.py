@@ -24,6 +24,7 @@ from .classify import (
     enumerate_taft_affine,
     enumerate_taft_matrix,
     enumerate_taft_qplane,
+    family_parameter,
     generic_affine_p,
     matrix_family,
     max_rank,
@@ -87,12 +88,9 @@ def _require(job, key, field=None):
         raise InputError(f"missing job field: {field or key}") from None
 
 
-def _require_int(job, key, low=None):
-    """Integer job[key], refused below `low` when a bound is given."""
-    value = as_int(_require(job, key), key)
-    if low is not None and value < low:
-        raise InputError(f"job field {key}: must be at least {low}, got {value}")
-    return value
+def _require_int(job, key, low=None, high=None):
+    """Integer job[key], refused outside low..high where a bound is given."""
+    return as_int(_require(job, key), key, low, high)
 
 
 def _degree_bound(opts, job, default):
@@ -103,12 +101,13 @@ def _degree_bound(opts, job, default):
     return _require_int(job, "degree_bound", 0) if "degree_bound" in job else default
 
 
-def _int_list(job, key, default=None):
-    """List of integers in job[key]; required unless a default is given."""
+def _int_list(job, key, default=None, low=None, high=None):
+    """List of integers in job[key], each in low..high where a bound is
+    given; required unless a default is given."""
     values = _require(job, key) if default is None else job.get(key, default)
     if not isinstance(values, list):
         raise InputError(f"job field {key}: expected a list of integers")
-    return [as_int(v, f"{key}[{i}]") for i, v in enumerate(values)]
+    return [as_int(v, f"{key}[{i}]", low, high) for i, v in enumerate(values)]
 
 
 def _checks(job, default):
@@ -213,15 +212,28 @@ def _table_actions(job):
     return N, q
 
 
+def _table_family(job, N, q, kind, side):
+    """The family kind on O_q(M_N), with its shifted row a or column b read
+    from a_<side> or b_<side>.  A field the family does not take is refused,
+    not ignored."""
+    param = family_parameter(N, kind)
+    for name in "ab":
+        field = f"{name}_{side}"
+        if field in job and (param is None or param[0] != name):
+            raise InputError(f"job field {field}: family {kind} on O_q(M_{N}) takes no {name}")
+    if param is None:
+        return matrix_family(N, q, kind)
+    name, low, high = param
+    return matrix_family(N, q, kind, **{name: _require_int(job, f"{name}_{side}", low, high)})
+
+
 def cmd_compat(job, opts):
     N, q = _table_actions(job)
-    rows = _int_list(job, "rows")
+    rows = _int_list(job, "rows", low=1, high=8)
     if len(rows) != 2:
         raise InputError("rows must be a two-element list")
     r, c = rows
-    kw = {k: _require_int(job, k) for k in ("a_r", "b_r", "a_c", "b_c") if k in job}
-    aj = matrix_family(N, q, r, a=kw.get("a_r"), b=kw.get("b_r"))
-    ai = matrix_family(N, q, c, a=kw.get("a_c"), b=kw.get("b_c"))
+    aj, ai = _table_family(job, N, q, r, "r"), _table_family(job, N, q, c, "c")
     res = compatibility(ai, aj, q)
     out = {"cell": [r, c], "i_action": ai.tag, "j_action": aj.tag}
     out.update(res.to_json(q))
@@ -316,12 +328,12 @@ def cmd_qdet(job, opts):
             results[check] = qdet_mod.centrality_check(pres)
             ok = ok and results[check]
         elif check == "laplace":
-            cols = _int_list(job, "columns", list(range(N)))
+            cols = _int_list(job, "columns", list(range(N)), 0, N - 1)
             col_results = {str(c): qdet_mod.laplace_check(pres, c) for c in cols}
             results[check] = col_results
             ok = ok and all(col_results.values())
         elif check == "stability":
-            wanted = set(_int_list(job, "rows")) if "rows" in job else None
+            wanted = set(_int_list(job, "rows", low=1, high=8)) if "rows" in job else None
             flags = {}
             for pa in all_matrix_families(N, q):
                 if wanted is not None:

@@ -48,11 +48,16 @@ class InputError(ValueError):
     """Malformed input to an engine operation (bad level, shape, parameter)."""
 
 
-def as_int(value, field):
-    """A JSON integer: floats, booleans and strings are refused, not rounded."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise InputError(f"job field {field}: expected an integer, got {value!r}")
+def as_int(value, field, low=None, high=None):
+    """A JSON integer: floats, booleans and strings are refused, not rounded,
+    and so is a value outside low..high where a bound is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"job field {field}: expected an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"job field {field}: must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"job field {field}: must be at most {high}, got {value}")
+    return value
 
 
 class DivisionByZero(ZeroDivisionError):

@@ -419,16 +419,17 @@ class ActionInstance:
         t = pres.ngens
         gen_actions = tuple(gen_actions)
         skews = tuple(skews)
+        # the fields are named as instance_to_json writes them
         if len(gen_actions) != qls.group.rank:
-            raise InputError("need one grouplike action per cyclic factor of G")
+            raise InputError(f"grouplikes: need {qls.group.rank}, one per cyclic factor of G")
         if len(skews) != qls.theta:
-            raise InputError("need one skew action per x_i")
-        for g in gen_actions:
+            raise InputError(f"skews: need {qls.theta}, one per x_i")
+        for j, g in enumerate(gen_actions):
             if len(g.perm) != t:
-                raise InputError("grouplike action has wrong dimension")
-        for x in skews:
+                raise InputError(f"grouplikes[{j}].perm: expected {t} entries")
+        for i, x in enumerate(skews):
             if len(x.eta) != t:
-                raise InputError("skew action has wrong dimension")
+                raise InputError(f"skews[{i}].eta: expected a {t} x {t} matrix")
         level = lcm_all(
             [pres.level, qls.group.char_level()]
             + [s.L for g in gen_actions for s in g.scalars]
@@ -898,37 +899,40 @@ def instance_to_json(inst: ActionInstance):
     }
 
 
-def _int_tuple(values, field, length=None):
+def _int_tuple(values, field, length=None, low=None):
     if length is not None and len(values) != length:
         raise InputError(f"{field}: expected {length} entries, got {len(values)}")
-    return tuple(as_int(v, f"{field}[{i}]") for i, v in enumerate(values))
+    return tuple(as_int(v, f"{field}[{i}]", low) for i, v in enumerate(values))
 
 
 def instance_from_json(obj) -> ActionInstance:
     try:
         pres = presentation_from_json(obj["presentation"])
+        t = pres.ngens
         hopf = obj["hopf"]
         kind = hopf["type"]
         grouplikes = [
             GrouplikeAction(
-                _int_tuple(rec["perm"], f"grouplikes[{j}].perm"),
+                _int_tuple(rec["perm"], f"grouplikes[{j}].perm", t),
                 [Cyc.from_json(s) for s in rec["alpha"]],
             )
             for j, rec in enumerate(obj["grouplikes"])
         ]
-        skews = [
-            SkewAction([[Cyc.from_json(e) for e in row] for row in rec["eta"]])
-            for rec in obj["skews"]
-        ]
+        skews = []
+        for i, rec in enumerate(obj["skews"]):
+            eta = [[Cyc.from_json(e) for e in row] for row in rec["eta"]]
+            if len(eta) != t or any(len(row) != t for row in eta):
+                raise InputError(f"skews[{i}].eta: expected a {t} x {t} matrix")
+            skews.append(SkewAction(eta))
         if kind == "taft":
             spec = TaftSpec(
-                as_int(hopf["n"], "hopf.n"),
-                as_int(hopf["m"], "hopf.m"),
+                as_int(hopf["n"], "hopf.n", 1),
+                as_int(hopf["m"], "hopf.m", 1),
                 Cyc.from_json(hopf["lambda"]),
                 Cyc.from_json(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
             )
         elif kind == "bosonization":
-            group = AbelianGroup(_int_tuple(hopf["group"], "hopf.group"))
+            group = AbelianGroup(_int_tuple(hopf["group"], "hopf.group", low=1))
             rank = group.rank
             gs = [_int_tuple(g, f"hopf.g[{i}]", rank) for i, g in enumerate(hopf["g"])]
             chis = [

@@ -471,18 +471,6 @@ class ConfluenceReport:
     def __bool__(self):
         return self.ok
 
-    def to_json(self, pres=None):
-        fails = []
-        for word, left, right in self.failures:
-            fails.append(
-                {
-                    "overlap": list(word),
-                    "left": poly_to_json(pres, left) if pres else repr(left),
-                    "right": poly_to_json(pres, right) if pres else repr(right),
-                }
-            )
-        return {"ok": self.ok, "failures": fails}
-
 
 def confluence_check(pres: Presentation) -> ConfluenceReport:
     """Resolve every length-3 overlap ambiguity both ways and compare."""

@@ -365,17 +365,10 @@ def _unknowns(tables, exps, ells):
 
 def _exact_solve(monkeypatch, pres, perm, exps, ell, L, positions=None, unpruned=False):
     """solve_skew_space with the F_p certificate off: _SkewRows.full_rank
-    certifies nothing and the tables' keyed verdicts start empty, so no
-    verdict of a certified run is read and none is left for one.  Every
-    present block is eliminated exactly."""
-    tables = _SkewRows.of(pres, perm, L)
-    kept, tables.verdicts = tables.verdicts, {}
-    try:
-        with monkeypatch.context() as patch:
-            patch.setattr(_SkewRows, "full_rank", lambda *args: False)
-            return solve_skew_space(pres, perm, exps, ell, L, positions, unpruned)
-    finally:
-        tables.verdicts = kept
+    certifies nothing, so every present block is eliminated exactly."""
+    with monkeypatch.context() as patch:
+        patch.setattr(_SkewRows, "full_rank", lambda *args: False)
+        return solve_skew_space(pres, perm, exps, ell, L, positions, unpruned)
 
 
 def _support_by_differences(exps, L):
@@ -526,25 +519,23 @@ def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
 def test_blocks_match_the_whole_system(grid, monkeypatch):
     """On every candidate of the grid and every lambda, solve_skew_space
     certifies every block mod p, calling nullspace on none, exactly when
-    rank_mod gives the whole system full column rank; on every uncertified
+    rank_mod gives the whole system full column rank, pruned, over fewer
+    unknowns, and unpruned with the identity's rows; on every uncertified
     candidate the block-wise solver returns the positions and basis, in
     order, of nullspace on the whole system, pruned and unpruned; and an
-    empty diagonal support leaves only x = 0.  The keyed verdicts ask
-    rank_mod no more often than with them forgotten, and on the affine grid
-    less often."""
+    empty diagonal support leaves only x = 0."""
     from qhact import classify
     from qhact.classify import _grouplike
     from qhact.cyclotomic import as_q_power, fp_image
     from qhact.hopf import eta_from_entries
 
     rank_mod, nullspace = linalg.rank_mod, linalg.nullspace
-    calls = _count_calls(monkeypatch, classify.linalg, "rank_mod")
     eliminated = _count_calls(monkeypatch, classify.linalg, "nullspace")
 
-    def certifies(perm, exps, ell, positions):
+    def certifies(perm, exps, ell, positions, unpruned=False):
         """Whether solve_skew_space skips every block it is given."""
         eliminated[0] = 0
-        solve_skew_space(pres, perm, exps, ell, L, positions)
+        solve_skew_space(pres, perm, exps, ell, L, positions, unpruned)
         return eliminated[0] == 0
 
     pres, L, lams, cands = _prefilter_grid(grid)
@@ -552,7 +543,7 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
     one = Cyc.one(L)
     ells = [as_q_power(lam, zeta(L)) for lam in lams]
     tables = {}
-    uncertified = empty = cached = fresh = 0
+    uncertified = empty = 0
     for perm, exps in cands:
         tb = tables.get(perm) or tables.setdefault(perm, _SkewRows.of(pres, perm, L))
         assert all(block.fp is not None for block in tb.blocks)
@@ -567,45 +558,38 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
             return c
 
         for lam, ell, positions in zip(lams, ells, _unknowns(tb, exps, ells)):
-            calls[0] = 0
-            verdict = certifies(perm, exps, ell, positions)
-            cached += calls[0]
-            kept, tb.verdicts = tb.verdicts, {}
-            calls[0] = 0
-            assert certifies(perm, exps, ell, positions) == verdict
-            fresh += calls[0]
-            tb.verdicts = kept
             fp_alpha = [pw[e] for e in exps]
             fp_lam_alpha = [pw[(ell + e) % L] for e in exps]
-            if tb.diagonal:
-                assert positions == [
-                    (a, k) for a in range(t) for k in range(t) if fp_alpha[a] == fp_lam_alpha[k]
-                ]
-            rows = _whole_system(
-                tb,
-                positions,
-                fp_alpha,
-                fp_lam_alpha,
-                lambda prefix: pw[sum(exps[k] for k in prefix) % L],
-                lambda v: fp_image(v, p, pw[1], L),
-                tb.diagonal,
-            )
-            n = len(positions)
-            assert verdict == (rank_mod(rows, n, p) == n), (perm, exps, ell)
-            if tb.diagonal and n > 1:
-                # fewer unknowns at the same exponents are a different key
-                sub = positions[1:]
+
+            def fp_full_rank(cols, pruned):
+                """Whether the whole system mod p over cols has full column rank."""
                 rows = _whole_system(
                     tb,
-                    sub,
+                    cols,
                     fp_alpha,
                     fp_lam_alpha,
                     lambda prefix: pw[sum(exps[k] for k in prefix) % L],
                     lambda v: fp_image(v, p, pw[1], L),
-                    True,
+                    pruned,
                 )
-                want = rank_mod(rows, n - 1, p) == n - 1
-                assert certifies(perm, exps, ell, sub) == want, (perm, exps, ell, sub)
+                return rank_mod(rows, len(cols), p) == len(cols)
+
+            verdict = certifies(perm, exps, ell, positions)
+            if tb.diagonal:
+                assert positions == [
+                    (a, k) for a in range(t) for k in range(t) if fp_alpha[a] == fp_lam_alpha[k]
+                ]
+            assert verdict == fp_full_rank(positions, tb.diagonal), (perm, exps, ell)
+            if tb.diagonal and len(positions) > 1:
+                # fewer unknowns at the same exponents: a one-unknown block
+                # of several positions sums only its present one
+                sub = positions[1:]
+                assert certifies(perm, exps, ell, sub) == fp_full_rank(sub, True), (perm, exps, ell, sub)
+            if tb.diagonal:
+                # unpruned, a block of one position reaches full rank through
+                # its identity row too
+                whole = certifies(perm, exps, ell, None, True)
+                assert whole == fp_full_rank(tb.positions, False), (perm, exps, ell)
             if not positions:
                 empty += 1
                 assert solve_skew_space(pres, perm, exps, ell, L) == ([], [])
@@ -627,27 +611,6 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
                 assert [x.eta for x in got] == [x.eta for x in want], (perm, exps, ell, unpruned)
     assert uncertified > 0
     assert empty > 0 or not all(tb.diagonal for tb in tables.values())
-    assert cached <= fresh
-    if grid == "affine-3-ord5":
-        assert cached < fresh
-    if grid == "m3-ord3":
-        # every block that does not peel reads every exponent: none is keyed
-        assert not any(tb.verdicts for tb in tables.values())
-
-
-@pytest.mark.parametrize("grid", GRIDS)
-def test_keyed_blocks_hold_one_position(grid):
-    """Why a keyed verdict need not vary with the present positions today:
-    on the diagonal tables of every grid, each keyed block that does not
-    peel holds one position, so its present positions are always the same.
-    A family with a larger keyed block needs a test that varies them."""
-    pres, L, _, _ = _prefilter_grid(grid)
-    tables = _SkewRows.of(pres, tuple(range(pres.ngens)), L)
-    keyed = [block.positions for block in tables.blocks if block.keyed and not block.peels]
-    for positions in keyed:
-        assert len(positions) == 1, f"{grid}: keyed block {positions} holds several positions"
-    want = {"plane-3-4": 2, "weyl-3-4": 2, "affine-3-ord5": 6, "m2-ord5-tau": 2, "m3-ord3": 0}
-    assert len(keyed) == want[grid], keyed
 
 
 @pytest.mark.parametrize("grid", GRIDS)
@@ -770,9 +733,8 @@ def _count_calls(monkeypatch, module, name):
 @pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5"])
 def test_grid_sweep_matches_the_candidate_sweep(grid, monkeypatch):
     """_sweep over the grid form finds the same families, hands keep the
-    same skew solutions in the same order, keeps the same memo and block
-    verdicts and asks preserves_relations no more often than over the
-    candidate list."""
+    same skew solutions in the same order, keeps the same memo verdicts and
+    asks preserves_relations no more often than over the candidate list."""
     from qhact import classify
 
     calls = _count_calls(monkeypatch, classify, "preserves_relations")
@@ -795,16 +757,11 @@ def test_grid_sweep_matches_the_candidate_sweep(grid, monkeypatch):
 
         calls[0] = 0
         found = classify._sweep(pres, lams, form(cands), L, keep)
-        blocks = {
-            (perm, tb.blocks.index(key[0]), key[1], key[2]): v
-            for perm, tb in ((perm, pres._skew_tables[perm, L]) for perm, _ in pres._skew_tables)
-            for key, v in tb.verdicts.items()
-        }
         families = [(f.lam, f.g, [x.eta for x in f.basis]) for f in found]
-        runs.append((families, kept, memos[-1].verdicts, blocks, calls[0]))
-    (families, kept, verdicts, blocks, before), (families2, kept2, verdicts2, blocks2, after) = runs
+        runs.append((families, kept, memos[-1].verdicts, calls[0]))
+    (families, kept, verdicts, before), (families2, kept2, verdicts2, after) = runs
     assert families2 == families and kept2 == kept
-    assert verdicts2 == verdicts and blocks2 == blocks
+    assert verdicts2 == verdicts
     assert after <= before
     # no candidate of the Weyl grid has a skew solution
     assert bool(families) == (grid != "weyl-3-4")
@@ -1068,15 +1025,15 @@ def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
     """solve_skew_space, which skips a block whose rows mod p have full
     column rank, returns the positions and basis of the exact elimination
     of every present block, pruned and unpruned, at every lambda on at
-    least 60 candidates spread over the grid; and it skips some block.  The
-    certified runs share the keyed verdicts, as the sweep does; the exact
-    runs neither read nor write them.  On every grid with a keyed block,
-    some keyed block is certified."""
+    least 60 candidates spread over the grid; and it skips some block.  On
+    every grid but O_q(M_3) some block with one present unknown is certified
+    with no rank_mod call."""
     from qhact import classify
     from qhact.cyclotomic import as_q_power
 
     pres, L, lams, cands = _prefilter_grid(grid)
     nullspace = _count_calls(monkeypatch, classify.linalg, "nullspace")
+    read_off = _one_unknown_certificates(monkeypatch)
     ells = [as_q_power(lam, zeta(L)) for lam in lams]
     with_cert = without = 0
     for perm, exps in cands[:: max(1, len(cands) // 60)]:
@@ -1091,8 +1048,57 @@ def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
                 assert got[0] == want[0]
                 assert [x.eta for x in got[1]] == [x.eta for x in want[1]], (perm, exps, ell)
     assert with_cert < without
-    verdicts = [v for tb in pres._skew_tables.values() for v in tb.verdicts.values()]
-    assert any(verdicts) == (grid != "m3-ord3"), verdicts
+    # the singles of the plane, Weyl, affine and O_q(M_2) tables; the blocks
+    # of O_q(M_3) that do not peel hold several positions
+    assert (read_off[0] > 0) == (grid != "m3-ord3"), read_off
+
+
+def _one_unknown_certificates(monkeypatch):
+    """Wraps _SkewRows.full_rank to count, in the returned [count], the
+    blocks with one present unknown it certifies without calling rank_mod."""
+    from qhact import classify
+
+    rank_mod = _count_calls(monkeypatch, classify.linalg, "rank_mod")
+    full_rank = _SkewRows.full_rank
+    count = [0]
+
+    def counted(self, block, cols, *args):
+        before = rank_mod[0]
+        full = full_rank(self, block, cols, *args)
+        count[0] += full and len(cols) == 1 and rank_mod[0] == before
+        return full
+
+    monkeypatch.setattr(_SkewRows, "full_rank", counted)
+    return count
+
+
+@pytest.mark.parametrize("grid", GRIDS)
+def test_skew_solver_answers_do_not_depend_on_call_order(grid):
+    """solve_skew_space keeps no verdicts between calls: every (candidate,
+    lambda) of the grid, solved in sweep order on one presentation and in
+    reverse order on a fresh one, gives the same positions and basis,
+    pruned and unpruned."""
+    from qhact.cyclotomic import as_q_power
+
+    def solve_all(pres, jobs):
+        return {
+            job: (positions, [x.eta for x in basis])
+            for job in jobs
+            for positions, basis in [solve_skew_space(pres, job[0], job[1], job[2], L, unpruned=job[3])]
+        }
+
+    pres, L, lams, cands = _prefilter_grid(grid)
+    ells = [as_q_power(lam, zeta(L)) for lam in lams]
+    jobs = [
+        (perm, exps, ell, unpruned)
+        for perm, exps in cands
+        for ell in ells
+        for unpruned in (False, True)
+    ]
+    forward = solve_all(pres, jobs)
+    backward = solve_all(_prefilter_grid(grid)[0], jobs[::-1])
+    assert forward == backward
+    assert any(basis for _, basis in forward.values())
 
 
 @pytest.mark.parametrize("grid", GRIDS)

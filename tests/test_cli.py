@@ -206,6 +206,20 @@ def test_level_override(tmp_path, capsys):
     assert report["count"] == 4
 
 
+@pytest.mark.parametrize("target", ["plane", "weyl"])
+def test_level_override_is_lifted_to_the_search_level(tmp_path, capsys, target):
+    # as on the matrix and affine targets, --level 7 runs the (3, 3) search
+    # at lcm(7, 3) and finds what it finds without the flag
+    job = write_job(tmp_path, "pl.json", {"target": target, "k": 3, "m": 3})
+    found = []
+    for extra in ((), ("--level", "7")):
+        code, out, err = run_cli(capsys, "search", "--job", job, "--json", *extra)
+        assert code == 0, err
+        report = json.loads(out)
+        found.append((report["count"], [f["tag"] for f in report["families"]]))
+    assert found[0] == found[1] and found[0][0] > 0
+
+
 # every integer field of the README job schemas, given a non-integer string,
 # a float or a boolean, and every required part of a verify instance,
 # deleted: exit 2, no traceback
@@ -404,6 +418,21 @@ OUT_OF_RANGE_JOBS = [
     # a JSON boolean is no scalar: true is not read as 1
     ("search", {"target": "affine", "m": 5, "p": _affine_p_json_true_diagonal()}, "p"),
     ("search", {"target": "matrix", "N": 2, "ord_q": 5, "lambda": True}, "lambda"),
+    # a family number, shifted row or shifted column out of range, and a
+    # shift field the family does not take
+    ("compat", {"target": "M2", "rows": [0, 9], "ord_q": 5}, "rows"),
+    ("compat", {"target": "M2", "rows": [1, 9], "ord_q": 5}, "rows"),
+    ("compat", {"target": "M3", "rows": [9, 1], "b_c": 2, "ord_q": 5}, "rows"),
+    ("compat", {"target": "M3", "rows": [2, 5], "a_r": 7, "b_c": 1, "ord_q": 5}, "a_r"),
+    ("compat", {"target": "M3", "rows": [2, 5], "a_r": 2, "b_c": 3, "ord_q": 5}, "b_c"),
+    ("compat", {"target": "M3", "rows": [2, 5], "b_c": 1, "ord_q": 5}, "a_r"),
+    ("compat", {"target": "M3", "rows": [3, 5], "a_r": 2, "b_c": 1, "ord_q": 5}, "a_r"),
+    ("compat", {"target": "M2", "rows": [1, 8], "b_r": 99, "ord_q": 5}, "b_r"),
+    ("compat", {"target": "M2", "rows": [1, 8], "a_c": 1, "ord_q": 5}, "a_c"),
+    # a laplace column out of 0..N-1, a stability family out of 1..8
+    ("qdet", {"N": 1, "ord_q": 5, "checks": ["laplace"], "columns": [3]}, "columns"),
+    ("qdet", {"N": 2, "ord_q": 5, "checks": ["laplace"], "columns": [0, -1]}, "columns"),
+    ("qdet", {"N": 2, "ord_q": 5, "checks": ["stability"], "rows": [9]}, "rows"),
 ]
 
 
@@ -515,6 +544,37 @@ INSTANCE_INT_CASES = [
 def test_instance_integer_field_is_input_error(tmp_path, capsys, build, path, bad, field):
     obj = build()
     _set(obj, path, bad)
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
+
+
+def _get(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# values of a verify instance out of range name their field; bad maps the
+# value at path to the refused one
+INSTANCE_RANGE_CASES = [
+    pytest.param(_m2_instance_json, ("hopf", "n"), lambda n: 0, "hopf.n", id="taft-n-0"),
+    pytest.param(_m2_instance_json, ("hopf", "m"), lambda m: 0, "hopf.m", id="taft-m-0"),
+    pytest.param(_m2_rank3_json, ("hopf", "group"), lambda g: [0] + g[1:], "hopf.group",
+                 id="group-order-0"),
+    pytest.param(_m2_rank3_json, ("grouplikes",), lambda gs: gs[:-1], "grouplikes",
+                 id="one-grouplike-too-few"),
+    pytest.param(_m2_instance_json, ("grouplikes", 0, "perm"), lambda p: p[:-1],
+                 "grouplikes[0].perm", id="short-perm"),
+    pytest.param(_m2_instance_json, ("skews", 0, "eta"), lambda eta: [r[:-1] for r in eta[:-1]],
+                 "skews[0].eta", id="eta-too-small"),
+    pytest.param(_m2_rank3_json, ("skews", 1, "eta"), lambda eta: [r[:-1] for r in eta],
+                 "skews[1].eta", id="eta-not-square"),
+]
+
+
+@pytest.mark.parametrize("build,path,bad,field", INSTANCE_RANGE_CASES)
+def test_instance_out_of_range_field_is_input_error(tmp_path, capsys, build, path, bad, field):
+    obj = build()
+    _set(obj, path, bad(_get(obj, path)))
     _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
 
 

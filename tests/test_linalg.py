@@ -226,7 +226,23 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
         return vecs
 
     monkeypatch.setattr(classify.linalg, "nullspace", recording)
-    certify = classify._SkewRows.full_rank
+    real_rank_mod, ranked = classify.linalg.rank_mod, [0]
+
+    def counted_rank_mod(*args):
+        ranked[0] += 1
+        return real_rank_mod(*args)
+
+    monkeypatch.setattr(classify.linalg, "rank_mod", counted_rank_mod)
+    full_rank, read_off = classify._SkewRows.full_rank, [0]
+
+    def certify(self, block, cols, *args):
+        """full_rank, counting the one-unknown blocks it certifies with no
+        rank_mod call."""
+        before = ranked[0]
+        full = full_rank(self, block, cols, *args)
+        read_off[0] += full and len(cols) == 1 and ranked[0] == before
+        return full
+
     systems = members = 0
     grids = [
         (12, 4, quantum_plane(zeta(3).lift(12))),
@@ -236,7 +252,7 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
         t = len(pres.gens)
         ells = [(L // m) * j for j in range(1, m) if gcd(j, m) == 1]
         identity = tuple(range(t))
-        certified_verdicts = {}
+        read_off[0] = 0
         for exps in product(range(L), repeat=t):
             g = GrouplikeAction.diagonal([root_of_unity(L, e) for e in exps])
             G = operator_matrix(pres, g, 1)
@@ -245,12 +261,9 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                 lam = root_of_unity(L, ell)
                 for unpruned, certified in product((False, True), repeat=2):
                     # with the F_p certificate off, the full-rank blocks are
-                    # eliminated exactly too, as when p divides a denominator;
-                    # the uncertified runs keep their keyed verdicts apart
-                    full_rank = certify if certified else (lambda *args: False)
-                    monkeypatch.setattr(classify._SkewRows, "full_rank", full_rank)
-                    verdicts = certified_verdicts if certified else {}
-                    classify._SkewRows.of(pres, identity, L).verdicts = verdicts
+                    # eliminated exactly too, as when p divides a denominator
+                    patched = certify if certified else (lambda *args: False)
+                    monkeypatch.setattr(classify._SkewRows, "full_rank", patched)
                     rows_in.clear()
                     _, basis = solve_skew_space(pres, identity, exps, ell, L, unpruned=unpruned)
                     _assert_no_zeros(rows_in, "solve_skew_space rows")
@@ -271,8 +284,8 @@ def test_sparse_matrices_store_no_zeros(monkeypatch):
                         ("s_rows", linalg.s_rows(linalg.s_sub(G, X), t)),
                     ):
                         _assert_no_zeros(M, what)
-        # the certified runs certify some keyed block
-        assert any(certified_verdicts.values()), L
+        # the certified runs read some one-unknown block's verdict off its rows
+        assert read_off[0] > 0, L
     assert systems > 0 and members > 0
     # a block of several positions with a nonzero kernel: the grouplike
     # (q, q^-1, q, q^-1) of O_q(M_2) row 1 at lambda = q^2, q = zeta_5, whose
