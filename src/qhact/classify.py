@@ -38,21 +38,30 @@ pruned block with one present unknown has full column rank mod p exactly
 when some row's entry at that unknown is nonzero mod p, so its verdict is
 read off its rows without ranking them.
 
-On a whole exponent grid (Z_L)^t the sweep generates only the diagonal
-candidates that can carry an x != 0: those with e_a - e_k = ell (mod L)
-for some a, k and a lambda = zeta_L^ell.  With all exponents but the last
-fixed, the last is free when the others hold such a pair and is one of
-e_a + ell, e_a - ell otherwise.  It finds a live candidate's unknowns at
-each lambda by a bucket join on the exponents.  A permutation's grid, the
-sums of some exponent columns (the t unit columns, or the 2N - 1 columns
-of the rank-one grid e_ij = a_i + b_j of O_q(M_N)), is decided whole
-first: the memo's key is linear in the exponents, so the keys the grid
-reaches are the sums of its columns' keys, and each is asked once; a
-permutation none of whose keys preserves the relations (the swap of the
-plane and of the Weyl algebra, every non-identity permutation of a generic
-k_p[u_1..u_3]) is never swept, and on a rank-one grid, where e_il + e_jk =
-e_ik + e_jl, the one key settles every candidate.  Only a preserving
-candidate reads the tables of its permutation.
+On the identity's unit grid (Z_L)^t the sweep solves for the diagonal
+candidates that can carry an x != 0 instead of listing the grid.  x != 0
+needs a position (a, k) in a block that does not peel with e_a - e_k = ell
+(mod L) for some lambda = zeta_L^ell.  At a position alone in its block
+each row of two terms reads c1 chi_g(pre1) + c2 chi_g(pre2), which
+vanishes on one congruence in the exponents or never
+(_SkewRows.congruences).  On k_p[u_1..u_t] every off-diagonal position is
+alone: the relations at the arrow (a, k) pin the grouplike, as every action
+there is a trivial extension of one on a quantum plane.  The sweep reads
+the congruences off the identity's tables before it asks the memo, and
+generates the solutions of each position's support congruence and its own
+letter by letter (_congruent_exponents): affine t = 3 at ord 7 hands the
+solver 148 (candidate, lambda) pairs where the whole grid handed it 1,260.
+It finds a candidate's unknowns at each lambda by a bucket join on the
+exponents.  Any other grid, the sums of some exponent columns (the t unit
+columns of a non-identity permutation, or the 2N - 1 columns of the
+rank-one grid e_ij = a_i + b_j of O_q(M_N)), is decided whole first: the
+memo's key is linear in the exponents, so the keys the grid reaches are
+the sums of its columns' keys, and each is asked once; a permutation none
+of whose keys preserves the relations (the swap of the plane and of the
+Weyl algebra, every non-identity permutation of a generic k_p[u_1..u_3])
+is never swept, and on a rank-one grid, where e_il + e_jk = e_ik + e_jl,
+the one key settles every candidate.  Only a preserving candidate of such
+a grid reads the tables of its permutation.
 
 A permuting g is settled by the cycles of (a, c) -> (perm a, perm c) on the
 positions.  The identity rows of g x = lam x g read alpha_a eta_ac =
@@ -82,7 +91,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from collections import Counter
-from itertools import combinations, permutations, product, repeat, zip_longest
+from itertools import permutations, product, repeat, zip_longest
 from math import gcd
 
 from . import linalg
@@ -94,8 +103,10 @@ from .cyclotomic import (
     fp_root,
     lcm,
     lcm_all,
+    root_log,
     root_of_unity,
     root_table,
+    unit_level,
 )
 from .hopf import (
     AbelianGroup,
@@ -628,6 +639,47 @@ class _SkewRows:
                 out[tuple(sorted((x, n) for x, n in coeffs.items() if n)), size] = None
         return list(out)
 
+    @cached_property
+    def congruences(self):
+        """What a diagonal g needs for x != 0 at a position, by position:
+        None when x is 0 there for every g, the position's block peeling or
+        one of its rows never vanishing; [(letter coefficients, residue)]
+        for a position alone in a block that does not peel; no entry for a
+        position that shares its block, which only the support e_a - e_k =
+        ell restricts.
+
+        A lone position's unknown is free exactly when every row's entry
+        vanishes.  A row of two terms has the entry c1 chi_g(pre1) +
+        c2 chi_g(pre2), which is 0 iff zeta_L^(E(pre1) - E(pre2)) = -c2/c1.
+        That holds for some g iff -c2/c1 = zeta_M^d, M = unit_level(L), with
+        (M/L) | d, and then iff E(pre1) - E(pre2) = d/(M/L) (mod L); the
+        letter coefficients are that difference's, as ((letter, count), ...).
+        A row of three or more terms is left out, which only keeps more
+        candidates.  Only the identity's tables, a diagonal g's, are asked."""
+        L, prefixes = self.L, self.prefixes
+        step = unit_level(L) // L
+        out = {}
+        for block in self.blocks:
+            if block.peels:
+                out.update(dict.fromkeys(block.positions))
+                continue
+            if len(block.positions) > 1:
+                continue
+            conds = []
+            for _, terms in block.exact:
+                if len(terms) != 2:
+                    continue
+                (_, j1, c1), (_, j2, c2) = terms
+                d = root_log(-c2 * c1.inv(), L)
+                if d is None or d % step:
+                    conds = None
+                    break
+                coeffs = Counter(prefixes[j1])
+                coeffs.subtract(prefixes[j2])
+                conds.append((tuple(sorted((x, n) for x, n in coeffs.items() if n)), d // step))
+            out[block.positions[0]] = conds
+        return out
+
     def reaches(self, cols, ells):
         """Whether some exps = sum_j s_j cols[j] (mod L) makes an open cycle
         live at some ell.  The cycle's sum is then sum_j s_j c_j, c_j its
@@ -656,24 +708,60 @@ def _diagonal_support(exps, ells, L):
     ]
 
 
-def _live_exponents(t, ells, L):
-    """The exponent vectors of product(range(L), repeat=t), in its order,
-    at which _diagonal_support finds some unknown: those with e_a - e_k =
-    ell (mod L) for some a, k and some ell.  Every vector when an ell is
-    0 mod L.  Given the first t - 1 exponents, every last one is live when
-    they hold such a pair, and otherwise only e_a + ell and e_a - ell, e_a
-    among them."""
-    if any(ell % L == 0 for ell in ells):
-        yield from product(range(L), repeat=t)
-        return
-    shifts = {s % L for ell in ells for s in (ell, -ell)}
-    for head in product(range(L), repeat=t - 1):
-        if any((a - b) % L in shifts for a, b in combinations(head, 2)):
-            tails = range(L)
-        else:
-            tails = sorted({(e + s) % L for e in head for s in shifts})
-        for e in tails:
-            yield head + (e,)
+def _congruent_exponents(t, ells, L, congruences):
+    """The exponent vectors of product(range(L), repeat=t), in its order, at
+    which some position (a, k) can carry x != 0 at some ell: e_a - e_k = ell
+    (mod L), the support _diagonal_support gives, and every congruence of
+    congruences[(a, k)] holds (_SkewRows.congruences; a position it omits
+    has none, and one it maps to None is never live).  With no congruences
+    these are the vectors at which _diagonal_support finds some unknown."""
+    found = set()
+    for ell in ells:
+        for a, k in product(range(t), repeat=2):
+            conds = congruences.get((a, k), [])
+            if conds is not None:
+                found.update(_solutions([(((a, 1), (k, -1)), ell)] + conds, t, L))
+    return sorted(found)
+
+
+def _solutions(system, t, L):
+    """The vectors of (Z_L)^t, in product order, at which every congruence
+    (letter coefficients, residue) of system holds, found letter by letter.
+    With the letters before i fixed at the partial sum s, the congruence
+    sum_x c_x e_x = r stays solvable after e_i = e exactly when c_i e = r - s
+    (mod g), g = gcd(L, c_(i+1), c_(i+2), ...): with h = gcd(c_i, g), for no
+    e unless h divides r - s, and otherwise for the e of one residue class
+    mod g / h."""
+    rows = []
+    for coeffs, r in system:
+        c = [0] * t
+        for x, n in coeffs:
+            c[x] += n
+        tails = [L] * (t + 1)
+        for i in reversed(range(t)):
+            tails[i] = gcd(tails[i + 1], c[i])
+        rows.append((c, r % L, tails))
+    heads = [((), [0] * len(rows))]
+    for i in range(t):
+        nxt = []
+        for head, sums in heads:
+            classes = []
+            for s, (c, r, tails) in zip(sums, rows):
+                g = tails[i + 1]
+                h = gcd(c[i], g)
+                want = (r - s) % g
+                if want % h:
+                    break
+                step = g // h
+                classes.append((step, want // h * pow(c[i] // h, -1, step) % step))
+            else:
+                (step, first), *rest = sorted(classes, reverse=True)
+                for e in range(first, L, step):
+                    if all((e - f) % m == 0 for m, f in rest):
+                        moved = [(s + c[i] * e) % L for s, (c, _, _) in zip(sums, rows)]
+                        nxt.append((head + (e,), moved))
+        heads = nxt
+    return [head for head, _ in heads]
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +805,18 @@ def _sweep(pres, lams, cands, level, keep):
     (perm, exps), exps = sum_j s_j cols[j] over s in (Z_L)^len(cols) in
     product order, and (perm, None) for the grid of the t unit columns,
     (Z_L)^t; the sweep generates them itself.  On the unit grid of the
-    identity it takes only the vectors of _live_exponents.  Any other grid
-    is skipped when none of its keys preserves the relations
+    identity it reads the congruences of the identity's tables first and
+    takes only the vectors of _congruent_exponents.  Any other grid is
+    skipped when none of its keys preserves the relations
     (_PreservationMemo.grid) or when no open cycle can be live on it
     (_SkewRows.reaches), and its candidates skip the memo when all of its
     keys preserve them.  A diagonal candidate's unknowns at each lambda come
     from _diagonal_support, and one with none at any lambda has only x = 0
     and is dropped.  Only then does _PreservationMemo decide the candidate,
-    and only a preserving one reads the tables of its permutation; a
-    permuting candidate keeps every position.  solve_skew_space solves each
-    live (candidate, lambda) in one pass over its blocks."""
+    and only a preserving one reads the tables of a permutation other than
+    the identity; a permuting candidate keeps every position.
+    solve_skew_space solves each live (candidate, lambda) in one pass over
+    its blocks."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell
@@ -740,7 +830,9 @@ def _sweep(pres, lams, cands, level, keep):
             if isinstance(spec, tuple):
                 yield perm, spec, True
             elif perm == identity and spec is None:
-                yield from ((perm, exps, True) for exps in _live_exponents(t, ells, level))
+                congruences = _SkewRows.of(pres, perm, level).congruences
+                for exps in _congruent_exponents(t, ells, level, congruences):
+                    yield perm, exps, True
             else:
                 cols = spec or units
                 verdicts = preserves.grid(perm, cols)

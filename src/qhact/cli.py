@@ -93,11 +93,21 @@ def _require_int(job, key, low=None, high=None):
     return as_int(_require(job, key), key, low, high)
 
 
+def _flag_int(opts, flag, low):
+    """The integer option --flag, or None when it is not given; refused,
+    naming the flag, below low."""
+    value = getattr(opts, flag.replace("-", "_"))
+    if value is not None and value < low:
+        raise InputError(f"--{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _degree_bound(opts, job, default):
     """--degree-bound when given, else job["degree_bound"], else default.
     An explicit 0 counts; values below 0 are refused."""
-    if opts.degree_bound is not None:
-        job = vars(opts)
+    bound = _flag_int(opts, "degree-bound", 0)
+    if bound is not None:
+        return bound
     return _require_int(job, "degree_bound", 0) if "degree_bound" in job else default
 
 
@@ -166,9 +176,8 @@ def cmd_verify(job, opts):
 
 def cmd_search(job, opts):
     target = _require(job, "target")
-    grid = None
-    if opts.level is not None:
-        grid = SearchGrid(level=_require_int(vars(opts), "level", 1))
+    level = _flag_int(opts, "level", 1)
+    grid = None if level is None else SearchGrid(level=level)
     if target == "matrix":
         N = _require_int(job, "N", 2)
         q = zeta(_require_int(job, "ord_q", 3))
@@ -372,11 +381,13 @@ def _suite_worker(args):
 
 
 def _run_suite_parallel(selected, ord_q, workers):
+    """The selected criteria over a process pool of at most one worker per
+    criterion: under fork the pool starts all its workers at once."""
     jobs = [(cid, ord_q) for cid in selected]
     try:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_suite_worker, jobs))
     except OSError:
         results = [_suite_worker(job) for job in jobs]

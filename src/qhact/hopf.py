@@ -911,13 +911,13 @@ def instance_from_json(obj) -> ActionInstance:
         t = pres.ngens
         hopf = obj["hopf"]
         kind = hopf["type"]
-        grouplikes = [
-            GrouplikeAction(
-                _int_tuple(rec["perm"], f"grouplikes[{j}].perm", t),
-                [Cyc.from_json(s) for s in rec["alpha"]],
-            )
-            for j, rec in enumerate(obj["grouplikes"])
-        ]
+        grouplikes = []
+        for j, rec in enumerate(obj["grouplikes"]):
+            perm = _int_tuple(rec["perm"], f"grouplikes[{j}].perm", t)
+            alpha = rec["alpha"]
+            if len(alpha) != t:
+                raise InputError(f"grouplikes[{j}].alpha: expected {t} entries, got {len(alpha)}")
+            grouplikes.append(GrouplikeAction(perm, [Cyc.from_json(s) for s in alpha]))
         skews = []
         for i, rec in enumerate(obj["skews"]):
             eta = [[Cyc.from_json(e) for e in row] for row in rec["eta"]]
@@ -939,9 +939,15 @@ def instance_from_json(obj) -> ActionInstance:
                 Character(group, _int_tuple(c, f"hopf.chi[{i}]", rank))
                 for i, c in enumerate(hopf["chi"])
             ]
+            if len(chis) != len(gs):
+                raise InputError(
+                    f"hopf.chi: expected {len(gs)} characters, one per entry of hopf.g, got {len(chis)}"
+                )
             gammas = hopf.get("gamma", [])
-            if not isinstance(gammas, list) or len(gammas) not in (0, len(skews)):
-                raise InputError(f"hopf.gamma: expected a list of {len(skews)} scalars, one per skew")
+            if not isinstance(gammas, list) or len(gammas) not in (0, len(gs)):
+                raise InputError(
+                    f"hopf.gamma: expected a list of {len(gs)} scalars, one per entry of hopf.g"
+                )
             gammas = [Cyc.from_json(g) for g in gammas] or None
         else:
             raise InputError(f"unknown hopf type {kind!r}")
@@ -952,7 +958,8 @@ def instance_from_json(obj) -> ActionInstance:
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed instance object: {exc}") from exc
     if kind == "taft":
-        if len(grouplikes) != 1 or len(skews) != 1:
-            raise InputError("taft instance needs one grouplike and one skew")
+        for field, items in (("grouplikes", grouplikes), ("skews", skews)):
+            if len(items) != 1:
+                raise InputError(f"{field}: a taft instance needs exactly one, got {len(items)}")
         return taft_instance(pres, spec, grouplikes[0], skews[0])
     return ActionInstance(pres, QLSData(group, gs, chis), grouplikes, skews, gammas)

@@ -448,7 +448,7 @@ def test_level_below_one_is_input_error(tmp_path, capsys, target, level):
     job = write_job(tmp_path, "job.json", target)
     code, _, err = run_cli(capsys, "search", "--job", job, "--json", "--level", level)
     assert code == 2, err
-    assert "level" in json.loads(err)["error"]
+    assert json.loads(err)["error"] == f"--level must be at least 1, got {level}"
 
 
 def test_generic_affine_p_refuses_order_below_two():
@@ -466,7 +466,11 @@ def test_degree_bound_zero_is_honoured(tmp_path, capsys):
     report = json.loads(out)
     assert report["degree_bound"] == 0 and report["results"]["fixed_dims"] == [1]
     code, _, err = run_cli(capsys, "invariants", "--job", job, "--json", "--degree-bound", "-1")
-    assert code == 2 and "degree_bound" in json.loads(err)["error"]
+    assert code == 2 and json.loads(err)["error"] == "--degree-bound must be at least 0, got -1"
+    # the job's own field is named as a job field
+    job = write_job(tmp_path, "i.json", {"k": 6, "m": 4, "checks": ["fixed_dims"], "degree_bound": -1})
+    code, _, err = run_cli(capsys, "invariants", "--job", job, "--json")
+    assert code == 2 and "job field degree_bound" in json.loads(err)["error"]
 
 
 def test_invariants_k1_is_not_a_reflection(tmp_path, capsys):
@@ -568,6 +572,20 @@ INSTANCE_RANGE_CASES = [
                  "skews[0].eta", id="eta-too-small"),
     pytest.param(_m2_rank3_json, ("skews", 1, "eta"), lambda eta: [r[:-1] for r in eta],
                  "skews[1].eta", id="eta-not-square"),
+    pytest.param(_m2_instance_json, ("grouplikes", 0, "alpha"), lambda a: a[:-1],
+                 "grouplikes[0].alpha", id="short-alpha"),
+    pytest.param(_m2_rank3_json, ("grouplikes", 1, "alpha"), lambda a: a + a[:1],
+                 "grouplikes[1].alpha", id="long-alpha"),
+    pytest.param(_m2_instance_json, ("grouplikes",), lambda gs: gs * 2, "grouplikes",
+                 id="taft-two-grouplikes"),
+    pytest.param(_m2_instance_json, ("skews",), lambda xs: [], "skews", id="taft-no-skew"),
+    # the g, chi and gamma lists still have one entry per x_i, so skews is
+    # to blame; a short g list is named beside the chi list it no longer fits
+    pytest.param(_m2_rank3_json, ("skews",), lambda xs: xs[:-1], "skews",
+                 id="one-skew-too-few"),
+    pytest.param(_m2_rank3_json, ("hopf", "chi"), lambda c: c[:-1], "hopf.chi",
+                 id="one-chi-too-few"),
+    pytest.param(_m2_rank3_json, ("hopf", "g"), lambda g: g[:-1], "hopf.g", id="one-g-too-few"),
 ]
 
 
@@ -685,6 +703,40 @@ def test_parallel_suite_matches_serial(tmp_path, capsys):
     serial = report()
     assert [r["id"] for r in serial["results"]] == [3, 11, 12]
     assert report("--workers", "2") == serial
+
+
+def test_parallel_suite_starts_one_worker_per_criterion_at_most(tmp_path, capsys, monkeypatch):
+    # the pool is a stand-in that records its size and maps in this process,
+    # and each criterion a stub, so no process is started
+    import concurrent.futures
+
+    from qhact import cli
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(cli, "_suite_worker",
+                        lambda job: {"id": job[0], "name": "", "status": "pass", "detail": ""})
+    job = write_job(tmp_path, "suite.json", {"criteria": [12, 3]})
+    for workers in ("64", "2", "1"):
+        code, out, err = run_cli(capsys, "suite", "--job", job, "--json", "--workers", workers)
+        assert code == 0, err
+        assert [r["id"] for r in json.loads(out)["results"]] == [3, 12]
+    # --workers 1 runs the criteria serially, with no pool
+    assert sizes == [2, 2]
 
 
 def _random_json(rng, depth):
