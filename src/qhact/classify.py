@@ -38,30 +38,39 @@ pruned block with one present unknown has full column rank mod p exactly
 when some row's entry at that unknown is nonzero mod p, so its verdict is
 read off its rows without ranking them.
 
-On the identity's unit grid (Z_L)^t the sweep solves for the diagonal
-candidates that can carry an x != 0 instead of listing the grid.  x != 0
-needs a position (a, k) in a block that does not peel with e_a - e_k = ell
-(mod L) for some lambda = zeta_L^ell.  At a position alone in its block
-each row of two terms reads c1 chi_g(pre1) + c2 chi_g(pre2), which
-vanishes on one congruence in the exponents or never
-(_SkewRows.congruences).  On k_p[u_1..u_t] every off-diagonal position is
-alone: the relations at the arrow (a, k) pin the grouplike, as every action
-there is a trivial extension of one on a quantum plane.  The sweep reads
-the congruences off the identity's tables before it asks the memo, and
+On a grid of the identity, the unit grid (Z_L)^t or the rank-one grid
+e_ij = a_i + b_j of O_q(M_N) over its 2N - 1 columns, the sweep solves for
+the diagonal candidates that can carry an x != 0 instead of listing the
+grid.  x != 0 needs a position (a, k) in a block that does not peel with
+e_a - e_k = ell (mod L) for some lambda = zeta_L^ell.  A row whose terms
+all sit at that position, one of its own rows, reads entry * x_(a, k) = 0,
+so x is 0 there unless the entry vanishes: a row of one term never does,
+and one of two terms, c1 chi_g(pre1) + c2 chi_g(pre2), vanishes on one
+congruence in the exponents or never (_SkewRows.congruences).  Every row
+of a position alone in its block is its own: on k_p[u_1..u_t] every
+off-diagonal position is alone, as the relations at the arrow (a, k) pin
+the grouplike, every action there being a trivial extension of one on a
+quantum plane.  On O_q(M_3) the blocks that do not peel hold three or
+nine positions, but 15-18 of the 27-30 rows of each block of three are own
+rows of two terms.  The sweep reads the congruences off the identity's
+tables before it asks the memo, maps each onto the grid's columns, and
 generates the solutions of each position's support congruence and its own
-letter by letter (_congruent_exponents): affine t = 3 at ord 7 hands the
-solver 148 (candidate, lambda) pairs where the whole grid handed it 1,260.
-It finds a candidate's unknowns at each lambda by a bucket join on the
-exponents.  Any other grid, the sums of some exponent columns (the t unit
-columns of a non-identity permutation, or the 2N - 1 columns of the
-rank-one grid e_ij = a_i + b_j of O_q(M_N)), is decided whole first: the
-memo's key is linear in the exponents, so the keys the grid reaches are
-the sums of its columns' keys, and each is asked once; a permutation none
-of whose keys preserves the relations (the swap of the plane and of the
-Weyl algebra, every non-identity permutation of a generic k_p[u_1..u_3])
-is never swept, and on a rank-one grid, where e_il + e_jk = e_ik + e_jl,
-the one key settles every candidate.  Only a preserving candidate of such
-a grid reads the tables of its permutation.
+letter by letter (_congruent_exponents), each with the lambdas at which
+some position is live; the solver is asked only there.  Affine t = 3 at
+ord 7 hands the solver 36 (candidate, lambda) pairs, each with a basis,
+where the whole grid handed it 1,260; O_q(M_3) at ord 3 27 for 6 bases,
+where its rank-one grid handed it 240.  The sweep finds a candidate's
+unknowns at each lambda by a bucket join on the exponents.  A grid of a
+non-identity permutation, the sums of some exponent columns (the t unit
+columns, or the rank-one columns composed with the transpose), is decided
+whole first: the memo's key is linear in the
+exponents, so the keys the grid reaches are the sums of its columns' keys,
+and each is asked once; a permutation none of whose keys preserves the
+relations (the swap of the plane and of the Weyl algebra, every
+non-identity permutation of a generic k_p[u_1..u_3]) is never swept.  On a
+rank-one grid, where e_il + e_jk = e_ik + e_jl, one key settles every
+candidate.  Only a preserving candidate of such a grid reads the tables of
+its permutation.
 
 A permuting g is settled by the cycles of (a, c) -> (perm a, perm c) on the
 positions.  The identity rows of g x = lam x g read alpha_a eta_ac =
@@ -641,21 +650,27 @@ class _SkewRows:
 
     @cached_property
     def congruences(self):
-        """What a diagonal g needs for x != 0 at a position, by position:
-        None when x is 0 there for every g, the position's block peeling or
-        one of its rows never vanishing; [(letter coefficients, residue)]
-        for a position alone in a block that does not peel; no entry for a
-        position that shares its block, which only the support e_a - e_k =
-        ell restricts.
+        """What a diagonal g needs for x != 0 at a position, for every
+        position: None when x is 0 there for every g, the position's block
+        peeling or one of its own rows never vanishing; otherwise the
+        [(letter coefficients, residue)] its own rows impose, empty for a
+        position with none, which only the support e_a - e_k = ell restricts.
 
-        A lone position's unknown is free exactly when every row's entry
-        vanishes.  A row of two terms has the entry c1 chi_g(pre1) +
-        c2 chi_g(pre2), which is 0 iff zeta_L^(E(pre1) - E(pre2)) = -c2/c1.
-        That holds for some g iff -c2/c1 = zeta_M^d, M = unit_level(L), with
-        (M/L) | d, and then iff E(pre1) - E(pre2) = d/(M/L) (mod L); the
-        letter coefficients are that difference's, as ((letter, count), ...).
-        A row of three or more terms is left out, which only keeps more
-        candidates.  Only the identity's tables, a diagonal g's, are asked."""
+        A position's own rows are the rows whose terms all sit at it; every
+        row of a position alone in its block is its own.  An own row reads
+        entry * x_pos = 0 in every system that holds the position, so x is 0
+        there unless the entry vanishes, exactly.  The entry of a one-term
+        row, c chi_g(pre), never does.  A row of two terms has the entry
+        c1 chi_g(pre1) + c2 chi_g(pre2), which is 0 iff
+        zeta_L^(E(pre1) - E(pre2)) = -c2/c1.  That holds for some g iff
+        -c2/c1 = zeta_M^d, M = unit_level(L), with (M/L) | d, and then iff
+        E(pre1) - E(pre2) = d/(M/L) (mod L); the letter coefficients are
+        that difference's, as ((letter, count), ...).  A row of three or
+        more terms is left out, which only keeps more candidates; at a lone
+        position whose rows all have two terms the congruences are exact.
+        On O_q(M_3) 15-18 of the 27-30 rows of each block of three
+        positions are own rows of two terms.  Only the identity's tables, a
+        diagonal g's, are asked."""
         L, prefixes = self.L, self.prefixes
         step = unit_level(L) // L
         out = {}
@@ -663,21 +678,24 @@ class _SkewRows:
             if block.peels:
                 out.update(dict.fromkeys(block.positions))
                 continue
-            if len(block.positions) > 1:
-                continue
-            conds = []
+            conds = {pos: [] for pos in block.positions}
             for _, terms in block.exact:
-                if len(terms) != 2:
+                pos = terms[0][0]
+                if conds[pos] is None or len(terms) > 2 or any(q != pos for q, _, _ in terms):
+                    continue
+                if len(terms) == 1:
+                    conds[pos] = None
                     continue
                 (_, j1, c1), (_, j2, c2) = terms
                 d = root_log(-c2 * c1.inv(), L)
                 if d is None or d % step:
-                    conds = None
-                    break
+                    conds[pos] = None
+                    continue
                 coeffs = Counter(prefixes[j1])
                 coeffs.subtract(prefixes[j2])
-                conds.append((tuple(sorted((x, n) for x, n in coeffs.items() if n)), d // step))
-            out[block.positions[0]] = conds
+                letters = tuple(sorted((x, n) for x, n in coeffs.items() if n))
+                conds[pos].append((letters, d // step))
+            out.update(conds)
         return out
 
     def reaches(self, cols, ells):
@@ -708,20 +726,37 @@ def _diagonal_support(exps, ells, L):
     ]
 
 
-def _congruent_exponents(t, ells, L, congruences):
-    """The exponent vectors of product(range(L), repeat=t), in its order, at
-    which some position (a, k) can carry x != 0 at some ell: e_a - e_k = ell
-    (mod L), the support _diagonal_support gives, and every congruence of
+def _congruent_exponents(cols, ells, L, congruences):
+    """The exponent vectors of the grid exps = sum_j s_j cols[j] (mod L), in
+    _grid_exponents' order, at which some position (a, k) can carry x != 0
+    at some ell, each with the set of those ell: e_a - e_k = ell (mod L),
+    the support _diagonal_support gives, and every congruence of
     congruences[(a, k)] holds (_SkewRows.congruences; a position it omits
-    has none, and one it maps to None is never live).  With no congruences
-    these are the vectors at which _diagonal_support finds some unknown."""
-    found = set()
+    has none, and one it maps to None is never live).  A congruence
+    sum_x c_x e_x = r reads sum_j (sum_x c_x cols[j][x]) s_j = r on the
+    grid, which _solutions solves for s.  With no congruences these are the
+    vectors at which _diagonal_support finds some unknown, with the ell at
+    which it does."""
+    t = len(cols[0])
+
+    def on_grid(coeffs, r):
+        sums = (sum(n * col[x] for x, n in coeffs) for col in cols)
+        return tuple((j, c) for j, c in enumerate(sums) if c), r
+
+    systems = {}
+    for a, k in product(range(t), repeat=2):
+        conds = congruences.get((a, k), [])
+        if conds is not None:
+            systems[a, k] = [on_grid(coeffs, r) for coeffs, r in conds]
+    live: dict[tuple, set] = {}
     for ell in ells:
-        for a, k in product(range(t), repeat=2):
-            conds = congruences.get((a, k), [])
-            if conds is not None:
-                found.update(_solutions([(((a, 1), (k, -1)), ell)] + conds, t, L))
-    return sorted(found)
+        for (a, k), system in systems.items():
+            for s in _solutions([on_grid(((a, 1), (k, -1)), ell)] + system, len(cols), L):
+                live.setdefault(s, set()).add(ell)
+    return [
+        (tuple(sum(sj * col[x] for sj, col in zip(s, cols)) % L for x in range(t)), live[s])
+        for s in sorted(live)
+    ]
 
 
 def _solutions(system, t, L):
@@ -804,19 +839,20 @@ def _sweep(pres, lams, cands, level, keep):
     (perm, cols), cols a list of exponent columns, stands for the grid
     (perm, exps), exps = sum_j s_j cols[j] over s in (Z_L)^len(cols) in
     product order, and (perm, None) for the grid of the t unit columns,
-    (Z_L)^t; the sweep generates them itself.  On the unit grid of the
-    identity it reads the congruences of the identity's tables first and
-    takes only the vectors of _congruent_exponents.  Any other grid is
-    skipped when none of its keys preserves the relations
-    (_PreservationMemo.grid) or when no open cycle can be live on it
-    (_SkewRows.reaches), and its candidates skip the memo when all of its
-    keys preserve them.  A diagonal candidate's unknowns at each lambda come
-    from _diagonal_support, and one with none at any lambda has only x = 0
-    and is dropped.  Only then does _PreservationMemo decide the candidate,
-    and only a preserving one reads the tables of a permutation other than
-    the identity; a permuting candidate keeps every position.
-    solve_skew_space solves each live (candidate, lambda) in one pass over
-    its blocks."""
+    (Z_L)^t; the sweep generates them itself.  On every grid of the
+    identity, unit or rank-one, it reads the congruences of the identity's
+    tables first and takes only the vectors of _congruent_exponents, each
+    asked only at the lambdas where some position of its support can be
+    live.  A grid of any other permutation is skipped when none of its keys
+    preserves the relations (_PreservationMemo.grid) or when no open cycle
+    can be live on it (_SkewRows.reaches), and its candidates skip the memo
+    when all of its keys preserve them.  A diagonal candidate's unknowns at
+    each lambda come from _diagonal_support, and a listed one with none at
+    any lambda has only x = 0 and is dropped.  Only then does
+    _PreservationMemo decide the candidate, and only a preserving one reads
+    the tables of a permutation other than the identity; a permuting
+    candidate keeps every position.  solve_skew_space solves each live
+    (candidate, lambda) in one pass over its blocks."""
     preserves = _PreservationMemo(pres, level)
     z = root_of_unity(level, 1)
     ells = [as_q_power(lam, z) for lam in lams]  # lam = zeta_L^ell
@@ -825,30 +861,32 @@ def _sweep(pres, lams, cands, level, keep):
     units = [tuple(int(x == k) for x in range(t)) for k in range(t)]
 
     def candidates():
-        """(perm, exps, whether the memo must still decide the candidate)."""
+        """(perm, exps, whether the memo must still decide the candidate,
+        the ell at which to ask the solver, or None for every ell)."""
         for perm, spec in cands:
             if isinstance(spec, tuple):
-                yield perm, spec, True
-            elif perm == identity and spec is None:
+                yield perm, spec, True, None
+                continue
+            cols = spec or units
+            if perm == identity:
                 congruences = _SkewRows.of(pres, perm, level).congruences
-                for exps in _congruent_exponents(t, ells, level, congruences):
-                    yield perm, exps, True
+                for exps, live in _congruent_exponents(cols, ells, level, congruences):
+                    yield perm, exps, True, live
             else:
-                cols = spec or units
                 verdicts = preserves.grid(perm, cols)
                 if any(verdicts) and _SkewRows.of(pres, perm, level).reaches(cols, ells):
                     check = not all(verdicts)
-                    yield from ((perm, exps, check) for exps in _grid_exponents(cols, level))
+                    yield from ((perm, exps, check, None) for exps in _grid_exponents(cols, level))
 
     found = []
-    for perm, exps, check in candidates():
+    for perm, exps, check, live in candidates():
         diagonal = perm == identity
         supports = _diagonal_support(exps, ells, level) if diagonal else None
         if (diagonal and not any(supports)) or (check and not preserves(perm, exps)):
             continue
         tables = _SkewRows.of(pres, perm, level)
         for lam, ell, positions in zip(lams, ells, supports or repeat(tables.positions)):
-            if not positions:
+            if not positions or (live is not None and ell not in live):
                 continue
             _, basis = solve_skew_space(pres, perm, exps, ell, level, positions)
             if not basis:

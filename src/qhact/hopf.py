@@ -496,20 +496,26 @@ def act_grouplike_raw(pres, g, raw_terms) -> NCPoly:
 
 
 def act_skew_raw(pres, g_att: GrouplikeAction, x: SkewAction, raw_terms) -> NCPoly:
-    """Twisted Leibniz rule x.(a_1...a_d) = sum_pos (g.a_1)...(g.a_{pos-1}) (x.a_pos) a_{pos+1}...a_d."""
+    """Twisted Leibniz rule x.(a_1...a_d) = sum_pos (g.a_1)...(g.a_{pos-1}) (x.a_pos) a_{pos+1}...a_d.
+    The prefix scalar is carried only up to the last letter of the word
+    that x moves."""
     out_terms = []
     arrows = x.arrows
+    scalars, perm = g_att.scalars, g_att.perm
     for word, coeff in raw_terms.items():
+        last = len(word) - 1
+        while last >= 0 and not arrows[word[last]]:
+            last -= 1
         prefix_coeff = coeff
-        prefix = []
-        for pos, k in enumerate(word):
+        prefix = ()
+        for pos in range(last + 1):
+            k = word[pos]
             for a, e in arrows[k]:
-                out_terms.append(
-                    (tuple(prefix) + (a,) + word[pos + 1 :], prefix_coeff * e)
-                )
-            prefix_coeff = prefix_coeff * g_att.scalars[k]
-            prefix.append(g_att.perm[k])
-    return normalize(pres, out_terms)
+                out_terms.append((prefix + (a,) + word[pos + 1 :], prefix_coeff * e))
+            if pos < last:
+                prefix_coeff = prefix_coeff * scalars[k]
+                prefix += (perm[k],)
+    return normalize(pres, out_terms) if out_terms else NCPoly()
 
 
 def act_skew(pres, inst: ActionInstance, i: int, poly: NCPoly) -> NCPoly:

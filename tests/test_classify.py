@@ -653,22 +653,37 @@ def _grid_form(cands):
             (4, 3), (4, 5), (4, 12)],
 )
 def test_live_exponents_are_the_filtered_grid(t, L):
-    """_congruent_exponents with no congruences is _diag_candidates filtered
-    by _diagonal_support, in its order: one ell, several, an ell past L and
-    an ell of 0 mod L; a position mapped to None adds no vector."""
-    from qhact.classify import _congruent_exponents, _diag_candidates
+    """_congruent_exponents with no congruences, over the t unit columns
+    and over the rank-one columns of O_q(M_t) (when that grid has at most
+    12^3 vectors), is the grid of _grid_exponents filtered by
+    _diagonal_support, in its order, each vector with the ell at which its
+    support is not empty: one ell, several, an ell past L and an ell of
+    0 mod L; a position mapped to None adds no vector."""
+    from qhact.classify import (
+        _congruent_exponents,
+        _diag_candidates,
+        _grid_exponents,
+        _rank_one_grid,
+    )
 
+    grids = [(t, _units(t))]
+    if L ** (2 * t - 1) <= 12**3:
+        grids.append((t * t, _rank_one_grid(t)[1]))
+    assert list(_grid_exponents(_units(t), L)) == [exps for _, exps in _diag_candidates(t, L)]
     ells_sets = [[1], [1, L - 1], [L // 3, 2 * L // 3, L + 1], [L], []]
-    for ells in ells_sets:
-        want = [
-            exps for _, exps in _diag_candidates(t, L)
-            if any(s != [] for s in _diagonal_support(exps, ells, L))
-        ]
-        assert _congruent_exponents(t, ells, L, {}) == want, ells
-        if ells == [1] and t < L:
-            assert 0 < len(want) < L**t
-        dead = dict.fromkeys(product(range(t), repeat=2))
-        assert _congruent_exponents(t, ells, L, dead) == []
+    for size, cols in grids:
+        for ells in ells_sets:
+            want = []
+            for exps in _grid_exponents(cols, L):
+                supports = _diagonal_support(exps, ells, L)
+                live = {ell for ell, support in zip(ells, supports) if support}
+                if live:
+                    want.append((exps, live))
+            assert _congruent_exponents(cols, ells, L, {}) == want, (size, ells)
+            if ells == [1] and size < L:
+                assert 0 < len(want) < L**size
+            dead = dict.fromkeys(product(range(size), repeat=2))
+            assert _congruent_exponents(cols, ells, L, dead) == []
 
 
 def _congruence_case(name):
@@ -676,15 +691,17 @@ def _congruence_case(name):
     Weyl algebra at mu = zeta_3, L = 12 and at mu = zeta_5, L = 5 (odd, so
     -1 is no power of zeta_L); generic affine t = 3 at ord 5; a non-generic
     p with p_12 = -1 at L = 10 and at L = 5, and with p_12 = 2, no root of
-    unity; O_q(M_2) at ord 3, whose blocks peel or hold several positions."""
+    unity; O_q(M_2) at ord 3 and 5, whose blocks peel or hold several
+    positions."""
     if name in ("plane-3-4", "weyl-3-4", "plane-5-5", "weyl-5-5"):
         family, k, m = name.split("-")
         L = lcm(int(k), int(m))
         return (quantum_plane if family == "plane" else first_weyl)(zeta(L, L // int(k))), L
     if name == "affine-3-ord5":
         return quantum_affine(generic_affine_p(3, 5)), 5
-    if name == "m2-ord3":
-        return quantum_matrix(2, zeta(3), level=3), 3
+    if name in ("m2-ord3", "m2-ord5"):
+        L = int(name[-1])
+        return quantum_matrix(2, zeta(L), level=L), L
     kind, L = name.split("-")[1:]
     L = int(L)
     p = generic_affine_p(3, 5)
@@ -693,50 +710,78 @@ def _congruence_case(name):
     return quantum_affine(p), L
 
 
-# what each case holds: lone positions with congruences, and positions
-# where x is always 0
+# what each case holds: lone positions with congruences, positions where x
+# is always 0, and positions that share their block, with the congruences
+# of their own rows or with no own row (the diagonal block)
+SHARED_DIAGONAL = {"congruences", "shared-free"}
 CONGRUENCE_CASES = {
-    "plane-3-4": {"congruences"}, "weyl-3-4": {"congruences"},
-    "plane-5-5": {"congruences"}, "weyl-5-5": {"congruences"},
-    "affine-3-ord5": {"congruences"}, "affine-minus-10": {"congruences"},
-    "affine-minus-5": {"never"}, "affine-two-5": {"never"}, "m2-ord3": {"congruences", "never"},
+    "plane-3-4": SHARED_DIAGONAL, "weyl-3-4": SHARED_DIAGONAL,
+    "plane-5-5": SHARED_DIAGONAL, "weyl-5-5": SHARED_DIAGONAL,
+    "affine-3-ord5": SHARED_DIAGONAL, "affine-minus-10": SHARED_DIAGONAL,
+    "affine-minus-5": {"never", "shared-free"}, "affine-two-5": {"never", "shared-free"},
+    "m2-ord3": {"congruences", "never", "shared-congruences", "shared-free"},
+    "m2-ord5": {"congruences", "never", "shared-congruences", "shared-free"},
 }
 
 
 @pytest.mark.parametrize("name", CONGRUENCE_CASES)
 def test_congruences_match_the_single_position_solver(name, monkeypatch):
-    """_SkewRows.congruences against the exact solver on one unknown, at
-    every exponent vector and every ell that puts the position in the
-    support: a position mapped to None has only x = 0; at a lone position
-    x != 0 only where its congruences hold, and exactly there when each of
-    its block's rows has two terms; a position that shares its block is
-    not mapped.  With the F_p certificate off every block is eliminated."""
+    """_SkewRows.congruences against the exact solver, at every exponent
+    vector and every ell.  Every position is mapped, to None when its block
+    peels, and one mapped to None carries x = 0.  At a lone position, or
+    one whose block peels, with one unknown, x != 0 only where its
+    congruences hold, and exactly there when each of its block's rows has
+    two terms.  At a position that shares its block, some kernel vector of
+    the whole support is nonzero there only where its own rows'
+    congruences hold.  With the F_p certificate off every block is
+    eliminated."""
     monkeypatch.setattr(_SkewRows, "full_rank", lambda *args: False)
     pres, L = _congruence_case(name)
     t = pres.ngens
     identity = tuple(range(t))
     tables = _SkewRows.of(pres, identity, L)
     congruences = tables.congruences
+    assert sorted(congruences) == tables.positions
+
+    def holds(pos, exps):
+        conds = congruences[pos]
+        return conds is not None and all(
+            sum(n * exps[x] for x, n in coeffs) % L == r for coeffs, r in conds
+        )
+
     kinds = set()
+    shared = []
     for block in tables.blocks:
-        for a, k in block.positions:
-            conds = congruences.get((a, k), "shared")
-            assert (conds == "shared") == (len(block.positions) > 1 and not block.peels)
-            if conds == "shared":
+        # a block that peels has x = 0 at each position on its own
+        single = len(block.positions) == 1 or block.peels
+        for pos in block.positions:
+            conds = congruences[pos]
+            assert conds is None or not block.peels
+            kind = "never" if conds is None else "congruences" if conds else "free"
+            kinds.add(kind if single else "shared-" + kind)
+            if not single:
+                shared.append(pos)
                 continue
-            kinds.add("never" if conds is None else "congruences")
+            a, k = pos
             exact = all(len(terms) == 2 for _, terms in block.exact)
             for exps in product(range(L), repeat=t):
                 for ell in range(L):
                     if (exps[a] - exps[k] - ell) % L:
                         continue
-                    _, basis = solve_skew_space(pres, identity, exps, ell, L, [(a, k)])
-                    holds = conds is not None and all(
-                        sum(n * exps[x] for x, n in coeffs) % L == r for coeffs, r in conds
-                    )
-                    assert holds or not basis, ((a, k), exps, ell)
+                    _, basis = solve_skew_space(pres, identity, exps, ell, L, [pos])
+                    assert holds(pos, exps) or not basis, (pos, exps, ell)
                     if exact:
-                        assert holds == bool(basis), ((a, k), exps, ell)
+                        assert holds(pos, exps) == bool(basis), (pos, exps, ell)
+    carried = 0
+    for exps in product(range(L), repeat=t):
+        for ell in range(L):
+            _, basis = solve_skew_space(pres, identity, exps, ell, L)
+            for x in basis:
+                for pos in x.support() & set(shared):
+                    assert holds(pos, exps), (pos, exps, ell)
+                    carried += 1
+    # every case has a shared block, and some family is nonzero on it
+    assert carried > 0
     assert kinds == CONGRUENCE_CASES[name]
 
 
@@ -1096,6 +1141,73 @@ def test_rank_one_grids_have_one_preservation_key(N, L):
             assert p == perm
             assert preserves_relations(pres, _grouplike(perm, exps, L)) == verdict
     assert memo.diffs  # the three-term relations are in the key
+
+
+@pytest.mark.parametrize(
+    "search", ["m2-ord3", "m2-ord5", "m2-ord7", "m3-ord3", "m3-ord5", "m4-ord3"]
+)
+def test_congruent_rank_one_sweep_matches_the_candidate_lists(search, monkeypatch):
+    """enumerate_taft_matrix without the transpose, at every primitive lam of
+    order ord(q), finds the same families with the same tags and bases three
+    ways: over its rank-one grid, which the sweep solves by congruences and
+    asks the solver only at the live ell; with that ell filter off, so every
+    congruent candidate is asked at every lam; and over the explicit
+    _rank_one_candidates list, which no congruence filters.  On O_q(M_2)
+    _sweep over the grid and over the list also agree at every root of
+    unity lam of the level, lam = 1 included."""
+    from qhact import classify
+    from qhact.classify import _rank_one_candidates, _rank_one_grid, primitive_lambdas
+
+    N, L = int(search[1]), int(search[6:])
+    real_sweep, real_exponents = classify._sweep, classify._congruent_exponents
+    mode = ["grid"]
+
+    def sweep(pres, lams, cands, level, keep):
+        if mode[0] == "listed":
+            cands = _listed(cands, level, pres.ngens)
+        return real_sweep(pres, lams, cands, level, keep)
+
+    def every_ell(cols, ells, level, congruences):
+        return [(exps, set(ells)) for exps, _ in real_exponents(cols, ells, level, congruences)]
+
+    monkeypatch.setattr(classify, "_sweep", sweep)
+    q = zeta(L)
+    runs = {}
+    for mode[0] in ("grid", "every-ell", "listed"):
+        with monkeypatch.context() as patch:
+            if mode[0] == "every-ell":
+                patch.setattr(classify, "_congruent_exponents", every_ell)
+            runs[mode[0]] = [
+                (f.lam, f.g, [x.eta for x in f.basis], f.tag)
+                for lam in primitive_lambdas(L, L)
+                for f in enumerate_taft_matrix(N, q, lam, include_tau=False)
+            ]
+    assert runs["grid"] == runs["every-ell"] == runs["listed"]
+    assert runs["grid"] and all(tag != "unclassified" for *_, tag in runs["grid"])
+    if N == 2:
+        pres = quantum_matrix(2, q, level=L)
+        lams = [zeta(L, ell) for ell in range(L)]
+        grid = [_rank_one_grid(2)]
+        found = []
+        for cands in (grid, list(_rank_one_candidates(2, L))):
+            families = real_sweep(pres, lams, cands, L, lambda g, x: True)
+            found.append([(f.lam, f.g, [x.eta for x in f.basis]) for f in families])
+        assert found[0] == found[1] and found[0]
+
+
+def test_matrix_search_asks_the_solver_rarely(monkeypatch):
+    """O_q(M_3) at ord 3 with the transpose hands the solver at most 40
+    (candidate, lambda) pairs at either primitive lambda; sweeping its
+    rank-one grid asked it 240 times."""
+    from qhact import classify
+    from qhact.classify import primitive_lambdas
+
+    calls = _count_calls(monkeypatch, classify, "solve_skew_space")
+    for lam in primitive_lambdas(3, 3):
+        calls[0] = 0
+        found = enumerate_taft_matrix(3, zeta(3), lam, include_tau=True)
+        assert 0 < calls[0] <= 40
+        assert len(found) == 6
 
 
 def test_matrix_searches_ask_each_preservation_key_once(monkeypatch):
