@@ -11,9 +11,14 @@ mode is kept as the ground-truth oracle for small cases.
 
 The skew system has one builder, _SkewRows: normal-form tables made once
 per (presentation, permutation, level), which hold each coefficient exactly
-and mod a prime p = 1 (mod L).  Whether g preserves the relations depends
-only on its permutation and on the exponent differences within each
-relation, so the sweep decides it once per such key, exactly, and hands
+and mod a prime p = 1 (mod L).  They are built in one pass that puts each
+term straight into its row: the normal forms of each context
+(perm(prefix), suffix) are read once, as a column over the t letters, and
+each distinct product of a relation coefficient and a normal-form
+coefficient is made, lifted and imaged mod p once (on O_q(M_3) 162 normal
+forms and 12 products, for 1,612 terms).  Whether g preserves the
+relations depends only on its permutation and on the exponent differences
+within each relation, so the sweep decides it once per such key, exactly, and hands
 each preserving candidate to the one solver, solve_skew_space, with g and
 lambda as exponents of zeta_L.  The solver reads each block of the system
 from the tables mod p and takes its rank over F_p (multimodular linear
@@ -405,13 +410,15 @@ class _PreservationMemo:
 
 class _Block:
     """One block of the skew system: its positions, in the order of the
-    unknowns, and its rows as (row, [(position, j, coefficient)]), j the
-    index of the prefix in the table's prefixes, exactly (exact) and mod p
-    (fp; None when p divides a denominator, and then the block certifies
-    nothing).  identity holds the rows of g x = lam x g as (row, pos1, pos2, i, c):
-    alpha[i] at pos1 minus lam alpha[c] at pos2.  peels marks a block that
-    singleton-row presolve empties: it has full column rank for every g and
-    every set of present positions, so neither field is asked."""
+    unknowns, and its rows as (row, ((position, j, coefficient), ...)), j
+    the index of the prefix in the table's prefixes, exactly (exact) and mod
+    p (fp; None when p divides a denominator, and then the block certifies
+    nothing).  Both hold the tuples the one-pass build made for each term,
+    in the order the rows were dealt.  identity holds the rows of
+    g x = lam x g as (row, pos1, pos2, i, c): alpha[i] at pos1 minus
+    lam alpha[c] at pos2.  peels marks a block that singleton-row presolve
+    empties: it has full column rank for every g and every set of present
+    positions, so neither field is asked."""
 
     __slots__ = ("positions", "exact", "fp", "identity", "peels")
 
@@ -424,24 +431,25 @@ class _Block:
 def _peels(block):
     """Whether singleton-row presolve (E. D. Andersen and K. D. Andersen,
     "Presolving in linear programming", Math. Programming 71, 1995) removes
-    every position of the block.  A row whose only remaining position has a
-    single (prefix, coefficient) term has there the entry c chi_g(prefix),
-    c != 0 exactly, so that position is 0 in every kernel vector; remove it
-    and repeat.  Leaving out absent positions or adding the identity rows
-    only shrinks the kernel, so the verdict holds for every g and every set
-    of present positions."""
-    rows = [Counter(pos for pos, _, _ in terms) for _, terms in block.exact]
+    every position of the block.  A row with a single term at the remaining
+    positions, (position, j, coefficient), has there the entry
+    c chi_g(prefixes[j]), c != 0 exactly, so that position is 0 in every
+    kernel vector; remove it and repeat.  The first round, over every
+    position, takes the rows of one term.  Leaving out absent positions or
+    adding the identity rows only shrinks the kernel, so the verdict holds
+    for every g and every set of present positions."""
     left = set(block.positions)
-    while left:
-        forced = set()
-        for counts in rows:
-            remaining = [pos for pos in counts if pos in left]
-            if len(remaining) == 1 and counts[remaining[0]] == 1:
-                forced.add(remaining[0])
-        if not forced:
-            return False
+    forced = {terms[0][0] for _, terms in block.exact if len(terms) == 1}
+    while forced:
         left -= forced
-    return True
+        if not left:
+            return True
+        forced = set()
+        for _, terms in block.exact:
+            remaining = [pos for pos, _, _ in terms if pos in left]
+            if len(remaining) == 1:
+                forced.add(remaining[0])
+    return False
 
 
 class _SkewRows:
@@ -451,24 +459,30 @@ class _SkewRows:
     x kills the relation r at the unit eta (a, k) through the twisted Leibniz
     rule: the sum, over the places of k in the words w of r, of
     c_w chi_g(prefix) nf(perm(prefix) a suffix).  Only chi_g(prefix), the
-    product of g's scalars over the prefix, depends on g, so the normal forms
-    are tabled once: exact[(a, k)] lists (prefix, [(row, coefficient)]), one
-    row per (relation, normal word) as labels[row] names it.
+    product of g's scalars over the prefix, depends on g, so the system is
+    tabled once, in one pass that puts each term straight into its row: one
+    row per (relation, normal word) as labels[row] names it, holding
+    (position, prefix, coefficient) terms.  The normal forms of a place's
+    context (perm(prefix), suffix) are read once, as a column over the t
+    letters a, and shared by every place with that context; each distinct
+    product c_w c_u of a relation coefficient and a normal-form coefficient
+    is made, lifted to L and imaged mod p once.
 
     The system splits into blocks.  Positions that share a row, and for a
     permuting g the two positions of each row of g x = lam x g, lie in one
-    block (union-find over the table), so the matrix is block diagonal and
+    block (union-find over the rows), so the matrix is block diagonal and
     its kernel is the sum of the blocks' kernels.  On k_p[u_1..u_t] and
     O_q(M_N) the relations are homogeneous for a grading in which the unit
     eta (a, k) moves degree by deg u_a - deg u_k, so a block never mixes
     shifts: O_q(M_3) at L = 3 has 49 blocks, 36 of them single positions.
-    A block that singleton-row presolve empties (_peels) has full column
-    rank whatever g and the present positions are, and is never checked:
+    A block that singleton-row presolve empties (_peels, which reads the
+    one-term rows first) has full column rank whatever g and the present
+    positions are, and is never checked:
     the 36 singles of O_q(M_3), and 18 of the 19 blocks with the transpose.
     blocks holds the _Block of each class, and unpeeled[(a, k)] the index of
     the block of (a, k) when that block does not peel; each block keeps its
-    rows row by row, exactly and mod p (fp_root(L)), for rows(), with the
-    prefixes they read chi_g at listed once for the table in prefixes.
+    rows, exactly and mod p (fp_root(L)), for rows(), with the prefixes they
+    read chi_g at listed once for the table in prefixes.
 
     For a diagonal g the F_p rows of a block over its present columns are
     sums of c omega^E(prefix), E the exponent sum of g's scalars over the
@@ -480,49 +494,72 @@ class _SkewRows:
     def __init__(self, pres, perm, L):
         t = pres.ngens
         self.t, self.L, self.perm = t, L, perm
-        self.p, omega = fp_root(L)
-        self.powers = [pow(omega, e, self.p) for e in range(L)]
+        p, omega = fp_root(L)
+        self.p = p
+        self.powers = [pow(omega, e, p) for e in range(L)]
         self.diagonal = perm == tuple(range(t))
         self.positions = [(a, k) for a in range(t) for k in range(t)]
         self.sums = None, None, None
-        merged: dict[tuple, dict] = {}
-        rows: dict[tuple, int] = {}
-        for ridx, rel in enumerate(pres.relations()):
-            for word, c in rel.items():
-                for pos, k in enumerate(word):
-                    prefix, suffix = word[:pos], word[pos + 1 :]
-                    head = tuple(perm[x] for x in prefix)
-                    for a in range(t):
-                        acc = merged.setdefault((a, k), {})
-                        for u, cu in nf_word(pres, head + (a,) + suffix).items():
-                            key = (rows.setdefault((ridx, u), len(rows)), prefix)
-                            acc[key] = c * cu if key not in acc else acc[key] + c * cu
-        self.labels = list(rows)
-        self.exact = {}
-        for pos, acc in merged.items():
-            by_prefix: dict[tuple, list] = {}
-            for (row, prefix), v in acc.items():
-                if not v.is_zero():
-                    by_prefix.setdefault(prefix, []).append((row, v.lift(L)))
-            self.exact[pos] = list(by_prefix.items())
-        self._split(omega)
+        # equal coefficients are made one object, so that a product is keyed
+        # by the ids of its factors; every keyed object lives until the end
+        # of the build, so no id is reused
+        same: dict[tuple, Cyc] = {}
+        columns: dict[tuple, list] = {}
+        products: dict[tuple, tuple] = {}
 
-    def _split(self, omega):
-        """The blocks: union-find over the positions, joining the positions
-        of each row of the table and of each row of g x = lam x g; then each
-        block's rows in both fields and whether it peels."""
-        t, perm, L, p = self.t, self.perm, self.L, self.p
-        inv = [0] * t
-        for k in range(t):
-            inv[perm[k]] = k
-        identity = [(r * t + c, (inv[r], c), (r, perm[c]), inv[r], c) for r in range(t) for c in range(t)]
-        by_row: dict[int, list] = {}
-        for pos, by_prefix in self.exact.items():
-            for prefix, terms in by_prefix:
-                for row, v in terms:
-                    by_row.setdefault(row, []).append((pos, prefix, v))
-        links = [(pos1, pos2) for _, pos1, pos2, _, _ in identity]
-        links += [(terms[0][0], pos) for terms in by_row.values() for pos, _, _ in terms[1:]]
+        def column(head, suffix):
+            """The normal forms of head a suffix over the letters a."""
+            col = columns.get((head, suffix))
+            if col is None:
+                col = columns[head, suffix] = [
+                    [(u, same.setdefault(cu.sort_key(), cu)) for u, cu in nf_word(pres, head + (a,) + suffix).items()]
+                    for a in range(t)
+                ]
+            return col
+
+        index: dict[tuple, int] = {}
+        rows: list[dict] = []  # rows[ridx][u]: the terms of the row (ridx, u)
+        at = [self.positions[k::t] for k in range(t)]  # at[k][a] = (a, k)
+        for rel in pres.relations():
+            rows.append({})
+            for word, c in rel.items():
+                c = same.setdefault(c.sort_key(), c)
+                for i, k in enumerate(word):
+                    prefix, suffix = word[:i], word[i + 1 :]
+                    j = index.setdefault(prefix, len(index))
+                    head = tuple(perm[x] for x in prefix)
+                    for pos, nf in zip(at[k], column(head, suffix)):
+                        key = pos, j
+                        for u, cu in nf:
+                            terms = rows[-1].get(u)
+                            if terms is None:
+                                terms = rows[-1][u] = {}
+                            v = products.get((id(c), id(cu)))
+                            if v is None:  # (c cu at level L, its image mod p), or () for 0
+                                v = (c * cu).lift(L)
+                                v = products[id(c), id(cu)] = (v, fp_image(v, p, omega, L)) if v else ()
+                            if not v:
+                                continue
+                            if key in terms:  # two places with one context and normal word
+                                (_, _, v1), (_, _, f1) = terms.pop(key)
+                                v = v1 + v[0], None if None in (f1, v[1]) else (f1 + v[1]) % p
+                                if not v[0]:  # a row holds no zero term
+                                    continue
+                            terms[key] = (pos, j, v[0]), (pos, j, v[1])
+        self.labels = [(ridx, u) for ridx, by_word in enumerate(rows) for u in by_word]
+        self.prefixes = list(index)
+        certified = all(f is not None for _, f in filter(None, products.values()))
+        self._split((terms for by_word in rows for terms in by_word.values()), certified)
+
+    def _split(self, rows, certified):
+        """The blocks, from the rows' terms, each {(position, j):
+        ((position, j, exact), (position, j, fp))}, j the index of the
+        prefix: union-find over the positions, joining the positions of each
+        row and of each row of g x = lam x g; each block's rows dealt out by
+        first position, so the first rows of a block span its positions and
+        rank_mod stops early; and whether the block peels.  The F_p rows are
+        kept only when certified, every coefficient having an image mod p."""
+        t, perm = self.t, self.perm
         root = {pos: pos for pos in self.positions}
 
         def find(pos):
@@ -530,38 +567,39 @@ class _SkewRows:
                 root[pos] = pos = root[root[pos]]
             return pos
 
-        for pos1, pos2 in links:
+        dealt: dict[tuple, list] = {}
+        for row, terms in enumerate(rows):
+            if not terms:
+                continue
+            exact, fp = zip(*terms.values())
+            first = exact[0][0]
+            for pos, _, _ in exact[1:]:
+                if pos != first:
+                    root[find(pos)] = find(first)
+            dealt.setdefault(first, []).append((row, exact, fp))
+        inv = [0] * t
+        for k in range(t):
+            inv[perm[k]] = k
+        identity = [(r * t + c, (inv[r], c), (r, perm[c]), inv[r], c) for r in range(t) for c in range(t)]
+        for _, pos1, pos2, _, _ in identity:
             root[find(pos1)] = find(pos2)
         classes: dict[tuple, list] = {}
         for pos in self.positions:
             classes.setdefault(find(pos), []).append(pos)
         self.blocks = [_Block(positions) for positions in classes.values()]
         block_of = {pos: b for b, block in enumerate(self.blocks) for pos in block.positions}
-        for row, terms in by_row.items():
-            self.blocks[block_of[terms[0][0]]].exact.append((row, terms))
         for ident in identity:
             self.blocks[block_of[ident[1]]].identity.append(ident)
-        index: dict[tuple, int] = {}
         for block in self.blocks:
-            # deal the rows out by first position, so the first rows of a
-            # block span its positions and rank_mod stops early
-            dealt: dict[tuple, list] = {}
-            for item in block.exact:
-                dealt.setdefault(item[1][0][0], []).append(item)
-            block.exact = [
-                (row, [(pos, index.setdefault(prefix, len(index)), v) for pos, prefix, v in terms])
-                for turn in zip_longest(*dealt.values())
-                for row, terms in filter(None, turn)
-            ]
+            for turn in zip_longest(*(dealt[pos] for pos in block.positions if pos in dealt)):
+                for item in turn:
+                    if item is not None:
+                        row, exact, fp = item
+                        block.exact.append((row, exact))
+                        block.fp.append((row, fp))
             block.peels = _peels(block)
-            block.fp = [
-                (row, [(pos, j, fp_image(v, p, omega, L)) for pos, j, v in terms])
-                for row, terms in block.exact
-            ]
-        if any(v is None for block in self.blocks for _, terms in block.fp for _, _, v in terms):
-            for block in self.blocks:
+            if not certified:
                 block.fp = None
-        self.prefixes = list(index)
         self.unpeeled = {pos: b for pos, b in block_of.items() if not self.blocks[b].peels}
 
     @classmethod
@@ -843,10 +881,15 @@ def _sweep(pres, lams, cands, level, keep):
     identity, unit or rank-one, it reads the congruences of the identity's
     tables first and takes only the vectors of _congruent_exponents, each
     asked only at the lambdas where some position of its support can be
-    live.  A grid of any other permutation is skipped when none of its keys
-    preserves the relations (_PreservationMemo.grid) or when no open cycle
-    can be live on it (_SkewRows.reaches), and its candidates skip the memo
-    when all of its keys preserve them.  A diagonal candidate's unknowns at
+    live.  Such a grid that reaches one preservation key (every rank-one
+    grid, and the unit grid of the plane or of k_p[u_1..u_t], whose
+    relations' words share their letter counts) asks it once, is skipped
+    when it does not preserve the relations, and its candidates skip the
+    memo; on one that reaches more (the Weyl algebra's) the memo decides
+    each candidate.  A grid of any other permutation is skipped when none of
+    its keys preserves the relations (_PreservationMemo.grid) or when no
+    open cycle can be live on it (_SkewRows.reaches), and its candidates
+    skip the memo when all of its keys preserve them.  A diagonal candidate's unknowns at
     each lambda come from _diagonal_support, and a listed one with none at
     any lambda has only x = 0 and is dropped.  Only then does
     _PreservationMemo decide the candidate, and only a preserving one reads
@@ -869,9 +912,14 @@ def _sweep(pres, lams, cands, level, keep):
                 continue
             cols = spec or units
             if perm == identity:
+                # the key is linear in exps, so the grid reaches one key,
+                # that of 0, exactly when every column's key is 0
+                check = any(any(preserves.key(col)) for col in cols)
+                if not (check or preserves(perm, (0,) * t)):
+                    continue
                 congruences = _SkewRows.of(pres, perm, level).congruences
                 for exps, live in _congruent_exponents(cols, ells, level, congruences):
-                    yield perm, exps, True, live
+                    yield perm, exps, check, live
             else:
                 verdicts = preserves.grid(perm, cols)
                 if any(verdicts) and _SkewRows.of(pres, perm, level).reaches(cols, ells):
@@ -1239,32 +1287,6 @@ def m2_order3_family(q, which) -> ParamAction:
         )
         return ParamAction(pres, g, qi * qi, parts, "x2")
     raise InputError("which must be 1 or 2")
-
-
-def plane_family(mu, lam, kind, algebra="plane") -> ParamAction:
-    """Type (a)/(b) rank-one families on the plane or first Weyl algebra."""
-    L = lcm(mu.L, lam.L)
-    mu, lam = mu.lift(L), lam.lift(L)
-    one = Cyc.one(L)
-    if algebra == "plane":
-        pres = quantum_plane(mu)
-        u_idx, v_idx = 0, 1
-    else:
-        pres = first_weyl(mu)
-        v_idx, u_idx = 0, 1
-    if kind == "a":
-        scal = [None, None]
-        scal[u_idx], scal[v_idx] = mu, lam.inv() * mu
-        g = GrouplikeAction.diagonal(scal)
-        parts = (("eta", eta_from_entries(2, {(u_idx, v_idx): one}, L)),)
-    elif kind == "b":
-        scal = [None, None]
-        scal[u_idx], scal[v_idx] = (lam * mu).inv(), mu.inv()
-        g = GrouplikeAction.diagonal(scal)
-        parts = (("eta", eta_from_entries(2, {(v_idx, u_idx): one}, L)),)
-    else:
-        raise InputError("kind must be 'a' or 'b'")
-    return ParamAction(pres, g, lam, parts, f"plane-{kind}")
 
 
 def affine_pair_family(pres: Presentation, lam, i, j) -> ParamAction:

@@ -237,11 +237,6 @@ class Cyc:
     def is_rational(self):
         return not any(self.num[1:])
 
-    def rational_value(self):
-        if not self.is_rational():
-            raise InputError("scalar is not rational")
-        return Fraction(self.num[0], self.den)
-
     def __bool__(self):
         return not self.is_zero()
 

@@ -839,15 +839,6 @@ def inner_faithfulness(inst: ActionInstance):
     return "inner_faithful"
 
 
-def taft_inner_faithful(inst: ActionInstance, n: int):
-    """Rank-one criterion: x nonzero and the grouplike matrix has order n."""
-    if inst.qls.theta != 1:
-        raise InputError("rank-one criterion needs exactly one skew primitive")
-    if inst.skews[0].is_zero():
-        return False
-    return inst.gen_actions[0].order() == n
-
-
 def dual_action(inst: ActionInstance) -> ActionInstance:
     """Transport a verified affine action to the Koszul dual exterior algebra.
 

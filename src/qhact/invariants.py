@@ -100,35 +100,6 @@ def fixed_dims(inst, D, group_only=False):
     return [len(fixed_space(inst, d, group_only=group_only)) for d in range(D + 1)]
 
 
-def skew_kernel_space(inst: ActionInstance, d):
-    """Kernel of the skew operators alone on degree d."""
-    words = inst.pres.basis(d)
-    vecs = _stacked_kernel(len(words), inst.level, skews=_skew_matrices(inst, d))
-    return [NCPoly({words[c]: v for c, v in vec.items()}) for vec in vecs]
-
-
-def x_fixed_subalgebra_check(inst: ActionInstance, D, plane=(0, 1)) -> bool:
-    """For a trivial extension of a plane action (x: u_j -> u_i on the plane
-    (i, j)), check degree-by-degree that ker X equals the span of monomials
-    whose u_j-exponent is divisible by m."""
-    i, j = plane
-    support = inst.skews[0].support()
-    if support != {(i, j)}:
-        raise InputError("instance is not a trivial extension on the stated plane")
-    m = inst.qls.m(0)
-    pres = inst.pres
-    for d in range(D + 1):
-        words = pres.basis(d)
-        expected = {w for w in words if w.count(j) % m == 0}
-        kernel = skew_kernel_space(inst, d)
-        if len(kernel) != len(expected):
-            return False
-        for vec in kernel:
-            if not set(vec.terms) <= expected:
-                return False
-    return True
-
-
 # trace series -----------------------------------------------------------------
 
 

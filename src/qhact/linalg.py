@@ -79,12 +79,6 @@ def s_pow(A, e, level=1):
         A = s_mul(A, A)
 
 
-def s_scale(A, c):
-    if c.is_zero():
-        return [{} for _ in A]
-    return [{i: c * v for i, v in col.items()} for col in A]
-
-
 def s_is_zero(A):
     return all(not col for col in A)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement
-from math import comb
 
 from .cyclotomic import Cyc, InputError, as_int, lcm_all, root_log, root_table
 
@@ -303,9 +302,6 @@ class Presentation:
             return [tuple(w) for w in combinations(range(n), d)]
         return [tuple(w) for w in combinations_with_replacement(range(n), d)]
 
-    def hilbert_coeffs(self, D):
-        return [len(self.basis(d)) for d in range(D + 1)]
-
     def pbw_words_up_to_length(self, length):
         """Normal PBW words of word length <= length (any family)."""
         out = [()]
@@ -325,13 +321,6 @@ class Presentation:
 
     def word_names(self, word):
         return [self.gens[k] for k in word]
-
-    def word_from_names(self, names):
-        lookup = {g: k for k, g in enumerate(self.gens)}
-        try:
-            return tuple(lookup[n] for n in names)
-        except KeyError as exc:
-            raise InputError(f"unknown generator name in {names!r}") from exc
 
 
 # normalization engine ----------------------------------------------------------
@@ -542,13 +531,6 @@ def poly_to_json(pres, poly: NCPoly):
     ]
 
 
-def poly_from_json(pres, data):
-    terms = []
-    for rec in data:
-        terms.append((pres.word_from_names(rec["word"]), Cyc.from_json(rec["coeff"])))
-    return normalize(pres, terms)
-
-
 def presentation_to_json(pres):
     if pres.family == MATRIX:
         return {"family": MATRIX, "N": pres.N, "q": pres.q.to_json()}
@@ -583,11 +565,3 @@ def presentation_from_json(obj):
         return quantum_exterior(p)
     gammas = [Cyc.from_json(g) for g in obj["gamma"]]
     return quantized_weyl(p, gammas)
-
-
-def expected_hilbert(pres, d):
-    """Independent combinatorial dimension count for the graded families."""
-    if pres.family == EXTERIOR:
-        return comb(pres.t, d) if d <= pres.t else 0
-    n = pres.ngens
-    return comb(d + n - 1, n - 1)

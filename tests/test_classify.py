@@ -5,7 +5,6 @@ import pytest
 from qhact.cyclotomic import Cyc, InputError, lcm, zeta
 from qhact.classify import (
     all_matrix_families,
-    plane_family,
     SearchGrid,
     affine_pair_family,
     compatibility,
@@ -292,10 +291,23 @@ def test_search_hypothesis_gates():
         SearchGrid(level=5, g_shape="rank_one")  # diagonal or monomial only
 
 
+def _plane_a_family(mu, lam):
+    """The type (a) rank-one family on the quantum plane: g = diag(mu,
+    lam^-1 mu) and x: v -> u."""
+    from qhact.classify import ParamAction
+    from qhact.hopf import eta_from_entries
+
+    L = lcm(mu.L, lam.L)
+    mu, lam = mu.lift(L), lam.lift(L)
+    g = GrouplikeAction.diagonal([mu, lam.inv() * mu])
+    parts = (("eta", eta_from_entries(2, {(0, 1): Cyc.one(L)}, L)),)
+    return ParamAction(quantum_plane(mu), g, lam, parts, "plane-a")
+
+
 def test_compat_requires_same_presentation():
     q = zeta(5)
     with pytest.raises(InputError):
-        compatibility(m2_family(q, 1), plane_family(q, q * q, "a"))
+        compatibility(m2_family(q, 1), _plane_a_family(q, q * q))
 
 
 @pytest.mark.parametrize("grid", ["plane-3-4", "affine-3-ord5"])
@@ -442,6 +454,124 @@ def _chis(tables, alpha, one):
     return out
 
 
+def _peels_by_counts(block):
+    """Singleton-row presolve over Counters of each row's positions, the way
+    the tables were first built; kept as the oracle of _peels."""
+    from collections import Counter
+
+    rows = [Counter(pos for pos, _, _ in terms) for _, terms in block.exact]
+    left = set(block.positions)
+    while left:
+        forced = set()
+        for counts in rows:
+            remaining = [pos for pos in counts if pos in left]
+            if len(remaining) == 1 and counts[remaining[0]] == 1:
+                forced.add(remaining[0])
+        if not forced:
+            return False
+        left -= forced
+    return True
+
+
+class _PositionMajorRows(_SkewRows):
+    """The tables built the way they were first built, kept as the oracle of
+    the one-pass build: every normal form asked per (place, letter), the
+    terms summed position-major into exact[(a, k)] = [(prefix, [(row,
+    coefficient)])], then regrouped by row, dealt, numbered and imaged mod p
+    term by term.  congruences and cycles are _SkewRows' own, read off these
+    blocks."""
+
+    def __init__(self, pres, perm, L):
+        from qhact.cyclotomic import fp_root
+        from qhact.ncalg import nf_word
+
+        t = pres.ngens
+        self.t, self.L, self.perm = t, L, perm
+        self.p, omega = fp_root(L)
+        self.powers = [pow(omega, e, self.p) for e in range(L)]
+        self.diagonal = perm == tuple(range(t))
+        self.positions = [(a, k) for a in range(t) for k in range(t)]
+        self.sums = None, None, None
+        merged = {}
+        rows = {}
+        for ridx, rel in enumerate(pres.relations()):
+            for word, c in rel.items():
+                for pos, k in enumerate(word):
+                    prefix, suffix = word[:pos], word[pos + 1 :]
+                    head = tuple(perm[x] for x in prefix)
+                    for a in range(t):
+                        acc = merged.setdefault((a, k), {})
+                        for u, cu in nf_word(pres, head + (a,) + suffix).items():
+                            key = (rows.setdefault((ridx, u), len(rows)), prefix)
+                            acc[key] = c * cu if key not in acc else acc[key] + c * cu
+        self.labels = list(rows)
+        self.exact = {}
+        for pos, acc in merged.items():
+            by_prefix = {}
+            for (row, prefix), v in acc.items():
+                if not v.is_zero():
+                    by_prefix.setdefault(prefix, []).append((row, v.lift(L)))
+            self.exact[pos] = list(by_prefix.items())
+        self._regroup(omega)
+
+    def _regroup(self, omega):
+        from itertools import zip_longest
+
+        from qhact.classify import _Block
+        from qhact.cyclotomic import fp_image
+
+        t, perm, L, p = self.t, self.perm, self.L, self.p
+        inv = [0] * t
+        for k in range(t):
+            inv[perm[k]] = k
+        identity = [(r * t + c, (inv[r], c), (r, perm[c]), inv[r], c) for r in range(t) for c in range(t)]
+        by_row = {}
+        for pos, by_prefix in self.exact.items():
+            for prefix, terms in by_prefix:
+                for row, v in terms:
+                    by_row.setdefault(row, []).append((pos, prefix, v))
+        links = [(pos1, pos2) for _, pos1, pos2, _, _ in identity]
+        links += [(terms[0][0], pos) for terms in by_row.values() for pos, _, _ in terms[1:]]
+        root = {pos: pos for pos in self.positions}
+
+        def find(pos):
+            while root[pos] != pos:
+                root[pos] = pos = root[root[pos]]
+            return pos
+
+        for pos1, pos2 in links:
+            root[find(pos1)] = find(pos2)
+        classes = {}
+        for pos in self.positions:
+            classes.setdefault(find(pos), []).append(pos)
+        self.blocks = [_Block(positions) for positions in classes.values()]
+        block_of = {pos: b for b, block in enumerate(self.blocks) for pos in block.positions}
+        for row, terms in by_row.items():
+            self.blocks[block_of[terms[0][0]]].exact.append((row, terms))
+        for ident in identity:
+            self.blocks[block_of[ident[1]]].identity.append(ident)
+        index = {}
+        for block in self.blocks:
+            dealt = {}
+            for item in block.exact:
+                dealt.setdefault(item[1][0][0], []).append(item)
+            block.exact = [
+                (row, [(pos, index.setdefault(prefix, len(index)), v) for pos, prefix, v in terms])
+                for turn in zip_longest(*dealt.values())
+                for row, terms in filter(None, turn)
+            ]
+            block.peels = _peels_by_counts(block)
+            block.fp = [
+                (row, [(pos, j, fp_image(v, p, omega, L)) for pos, j, v in terms])
+                for row, terms in block.exact
+            ]
+        if any(v is None for block in self.blocks for _, terms in block.fp for _, _, v in terms):
+            for block in self.blocks:
+                block.fp = None
+        self.prefixes = list(index)
+        self.unpeeled = {pos: b for pos, b in block_of.items() if not self.blocks[b].peels}
+
+
 @pytest.mark.parametrize("grid", ["plane-3-4", "weyl-3-4", "affine-3-ord5", "m2-ord5-tau"])
 def test_skew_rows_match_act_skew_raw(grid):
     """On every candidate of the grid, the relation rows that
@@ -489,8 +619,9 @@ def test_skew_rows_match_act_skew_raw(grid):
 def _whole_system(tables, positions, alpha, lam_alpha, chi, image, pruned):
     """The skew system as one matrix, the way solve_skew_space built it
     before the blocks, kept as the oracle: rows over positions from the
-    position-major table, each coefficient mapped by image into the field of
-    alpha, lam_alpha and chi, and the rows of g x = lam x g unless pruned."""
+    position-major table of _PositionMajorRows, each coefficient mapped by
+    image into the field of alpha, lam_alpha and chi, and the rows of
+    g x = lam x g unless pruned."""
     t = tables.t
     rows = {}
     if not pruned:
@@ -542,10 +673,11 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
     t = pres.ngens
     one = Cyc.one(L)
     ells = [as_q_power(lam, zeta(L)) for lam in lams]
-    tables = {}
+    tables, oracles = {}, {}
     uncertified = empty = 0
     for perm, exps in cands:
         tb = tables.get(perm) or tables.setdefault(perm, _SkewRows.of(pres, perm, L))
+        oracle = oracles.get(perm) or oracles.setdefault(perm, _PositionMajorRows(pres, perm, L))
         assert all(block.fp is not None for block in tb.blocks)
         p, pw = tb.p, tb.powers
         g = _grouplike(perm, exps, L)
@@ -564,7 +696,7 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
             def fp_full_rank(cols, pruned):
                 """Whether the whole system mod p over cols has full column rank."""
                 rows = _whole_system(
-                    tb,
+                    oracle,
                     cols,
                     fp_alpha,
                     fp_lam_alpha,
@@ -602,7 +734,7 @@ def test_blocks_match_the_whole_system(grid, monkeypatch):
                 cols = tb.positions
                 if pruned:
                     cols = [(a, k) for a in range(t) for k in range(t) if alpha[a] == lam_alpha[k]]
-                rows = _whole_system(tb, cols, alpha, lam_alpha, chi, lambda v: v, pruned)
+                rows = _whole_system(oracle, cols, alpha, lam_alpha, chi, lambda v: v, pruned)
                 rows = [{c: v for c, v in row.items() if not v.is_zero()} for row in rows]
                 kernel = nullspace([row for row in rows if row], len(cols), L)
                 want = [eta_from_entries(t, {cols[c]: v for c, v in vec.items()}, L) for vec in kernel]
@@ -1242,6 +1374,20 @@ def test_matrix_searches_ask_each_preservation_key_once(monkeypatch):
         assert counts[0] <= counts[1], (N, order, lam, counts)
 
 
+@pytest.mark.parametrize("N, order", [(2, 5), (2, 7), (3, 3)])
+def test_rank_one_identity_grid_computes_one_key(N, order, monkeypatch):
+    """Without the transpose, the matrix search computes the preservation
+    key of each of the 2N - 1 columns and of the zero vector, and of no
+    candidate: every column's key is 0, so the rank-one grid reaches the
+    one key of 0, which it asks once."""
+    from qhact import classify
+
+    calls = _count_calls(monkeypatch, classify._PreservationMemo, "key")
+    found = enumerate_taft_matrix(N, zeta(order), zeta(order, 2), include_tau=False)
+    assert found
+    assert calls[0] == 2 * N
+
+
 @pytest.mark.parametrize("grid", GRIDS)
 def test_skew_certificate_keeps_the_exact_bases(grid, monkeypatch):
     """solve_skew_space, which skips a block whose rows mod p have full
@@ -1511,3 +1657,103 @@ def test_order_closed_form_matches_powers():
     assert g.order() == 1001 == _order_by_powers(g)
     with pytest.raises(InputError):
         g.order(cap=1000)
+
+
+def _table_case(name):
+    """(presentation, permutation, level) of a one-pass table check:
+    "grid/<grid>/<i>" is the i-th permutation of a grid of GRIDS,
+    "identity/<case>" the identity of a case of CONGRUENCE_CASES, and
+    "mN-ordL" or "mN-ordL-tau" O_q(M_N) at ord(q) = L, with or without the
+    transpose."""
+    kind, *rest = name.split("/")
+    if kind == "grid":
+        pres, L, _, cands = _prefilter_grid(rest[0])
+        return pres, _grid_perms(cands)[int(rest[1])], L
+    if kind == "identity":
+        pres, L = _congruence_case(rest[0])
+        return pres, tuple(range(pres.ngens)), L
+    N, L = int(kind[1]), int(kind.split("-")[1][3:])
+    flat = range(N * N)
+    perm = tuple((k % N) * N + k // N for k in flat) if kind.endswith("tau") else tuple(flat)
+    return quantum_matrix(N, zeta(L), level=L), perm, L
+
+
+def _grid_perms(cands):
+    return list(dict.fromkeys(perm for perm, _ in cands))
+
+
+TABLE_CASES = (
+    [f"grid/{grid}/{i}" for grid in GRIDS for i in range(len(_grid_perms(_prefilter_grid(grid)[3])))]
+    + [f"identity/{name}" for name in CONGRUENCE_CASES]
+    + [f"m{N}-ord{L}{tau}" for N, L in [(2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (3, 7), (4, 3)] for tau in ("", "-tau")]
+)
+
+
+def _block_terms(tables, rows, key):
+    """A block's rows as the set of (row, prefix, position, key(coefficient))."""
+    return {(row, tables.prefixes[j], pos, key(c)) for row, terms in rows for pos, j, c in terms}
+
+
+def _up_to_sign(conds, L):
+    """A position's congruences with each one's sign fixed, sorted; None
+    stays None."""
+    if conds is None:
+        return None
+    out = []
+    for letters, r in conds:
+        negated = tuple((x, -n) for x, n in letters), -r % L
+        out.append(min((letters, r % L), negated))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_one_pass_tables_match_the_position_major_build(name):
+    """_SkewRows, built in one pass, holds the tables of _PositionMajorRows
+    up to the numbering of the prefixes, the order of the terms within a
+    row and the sign of a congruence: the same blocks with their positions
+    in order, peels, identity rows, labels and unpeeled map; each block's
+    exact and F_p rows as sets of (row, prefix, position, coefficient); the
+    same congruences and open cycles."""
+    pres, perm, L = _table_case(name)
+    got, want = _SkewRows(pres, perm, L), _PositionMajorRows(pres, perm, L)
+    assert [b.positions for b in got.blocks] == [b.positions for b in want.blocks]
+    assert [b.peels for b in got.blocks] == [b.peels for b in want.blocks]
+    assert [b.identity for b in got.blocks] == [b.identity for b in want.blocks]
+    assert got.labels == want.labels
+    assert got.unpeeled == want.unpeeled
+    for mine, theirs in zip(got.blocks, want.blocks):
+        assert _block_terms(got, mine.exact, Cyc.sort_key) == _block_terms(want, theirs.exact, Cyc.sort_key)
+        assert mine.fp is not None and theirs.fp is not None
+        assert _block_terms(got, mine.fp, int) == _block_terms(want, theirs.fp, int)
+    assert {pos: _up_to_sign(c, L) for pos, c in got.congruences.items()} == {
+        pos: _up_to_sign(c, L) for pos, c in want.congruences.items()
+    }
+    assert got.cycles == want.cycles
+
+
+def test_one_pass_tables_sum_the_terms_of_shared_places(monkeypatch):
+    """Two places of one relation with the same position, prefix and normal
+    word add their terms, and a sum that cancels leaves no term.  No family's
+    relations reach this (the words of a relation have distinct first
+    letters), so the tables of affine t = 3 are built for cubic relations
+    u_1 (u_2 u_3 + c u_3 u_2): at the first place, where x sends u_1 to
+    u_a, both words have the normal word of u_a u_2 u_3, with coefficients
+    that cancel when the relation holds (c = -p_23) and add otherwise."""
+    pres, _, _, _ = _prefilter_grid("affine-3-ord5")
+    one = Cyc.one(5)
+    p23 = pres.p[1][2]
+    pres._rules  # the straightening rules stay those of the quadratic relations
+    rels = [{(0, 1, 2): one, (0, 2, 1): -p23}, {(0, 1, 2): one, (0, 2, 1): one}]
+    monkeypatch.setattr(pres, "relations", lambda: rels)
+    identity = (0, 1, 2)
+    got, want = _SkewRows(pres, identity, 5), _PositionMajorRows(pres, identity, 5)
+    assert got.labels == want.labels
+    assert [b.positions for b in got.blocks] == [b.positions for b in want.blocks]
+    terms = [_block_terms(tables, [r for b in tables.blocks for r in b.exact], Cyc.sort_key) for tables in (got, want)]
+    assert terms[0] == terms[1]
+    fps = [_block_terms(tables, [r for b in tables.blocks for r in b.fp], int) for tables in (got, want)]
+    assert fps[0] == fps[1]
+    # the first relation's first place cancels at every letter, the second's adds
+    first = {(row, pos) for row, prefix, pos, _ in terms[0] if prefix == ()}
+    assert {got.labels[row][0] for row, _ in first} == {1}
+    assert len(first) == 3
