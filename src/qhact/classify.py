@@ -60,7 +60,8 @@ nine positions, but 15-18 of the 27-30 rows of each block of three are own
 rows of two terms.  The sweep reads the congruences off the identity's
 tables before it asks the memo, maps each onto the grid's columns, and
 generates the solutions of each position's support congruence and its own
-letter by letter (_congruent_exponents), each with the lambdas at which
+letter by letter, after reducing them on unit pivots from the last letter
+down (_congruent_exponents, _solutions), each with the lambdas at which
 some position is live; the solver is asked only there.  Affine t = 3 at
 ord 7 hands the solver 36 (candidate, lambda) pairs, each with a basis,
 where the whole grid handed it 1,260; O_q(M_3) at ord 3 27 for 6 bases,
@@ -804,16 +805,44 @@ def _solutions(system, t, L):
     sum_x c_x e_x = r stays solvable after e_i = e exactly when c_i e = r - s
     (mod g), g = gcd(L, c_(i+1), c_(i+2), ...): with h = gcd(c_i, g), for no
     e unless h divides r - s, and otherwise for the e of one residue class
-    mod g / h."""
-    rows = []
+    mod g / h.  That test is exact for each congruence alone, not for
+    several, so the system is first reduced from the last letter down: a
+    congruence whose coefficient of letter i is a unit mod L is subtracted,
+    times the factor that clears letter i, from every other congruence not
+    yet so used.  The steps are invertible, so the solutions are the same,
+    but the rest no longer reach past their last non-unit letters, and
+    their joint conditions on the earlier letters are tested there instead
+    of after the dead prefixes they allowed."""
+    pending = {}
     for coeffs, r in system:
         c = [0] * t
         for x, n in coeffs:
             c[x] += n
+        pending[tuple(n % L for n in c), r % L] = None
+    pending = list(pending)
+    rows = []
+    for i in reversed(range(t)):
+        unit = next((row for row in pending if gcd(row[0][i], L) == 1), None)
+        if unit is None:
+            continue
+        pending.remove(unit)
+        rows.append(unit)
+        c, r = unit
+        u = pow(c[i], -1, L)
+        for j, (d, s) in enumerate(pending):
+            f = d[i] * u % L
+            if f:
+                pending[j] = tuple((dx - f * cx) % L for dx, cx in zip(d, c)), (s - f * r) % L
+    for c, r in pending:
+        if any(c):
+            rows.append((c, r))
+        elif r:
+            return []
+    for j, (c, r) in enumerate(rows):
         tails = [L] * (t + 1)
         for i in reversed(range(t)):
             tails[i] = gcd(tails[i + 1], c[i])
-        rows.append((c, r % L, tails))
+        rows[j] = c, r, tails
     heads = [((), [0] * len(rows))]
     for i in range(t):
         nxt = []
@@ -828,7 +857,7 @@ def _solutions(system, t, L):
                 step = g // h
                 classes.append((step, want // h * pow(c[i] // h, -1, step) % step))
             else:
-                (step, first), *rest = sorted(classes, reverse=True)
+                (step, first), *rest = sorted(classes, reverse=True) or [(1, 0)]
                 for e in range(first, L, step):
                     if all((e - f) % m == 0 for m, f in rest):
                         moved = [(s + c[i] * e) % L for s, (c, _, _) in zip(sums, rows)]
@@ -1119,9 +1148,10 @@ class ParamAction:
     def skew(self, coeffs=None):
         t = self.pres.ngens
         level = self.g.scalars[0].L
-        acc = [[Cyc.zero(level) for _ in range(t)] for _ in range(t)]
+        zero = Cyc.zero(level)
+        acc = [[zero] * t for _ in range(t)]
         for label, part in self.parts:
-            c = Cyc.one(level) if coeffs is None else coeffs.get(label, Cyc.zero(level))
+            c = Cyc.one(level) if coeffs is None else coeffs.get(label, zero)
             for k, col in enumerate(part.arrows):
                 for a, e in col:
                     acc[a][k] = acc[a][k] + c * e

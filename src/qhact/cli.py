@@ -30,9 +30,10 @@ from .classify import (
     max_rank,
     plane_instance,
 )
-from .cyclotomic import Cyc, InputError, as_int, as_q_power, lcm, zeta
+from .cyclotomic import Cyc, InputError, as_int, lcm, zeta
 from .hopf import (
     GrouplikeAction,
+    ScalarJson,
     inner_faithfulness,
     instance_from_json,
     instance_to_json,
@@ -128,29 +129,18 @@ def _checks(job, default):
     return checks
 
 
-def _scalar_json(c, q=None):
-    """c.to_json(), plus its exponent as a power of q when q is given and
-    as_q_power finds one."""
-    obj = c.to_json()
-    if q is not None:
-        e = as_q_power(c, q)
-        if e is not None:
-            obj["as_q_power"] = e
-    return obj
-
-
-def _family_json(fam, q=None):
+def _family_json(fam, enc):
+    """The report of one family; its scalars and eta rows come from enc,
+    the ScalarJson of the whole report."""
     return {
         "tag": fam.tag,
-        "lambda": _scalar_json(fam.lam, q),
+        "lambda": enc.scalar(fam.lam),
         "grouplike": {
             "perm": list(fam.g.perm),
-            "alpha": [_scalar_json(s, q) for s in fam.g.scalars],
+            "alpha": [enc.scalar(s) for s in fam.g.scalars],
         },
         "dimension": fam.dim,
-        "basis": [
-            [[_scalar_json(e, q) for e in row] for row in x.eta] for x in fam.basis
-        ],
+        "basis": [[enc.row(row) for row in x.eta] for x in fam.basis],
     }
 
 
@@ -204,10 +194,11 @@ def cmd_search(job, opts):
         ref = None
     else:
         raise InputError(f"unknown search target {target!r}")
+    enc = ScalarJson(ref)
     out = {
         "target": target,
         "count": len(fams),
-        "families": [_family_json(f, ref) for f in fams],
+        "families": [_family_json(f, enc) for f in fams],
     }
     return out, 0
 
@@ -273,9 +264,9 @@ def cmd_maxrank(job, opts):
         out["witness"] = instance_to_json(res.witness)
         out["witness_verifies"] = rep.ok
         qls = res.witness.qls
+        enc = ScalarJson(ref)
         out["character_table"] = [
-            [_scalar_json(chi.eval(g, res.witness.level), ref) for g in qls.gs]
-            for chi in qls.chis
+            [enc.scalar(chi.eval(g, res.witness.level)) for g in qls.gs] for chi in qls.chis
         ]
     return out, 0
 
@@ -427,9 +418,15 @@ def report_text(obj):
     directly: with indent set, json encodes through its pure-Python
     generator.  Values are tested in json's order (str, None, True, False,
     int, float, list or tuple, dict), a dict is sorted on its original keys
-    before they are converted, and any other key or value raises TypeError."""
+    before they are converted, and any other key or value raises TypeError.
+
+    Report trees share objects (hopf.ScalarJson), so a container met again
+    at the same indent is not written again: its text is the slice of out
+    it first wrote, joined on the second meeting.  Every id in the memo is
+    that of a live object inside obj, and obj must not change meanwhile."""
     out = []
     put = out.append
+    done = {}  # (id, indent) -> text, or the (start, end) of its first writing
 
     def scalar(o):
         # json's text of a value that is no container, or None
@@ -449,6 +446,14 @@ def report_text(obj):
 
     def write(o, nl):
         # o is no scalar: a list or tuple, a dict, or a TypeError
+        mark = (id(o), len(nl))
+        seen = done.get(mark)
+        if seen is not None:
+            if seen.__class__ is tuple:
+                seen = done[mark] = "".join(out[seen[0]:seen[1]])
+            put(seen)
+            return
+        start = len(out)
         inner = nl + "  "
         if isinstance(o, (list, tuple)):
             if not o:
@@ -464,6 +469,7 @@ def report_text(obj):
                     put(sep + text)
                 sep = "," + inner
             put(nl + "]")
+            done[mark] = (start, len(out))
         elif isinstance(o, dict):
             if not o:
                 put("{}")
@@ -481,6 +487,7 @@ def report_text(obj):
                     put(head + text)
                 sep = "," + inner
             put(nl + "}")
+            done[mark] = (start, len(out))
         else:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 

@@ -864,7 +864,44 @@ def dual_action(inst: ActionInstance) -> ActionInstance:
 # serialization -----------------------------------------------------------------------
 
 
+class ScalarJson:
+    """The JSON objects of one report's scalars: one {"level", "coeffs"}
+    dict per distinct scalar, with "as_q_power" when q is given and
+    as_q_power finds an exponent, and one list per distinct eta row.  A
+    dense eta matrix repeats a few values many times, so each is converted
+    once.  The objects are shared wherever their value recurs, so the tree
+    they go into is read-only.  Make one per report: the memo keeps every
+    object it has handed out."""
+
+    def __init__(self, q=None):
+        self.q = q
+        self._scalars = {}
+        self._rows = {}
+
+    def scalar(self, c: Cyc):
+        key = (c.L, c.den, *c.num)
+        obj = self._scalars.get(key)
+        if obj is None:
+            obj = self._scalars[key] = c.to_json()
+            if self.q is not None:
+                e = as_q_power(c, self.q)
+                if e is not None:
+                    obj["as_q_power"] = e
+        return obj
+
+    def row(self, row):
+        """The list of the scalars of row, one list per distinct row; the
+        ids of its dicts name it, since the memo keeps them alive."""
+        objs = [self.scalar(e) for e in row]
+        return self._rows.setdefault(tuple(map(id, objs)), objs)
+
+
 def instance_to_json(inst: ActionInstance):
+    """The instance as a JSON tree.  Its scalar dicts and eta rows are
+    shared (ScalarJson), so treat the tree as read-only; the hopf fields
+    and every other list are fresh objects, so an edit to one of them
+    changes that field alone."""
+    enc = ScalarJson()
     qls = inst.qls
     if qls.group.rank == 1 and qls.theta == 1 and qls.gs[0] == (1,):
         hopf = {
@@ -886,11 +923,11 @@ def instance_to_json(inst: ActionInstance):
         "presentation": presentation_to_json(inst.pres),
         "hopf": hopf,
         "grouplikes": [
-            {"perm": list(g.perm), "alpha": [s.to_json() for s in g.scalars]}
+            {"perm": list(g.perm), "alpha": [enc.scalar(s) for s in g.scalars]}
             for g in inst.gen_actions
         ],
         "skews": [
-            {"eta": [[e.to_json() for e in row] for row in x.eta], "grouplike": i}
+            {"eta": [enc.row(row) for row in x.eta], "grouplike": i}
             for i, x in enumerate(inst.skews)
         ],
     }
@@ -902,7 +939,33 @@ def _int_tuple(values, field, length=None, low=None):
     return tuple(as_int(v, f"{field}[{i}]", low) for i, v in enumerate(values))
 
 
+def _scalar_reader():
+    """Cyc.from_json that reads each distinct scalar object once: one Cyc
+    per value of the fields it reads, keyed by each value's type as well,
+    since Python's == and hash equate 1, 1.0 and True.  An object that
+    cannot be keyed, or that is new, goes to Cyc.from_json, so whatever it
+    refuses is refused as before; only what it accepts is kept."""
+    memo = {}
+
+    def read(obj):
+        try:
+            level, coeffs = obj["level"], obj["coeffs"]
+            key = (level.__class__, level, coeffs.__class__, tuple(coeffs), tuple(map(type, coeffs)))
+            c = memo.get(key)
+        except (KeyError, IndexError, TypeError):
+            return Cyc.from_json(obj)
+        if c is None:
+            c = memo[key] = Cyc.from_json(obj)
+        return c
+
+    return read
+
+
 def instance_from_json(obj) -> ActionInstance:
+    """The instance of a JSON tree that instance_to_json writes.  Equal
+    scalar objects are read once (_scalar_reader), so the instance's
+    grouplikes, eta matrices and hopf scalars share their Cyc values."""
+    scalar = _scalar_reader()
     try:
         pres = presentation_from_json(obj["presentation"])
         t = pres.ngens
@@ -914,10 +977,10 @@ def instance_from_json(obj) -> ActionInstance:
             alpha = rec["alpha"]
             if len(alpha) != t:
                 raise InputError(f"grouplikes[{j}].alpha: expected {t} entries, got {len(alpha)}")
-            grouplikes.append(GrouplikeAction(perm, [Cyc.from_json(s) for s in alpha]))
+            grouplikes.append(GrouplikeAction(perm, [scalar(s) for s in alpha]))
         skews = []
         for i, rec in enumerate(obj["skews"]):
-            eta = [[Cyc.from_json(e) for e in row] for row in rec["eta"]]
+            eta = [[scalar(e) for e in row] for row in rec["eta"]]
             if len(eta) != t or any(len(row) != t for row in eta):
                 raise InputError(f"skews[{i}].eta: expected a {t} x {t} matrix")
             skews.append(SkewAction(eta))
@@ -925,8 +988,8 @@ def instance_from_json(obj) -> ActionInstance:
             spec = TaftSpec(
                 as_int(hopf["n"], "hopf.n", 1),
                 as_int(hopf["m"], "hopf.m", 1),
-                Cyc.from_json(hopf["lambda"]),
-                Cyc.from_json(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
+                scalar(hopf["lambda"]),
+                scalar(hopf["gamma"]) if "gamma" in hopf else Cyc.zero(),
             )
         elif kind == "bosonization":
             group = AbelianGroup(_int_tuple(hopf["group"], "hopf.group", low=1))
@@ -945,7 +1008,7 @@ def instance_from_json(obj) -> ActionInstance:
                 raise InputError(
                     f"hopf.gamma: expected a list of {len(gs)} scalars, one per entry of hopf.g"
                 )
-            gammas = [Cyc.from_json(g) for g in gammas] or None
+            gammas = [scalar(g) for g in gammas] or None
         else:
             raise InputError(f"unknown hopf type {kind!r}")
     except InputError:

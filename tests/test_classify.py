@@ -818,6 +818,87 @@ def test_live_exponents_are_the_filtered_grid(t, L):
             assert _congruent_exponents(cols, ells, L, dead) == []
 
 
+def _solutions_letter_by_letter(system, t, L):
+    """The congruence solver before the unit-pivot reduction, kept as the
+    oracle: each congruence is tested on its own, letter by letter."""
+    from math import gcd
+
+    rows = []
+    for coeffs, r in system:
+        c = [0] * t
+        for x, n in coeffs:
+            c[x] += n
+        tails = [L] * (t + 1)
+        for i in reversed(range(t)):
+            tails[i] = gcd(tails[i + 1], c[i])
+        rows.append((c, r % L, tails))
+    heads = [((), [0] * len(rows))]
+    for i in range(t):
+        nxt = []
+        for head, sums in heads:
+            classes = []
+            for s, (c, r, tails) in zip(sums, rows):
+                g = tails[i + 1]
+                h = gcd(c[i], g)
+                want = (r - s) % g
+                if want % h:
+                    break
+                step = g // h
+                classes.append((step, want // h * pow(c[i] // h, -1, step) % step))
+            else:
+                (step, first), *rest = sorted(classes, reverse=True)
+                for e in range(first, L, step):
+                    if all((e - f) % m == 0 for m, f in rest):
+                        moved = [(s + c[i] * e) % L for s, (c, _, _) in zip(sums, rows)]
+                        nxt.append((head + (e,), moved))
+        heads = nxt
+    return [head for head, _ in heads]
+
+
+def test_solutions_match_the_letter_by_letter_solver():
+    """_solutions over random systems mod L = 2..35, t <= 5, L^(t-1) <=
+    40,000: the same vectors in the same order as the solver without the
+    unit-pivot reduction, and, where L^t <= 4,000, as the filtered product
+    itself.  Coefficients are drawn from the multiples of a divisor of L
+    half the time, so that many letters have no unit pivot, and a letter
+    may repeat within a congruence.  No congruence at all gives every
+    vector."""
+    import random
+
+    from qhact.classify import _solutions
+
+    rng = random.Random(58)
+    cases = 0
+    while cases < 300:
+        L, t = rng.randint(2, 35), rng.randint(1, 5)
+        if L ** (t - 1) > 40_000:
+            continue
+        cases += 1
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+        system = []
+        for _ in range(rng.randint(1, 6)):
+            d = rng.choice(divisors) if rng.random() < 0.5 else 1
+            coeffs = tuple(
+                (rng.randrange(t), d * rng.randint(-2 * L, 2 * L))
+                for _ in range(rng.randint(0, t + 1))
+            )
+            system.append((coeffs, rng.randint(-L, 2 * L)))
+        got = _solutions(system, t, L)
+        assert got == _solutions_letter_by_letter(system, t, L), (system, t, L)
+        if L**t <= 4000:
+            want = [
+                e for e in product(range(L), repeat=t)
+                if all((sum(n * e[x] for x, n in coeffs) - r) % L == 0 for coeffs, r in system)
+            ]
+            assert got == want, (system, t, L)
+    for t, L in ((1, 2), (2, 3), (3, 4)):
+        assert _solutions([], t, L) == list(product(range(L), repeat=t))
+    assert _solutions([(((0, 2),), 1)], 1, 4) == []
+    assert _solutions([(((0, 6), (1, 35)), 0)], 2, 35) == [
+        (e0, e1) for e0 in range(35) for e1 in range(35) if 6 * e0 % 35 == 0
+    ]
+
+
 def _congruence_case(name):
     """(presentation, level) of a congruence cross-check: the plane and the
     Weyl algebra at mu = zeta_3, L = 12 and at mu = zeta_5, L = 5 (odd, so

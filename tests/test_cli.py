@@ -740,11 +740,15 @@ def test_parallel_suite_starts_one_worker_per_criterion_at_most(tmp_path, capsys
     assert sizes == [2, 2]
 
 
-def _random_json(rng, depth):
+def _random_json(rng, depth, pool=None):
     """A random value json.dumps accepts: nested dicts (keys of one kind per
     dict, as sorting needs: str, int, int or float, or bool), lists and
     tuples, empty containers, non-ASCII and control characters, nan and the
-    infinities."""
+    infinities.  With a pool, each finished container joins it, and a value
+    is often one already in it, so the tree shares containers at several
+    depths and several times, as report trees do (hopf.ScalarJson)."""
+    if pool and rng.random() < 0.3:
+        return rng.choice(pool)
     chars = "aZ09 \"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u4e2d\U0001f600"
     leaves = [
         lambda: "".join(rng.choice(chars) for _ in range(rng.randrange(6))),
@@ -759,15 +763,23 @@ def _random_json(rng, depth):
     size = rng.randrange(4)
     kind = rng.randrange(3)
     if kind < 2:
-        items = [_random_json(rng, depth - 1) for _ in range(size)]
-        return items if kind == 0 else tuple(items)
+        items = [_random_json(rng, depth - 1, pool) for _ in range(size)]
+        out = items if kind == 0 else tuple(items)
+    else:
+        out = _random_dict(rng, depth, size, chars, pool)
+    if pool is not None:
+        pool.append(out)
+    return out
+
+
+def _random_dict(rng, depth, size, chars, pool):
     keys = rng.choice([
         lambda: "".join(rng.choice(chars) for _ in range(rng.randrange(4))),
         lambda: rng.randint(-50, 50),
         lambda: rng.choice([rng.randint(-5, 5), rng.uniform(-10, 10), float("inf")]),
         lambda: rng.random() < 0.5,
     ])
-    return {keys(): _random_json(rng, depth - 1) for _ in range(size)}
+    return {keys(): _random_json(rng, depth - 1, pool) for _ in range(size)}
 
 
 def test_report_text_matches_json_dumps():
@@ -779,6 +791,24 @@ def test_report_text_matches_json_dumps():
     for _ in range(3000):
         obj = _random_json(rng, 4)
         assert report_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+
+    def containers(o):
+        if isinstance(o, (list, tuple, dict)):
+            yield o
+            for item in o.values() if isinstance(o, dict) else o:
+                yield from containers(item)
+
+    shares = 0
+    for _ in range(1000):
+        obj = _random_json(rng, 5, [])
+        ids = [id(o) for o in containers(obj)]
+        shares += len(ids) - len(set(ids))
+        assert report_text(obj) == json.dumps(obj, indent=2, sort_keys=True), obj
+    assert shares > 1000
+    leaf = {"level": 5, "coeffs": ["0", "1", "0", "0"], "as_q_power": 1}
+    row = [leaf, {"a": leaf}, leaf]
+    tree = {"rows": [row, [row, leaf], row], "leaf": leaf, "deep": {"x": [[row]], "y": (row, leaf)}}
+    assert report_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
     assert report_text({None: 1}) == json.dumps({None: 1}, indent=2, sort_keys=True)
     assert report_text({1.5: [], 2: {}}) == json.dumps({1.5: [], 2: {}}, indent=2, sort_keys=True)
     for bad in ({"a": {1, 2}}, {(1,): 2}, [object()], {1: "a", "b": 2}):
@@ -840,3 +870,154 @@ def test_closed_stdout_exits_141_without_a_traceback(tmp_path, fmt):
         os.close(write)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+# the report builders as they were before they shared scalar objects, kept
+# as oracles: one fresh JSON object per entry
+
+
+def _scalar_json_per_entry(c, q=None):
+    from qhact.cyclotomic import as_q_power
+
+    obj = c.to_json()
+    if q is not None:
+        e = as_q_power(c, q)
+        if e is not None:
+            obj["as_q_power"] = e
+    return obj
+
+
+def _family_json_per_entry(fam, q=None):
+    return {
+        "tag": fam.tag,
+        "lambda": _scalar_json_per_entry(fam.lam, q),
+        "grouplike": {
+            "perm": list(fam.g.perm),
+            "alpha": [_scalar_json_per_entry(s, q) for s in fam.g.scalars],
+        },
+        "dimension": fam.dim,
+        "basis": [
+            [[_scalar_json_per_entry(e, q) for e in row] for row in x.eta] for x in fam.basis
+        ],
+    }
+
+
+def _instance_json_per_entry(inst):
+    from qhact.ncalg import presentation_to_json
+
+    qls = inst.qls
+    if qls.group.rank == 1 and qls.theta == 1 and qls.gs[0] == (1,):
+        hopf = {
+            "type": "taft",
+            "n": qls.group.orders[0],
+            "m": qls.m(0),
+            "lambda": inst.lam(0).to_json(),
+            "gamma": inst.gammas[0].to_json(),
+        }
+    else:
+        hopf = {
+            "type": "bosonization",
+            "group": list(qls.group.orders),
+            "g": [list(g) for g in qls.gs],
+            "chi": [list(c.exps) for c in qls.chis],
+            "gamma": [g.to_json() for g in inst.gammas],
+        }
+    return {
+        "presentation": presentation_to_json(inst.pres),
+        "hopf": hopf,
+        "grouplikes": [
+            {"perm": list(g.perm), "alpha": [s.to_json() for s in g.scalars]}
+            for g in inst.gen_actions
+        ],
+        "skews": [
+            {"eta": [[e.to_json() for e in row] for row in x.eta], "grouplike": i}
+            for i, x in enumerate(inst.skews)
+        ],
+    }
+
+
+def _containers(o):
+    if isinstance(o, (list, tuple, dict)):
+        yield o
+        for item in o.values() if isinstance(o, dict) else o:
+            yield from _containers(item)
+
+
+def test_shared_report_objects_match_the_per_entry_builders():
+    """json.dumps of the shared-object builders equals that of the per-entry
+    ones: every family of O_q(M_2) and O_q(M_3) as one search report and as
+    instances, the max-rank witnesses of O_q(M_3) and O_q(M_4) with their
+    character tables, and the affine t = 3 search at order 5 (no q).  The
+    M_4 witness's tree holds far fewer distinct objects than entries."""
+    from qhact.cli import _family_json
+    from qhact.classify import all_matrix_families, enumerate_taft_affine, generic_affine_p, max_rank
+    from qhact.hopf import ScalarJson
+
+    def same(got, want):
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    q = zeta(5)
+    cases = [(all_matrix_families(N, q), q) for N in (2, 3)]
+    cases.append((enumerate_taft_affine(generic_affine_p(3, 5), 5), None))
+    for fams, ref in cases:
+        enc = ScalarJson(ref)
+        same([_family_json(f, enc) for f in fams], [_family_json_per_entry(f, ref) for f in fams])
+        if ref is not None:
+            for f in fams:
+                same(instance_to_json(f.instance()), _instance_json_per_entry(f.instance()))
+    for N, theta in ((3, 4), (4, 6)):
+        res = max_rank(all_matrix_families(N, q), q)
+        w = res.witness
+        assert res.theta == theta
+        obj = instance_to_json(w)
+        same(obj, _instance_json_per_entry(w))
+        enc = ScalarJson(q)
+        chars = [[chi.eval(g, w.level) for g in w.qls.gs] for chi in w.qls.chis]
+        same([[enc.scalar(c) for c in row] for row in chars],
+             [[_scalar_json_per_entry(c, q) for c in row] for row in chars])
+    etas = [rec["eta"] for rec in obj["skews"]]
+    entries = [e for eta in etas for row in eta for e in row]
+    rows = [row for eta in etas for row in eta]
+    assert len({id(e) for e in entries}) <= 10 < 1000 < len(entries)
+    assert len({id(r) for r in rows}) < len(rows) // 4
+
+
+@pytest.mark.parametrize("build", [_m2_instance_json, _m2_rank3_json])
+def test_instance_json_hopf_fields_share_no_object(build):
+    """instance_to_json shares scalar dicts and eta rows only: the hopf
+    fields (lambda, gamma), the alpha lists and every coefficient list of
+    a fresh dict are objects of their own, so an edit to one changes that
+    field alone."""
+    obj = build()
+    etas = [rec["eta"] for rec in obj["skews"]]
+    shared = {id(o) for eta in etas for o in _containers(eta)} - {id(eta) for eta in etas}
+    hopf = obj["hopf"]
+    fresh = [o for key in ("lambda", "gamma") if key in hopf for o in _containers(hopf[key])]
+    fresh += [rec["alpha"] for rec in obj["grouplikes"]]
+    assert fresh and not {id(o) for o in fresh} & shared
+
+
+# a scalar equal under == and hash to a valid one read before it, but not
+# a JSON integer where one is needed: the decode memo must not take it for
+# the earlier one
+MEMO_KEY_CASES = [
+    pytest.param(("skews", 0, "eta", 0, 1), {"level": 5, "coeffs": [1.0, 0, 0, 0]}, "coeffs",
+                 id="float-coefficient"),
+    pytest.param(("skews", 0, "eta", 0, 1), {"level": 5, "coeffs": [True, 0, 0, 0]}, "coeffs",
+                 id="true-coefficient"),
+    pytest.param(("skews", 0, "eta", 0, 1), {"level": 5.0, "coeffs": [1, 0, 0, 0]}, "level",
+                 id="float-level"),
+    pytest.param(("skews", 0, "eta", 0, 1), {"level": 5, "coeffs": [[1], 0, 0, 0]}, "coeffs",
+                 id="list-coefficient"),
+    pytest.param(("hopf", "lambda"), {"level": 5.0, "coeffs": [1, 0, 0, 0]}, "level",
+                 id="float-level-lambda"),
+]
+
+
+@pytest.mark.parametrize("path,bad,field", MEMO_KEY_CASES)
+def test_decode_memo_keeps_json_types_apart(tmp_path, capsys, path, bad, field):
+    obj = _m2_instance_json()
+    _set(obj, ("grouplikes", 0, "alpha", 0), {"level": 5, "coeffs": [1, 0, 0, 0]})
+    _set(obj, ("skews", 0, "eta", 0, 0), {"level": 5, "coeffs": [1, 0, 0, 0]})
+    _set(obj, path, bad)
+    _assert_input_error(capsys, tmp_path, "verify", {"instance": obj}, field)
