@@ -813,13 +813,13 @@ def _solutions(system, t, L):
     but the rest no longer reach past their last non-unit letters, and
     their joint conditions on the earlier letters are tested there instead
     of after the dead prefixes they allowed."""
-    pending = {}
+    pending = []
     for coeffs, r in system:
         c = [0] * t
         for x, n in coeffs:
             c[x] += n
-        pending[tuple(n % L for n in c), r % L] = None
-    pending = list(pending)
+        pending.append((tuple(n % L for n in c), r % L))
+    pending = list(dict.fromkeys(pending))
     rows = []
     for i in reversed(range(t)):
         unit = next((row for row in pending if gcd(row[0][i], L) == 1), None)
